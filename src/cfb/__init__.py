@@ -50,6 +50,7 @@ from .improper_search import (
     GridSearchResult,
     GridTriple,
     ImproperRecord,
+    ImproperSet,
     SearchSummary,
     continuous_improper_eval,
     cross_pair_reversal,
@@ -88,7 +89,7 @@ __all__ = [
     "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
     "bivariate_normal_cdf", "cfb_linear_gaussian", "gini_mean_difference",
     "empirical_cfb_oracle",
-    "GridTriple", "ImproperRecord", "SearchSummary", "GridSearchResult",
+    "GridTriple", "ImproperRecord", "ImproperSet", "SearchSummary", "GridSearchResult",
     "mean_benefit_increasing", "cross_pair_reversal", "grid_search",
     "continuous_improper_eval",
     "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",

@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateCfb, UndefinedCfb
 from .population_model import (
@@ -409,6 +408,12 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
 # ---------------------------------------------------------------------------
 # bivariate normal and the linear-Gaussian closed form
 # ---------------------------------------------------------------------------
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call so `import cfb` stays light."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def bivariate_normal_cdf(h: float, k: float, r: float) -> float:

@@ -3,7 +3,9 @@
 Every run prints or writes CSV with a `#` comment header carrying the
 library version and the fully resolved configuration, and no
 timestamps, so identical flags give byte-identical output.  Numeric
-fields are printed with 10 significant digits.
+fields are printed with 10 significant digits.  Result rows are written
+from numpy columns through one writer (_emit), files atomically, and
+read back by one reader (_read_csv) in blocks of lines.
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -12,8 +14,8 @@ statistic is undefined for the requested configuration.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
+import itertools
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -31,8 +33,7 @@ from .errors import CfbError, UndefinedCfb
 from .improper_search import (
     HIST_BINS,
     HIST_RANGE,
-    GridTriple,
-    ImproperRecord,
+    ImproperSet,
     continuous_improper_eval,
     grid_search,
 )
@@ -49,6 +50,13 @@ MATCH_COLUMNS = ("a", "b", "beta0", "betax", "betat", "betaxt",
                  "cfb_x", "cfb_h", "abs_diff", "undefined_flag")
 
 _DEFAULT_SEED = 20230516
+
+# the "%.10g" spelling of k/100, as the census files give triple entries
+_HUNDREDTH_TEXT = tuple("%.10g" % (k / 100.0) for k in range(101))
+_HUNDREDTH_OF = {text: k for k, text in enumerate(_HUNDREDTH_TEXT)}
+
+_ROWS_PER_WRITE = 1 << 14
+_CHARS_PER_READ = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,89 @@ def _fmt(x) -> str:
     return "%.10g" % float(x)
 
 
-def _emit(path, config, lines):
-    """Write header plus lines to path, or stdout when path is None."""
-    text = "\n".join(config.header_lines() + list(lines)) + "\n"
+def _emit(path, config, lines, fmt=None, columns=()):
+    """Write the header, lines, then `fmt % row` for each row of columns.
+
+    fmt ends with a newline; columns are equal-length arrays.  Rows are
+    formatted a block at a time, so the whole text is never held at
+    once.  path None means stdout.
+    """
+    def blocks():
+        yield "\n".join(config.header_lines() + lines) + "\n"
+        for i in range(0, len(columns[0]) if columns else 0, _ROWS_PER_WRITE):
+            rows = zip(*(col[i:i + _ROWS_PER_WRITE].tolist() for col in columns))
+            yield "".join([fmt % row for row in rows])
+
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks())
     else:
+        _write_atomic(path, blocks())
+
+
+def _write_atomic(path, blocks):
+    """Write text blocks to a temporary file beside path, then rename it over path.
+
+    An interrupted write leaves the previous file, or none, and removes
+    the temporary one; a reader never sees a short file.  A path that
+    exists but is no regular file (a device or pipe) is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(path, "w", newline="") as f:
-            f.write(text)
+            f.writelines(blocks)
+        return
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.writelines(blocks)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _triple_table():
+    """101 x 101 table: [minus, plus] hundredths -> "minus,zero,plus" decimals."""
+    h = _HUNDREDTH_TEXT
+    return np.array([[f"{h[m]},{h[100 - m - p]},{h[p]}" if m + p <= 100 else ""
+                      for p in range(101)] for m in range(101)], dtype=object)
+
+
+def _csv_blocks(path):
+    """Data lines of a CSV, a block at a time; `#` lines and empty lines are dropped."""
+    with open(path) as f:
+        tail = ""
+        while block := f.read(_CHARS_PER_READ):
+            lines = (tail + block).split("\n")
+            tail = lines.pop()
+            yield [line for line in lines if line and line[0] != "#"]
+        if tail and tail[0] != "#":
+            yield [tail]
+
+
+def _read_csv(path):
+    """(column names, blocks of data lines) of a CSV this module wrote."""
+    blocks = _csv_blocks(path)
+    for lines in blocks:
+        if lines:
+            return lines[0].split(","), itertools.chain([lines[1:]], blocks)
+    raise ValueError(f"{path}: empty input")
+
+
+def _hundredths(path, texts):
+    """Integer hundredths 0..100 of field texts; a value must lie within 1e-6 of one."""
+    try:
+        return list(map(_HUNDREDTH_OF.__getitem__, texts))
+    except KeyError:
+        pass
+    out = []
+    for text in texts:
+        v = float(text)
+        if not 0.0 <= v <= 1.0 or abs(v * 100 - round(v * 100)) > 1e-6:
+            raise ValueError(f"{path}: {v!r} is not a hundredth between 0 and 1")
+        out.append(round(v * 100))
+    return out
 
 
 class _TripleArg:
@@ -172,12 +255,11 @@ def _cmd_search(args) -> int:
     ))
     result = grid_search(args.step, args.c)
 
-    rows = []
-    for rec in result.records:
-        pd = rec.triple_p.decimals()
-        qd = rec.triple_q.decimals()
-        rows.append(",".join(_fmt(v) for v in (*pd, *qd, rec.cfb_star)))
-    _emit(args.out, cfg, [",".join(IMPROPER_COLUMNS)] + rows)
+    found = result.survivors
+    triples = _triple_table()
+    _emit(args.out, cfg, [",".join(IMPROPER_COLUMNS)], "%s,%s,%.10g\n",
+          (triples[found.p_minus, found.p_plus], triples[found.q_minus, found.q_plus],
+           found.cfb_star))
 
     s = result.summary
     hist_lines = ["bin_left,bin_right,count"]
@@ -199,35 +281,31 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _read_improper_csv(path):
-    with open(path) as f:
-        reader = csv.reader(line for line in f if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty input") from None
-        if tuple(header) != IMPROPER_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {header!r}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(IMPROPER_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            vals = [float(v) for v in row]
-            hund = []
-            for v in vals[:6]:
-                n = round(v * 100)
-                if abs(v * 100 - n) > 1e-6:
-                    raise ValueError(f"{path}: {v!r} is not a hundredth")
-                hund.append(n)
-            records.append(ImproperRecord(
-                GridTriple(hund[0], hund[1], hund[2]),
-                GridTriple(hund[3], hund[4], hund[5]),
-                vals[6],
-                vals[6] - 0.5,
-            ))
-    return records
+def _read_improper_csv(path) -> ImproperSet:
+    """The findings of a `search` CSV, checked row by row."""
+    header, blocks = _read_csv(path)
+    if tuple(header) != IMPROPER_COLUMNS:
+        raise ValueError(f"{path}: unexpected columns {header!r}")
+    width = len(IMPROPER_COLUMNS)
+    hund = [[] for _ in range(6)]
+    cfb = []
+    for lines in blocks:
+        if not lines:
+            continue
+        if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+            bad = next(line for line in lines if line.count(",") != width - 1)
+            raise ValueError(f"{path}: malformed row {bad.split(',')!r}")
+        fields = ",".join(lines).split(",")
+        for k, col in enumerate(hund):
+            col += _hundredths(path, fields[k::width])
+        cfb += map(float, fields[6::width])
+    h = np.array(hund, dtype=np.int64).reshape(6, -1)
+    bad = (h[:3].sum(axis=0) != 100) | (h[3:].sum(axis=0) != 100)
+    if bad.any():
+        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} does not hold two "
+                         "triples summing to 1")
+    cfb = np.array(cfb, dtype=np.float64)
+    return ImproperSet(h[0], h[2], h[3], h[5], cfb, cfb - 0.5)
 
 
 def _cmd_screen_cf(args) -> int:
@@ -236,23 +314,20 @@ def _cmd_screen_cf(args) -> int:
         ("out", args.out),
         ("hist-out", args.hist_out),
     ))
-    records = _read_improper_csv(args.inp)
-    res = screen_improper_set(records)
+    found = _read_improper_csv(args.inp)
+    res = screen_improper_set(found)
 
-    rows = []
-    for rec, ev in zip(res.records, res.realizability):
-        pd = rec.triple_p.decimals()
-        qd = rec.triple_q.decimals()
-        y0_lo, y1_lo = ev.roots_low[0]
-        y0_hi, y1_hi = ev.roots_high[0]
-        rows.append(",".join(
-            _fmt(v) for v in (*pd, *qd, rec.cfb_star, y0_lo, y1_lo, y0_hi, y1_hi)))
-    _emit(args.out, cfg, [",".join(REALIZABLE_COLUMNS)] + rows)
+    kept = res.kept
+    triples = _triple_table()
+    # (y0, y1) of the first root of the low, then the high triple
+    roots = np.array([ev.roots_low[0] + ev.roots_high[0] for ev in res.realizability],
+                     dtype=np.float64).reshape(-1, 4)
+    _emit(args.out, cfg, [",".join(REALIZABLE_COLUMNS)], "%s,%s" + ",%.10g" * 5 + "\n",
+          (triples[kept.p_minus, kept.p_plus], triples[kept.q_minus, kept.q_plus],
+           kept.cfb_star, *roots.T))
 
-    all_vals = np.array([r.cfb_star for r in records])
-    kept_vals = np.array([r.cfb_star for r in res.records])
-    c_all, edges = np.histogram(all_vals, bins=HIST_BINS, range=HIST_RANGE)
-    c_kept, _ = np.histogram(kept_vals, bins=HIST_BINS, range=HIST_RANGE)
+    c_all, edges = np.histogram(found.cfb_star, bins=HIST_BINS, range=HIST_RANGE)
+    c_kept, _ = np.histogram(kept.cfb_star, bins=HIST_BINS, range=HIST_RANGE)
     hist_lines = ["bin,count_all,count_realizable"]
     for k in range(HIST_BINS):
         hist_lines.append(f"{_fmt(edges[k])},{int(c_all[k])},{int(c_kept[k])}")
@@ -315,16 +390,10 @@ def _cmd_match_compare(args) -> int:
     ))
     result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
 
-    rows = []
-    for k in range(len(result)):
-        rows.append(",".join((
-            _fmt(result.a[k]), _fmt(result.b[k]),
-            _fmt(result.beta0[k]), _fmt(result.betax[k]),
-            _fmt(result.betat[k]), _fmt(result.betaxt[k]),
-            _fmt(result.cfb_covariate[k]), _fmt(result.cfb_prediction[k]),
-            _fmt(result.abs_diff[k]), str(int(result.undefined[k])),
-        )))
-    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)] + rows)
+    r = result
+    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], "%.10g," * 9 + "%d\n",
+          (r.a, r.b, r.beta0, r.betax, r.betat, r.betaxt,
+           r.cfb_covariate, r.cfb_prediction, r.abs_diff, r.undefined))
 
     hist_lines = ["bin_left,bin_right,count"]
     for k in range(len(result.hist_counts)):
@@ -358,29 +427,25 @@ def _cmd_hist(args) -> int:
         ("hi", _fmt(args.hi) if args.hi is not None else "auto"),
         ("out", args.out if args.out else "-"),
     ))
-    with open(args.inp) as f:
-        reader = csv.reader(line for line in f if not line.startswith("#"))
+    header, blocks = _read_csv(args.inp)
+    if args.col not in header:
+        raise ValueError(f"{args.inp}: no column named {args.col!r}")
+    idx = header.index(args.col)
+    vals = []
+    for lines in blocks:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{args.inp}: empty input") from None
-        if args.col not in header:
-            raise ValueError(f"{args.inp}: no column named {args.col!r}")
-        idx = header.index(args.col)
-        vals = []
-        for row in reader:
-            if not row:
-                continue
-            v = float(row[idx])
-            if not math.isnan(v):
-                vals.append(v)
-    if not vals:
+            vals += map(float, [line.split(",")[idx] for line in lines])
+        except IndexError:
+            raise ValueError(f"{args.inp}: a row has no {args.col!r} field") from None
+    vals = np.array(vals, dtype=np.float64)
+    vals = vals[~np.isnan(vals)]
+    if not vals.size:
         raise ValueError(f"{args.inp}: column {args.col!r} has no usable values")
-    lo = args.lo if args.lo is not None else min(vals)
-    hi = args.hi if args.hi is not None else max(vals)
+    lo = args.lo if args.lo is not None else min(vals.tolist())
+    hi = args.hi if args.hi is not None else max(vals.tolist())
     if not lo < hi:
         raise ValueError("need lo < hi for the histogram range")
-    counts, edges = np.histogram(np.array(vals), bins=args.bins, range=(lo, hi))
+    counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
     lines = ["bin_left,bin_right,count"]
     for k in range(args.bins):
         lines.append(f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}")

@@ -14,16 +14,22 @@ responses or survives under the most ordinary counterfactual model.
 
 For triples on the hundredths grid the discriminant is a rational with
 denominator 10^4, so the screen itself runs in exact integer arithmetic
-and has no boundary ambiguity.
+and has no boundary ambiguity.  It works on the columns of an
+ImproperSet: the kept findings come back as columns too, and the roots
+are solved once per distinct kept triple.  ScreenResult.records and
+.realizability are per-finding views of those, built on first access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .population_model import ProbTriple, logit
-from .improper_search import ImproperRecord
+from .improper_search import GridTriple, ImproperSet
 
 __all__ = [
     "RealizabilityResult",
@@ -64,11 +70,29 @@ class ScreenSummary:
 
 @dataclass(frozen=True)
 class ScreenResult:
-    """Kept records plus their realizability evidence, index aligned."""
+    """Kept findings as columns plus their realizability evidence.
 
-    records: tuple
-    realizability: tuple
+    solutions maps the (minus, plus) hundredths of every kept triple to
+    its (roots, discriminant).  records and realizability are index
+    aligned tuples over the kept findings, built on first access.
+    """
+
+    kept: ImproperSet
+    solutions: dict
     summary: ScreenSummary
+
+    @property
+    def records(self) -> tuple:
+        return self.kept.records
+
+    @cached_property
+    def realizability(self) -> tuple:
+        k = self.kept
+        pairs = zip(zip(k.p_minus.tolist(), k.p_plus.tolist()),
+                    zip(k.q_minus.tolist(), k.q_plus.tolist()))
+        sol = self.solutions
+        return tuple(RealizabilityResult(True, sol[low][0], sol[high][0], sol[low][1], sol[high][1])
+                     for low, high in pairs)
 
 
 def discriminant(triple: ProbTriple) -> float:
@@ -121,37 +145,31 @@ def solve_outcome_probs(triple: ProbTriple) -> tuple:
     return tuple(deduped)
 
 
-def _realizable_hundredths(minus: int, plus: int) -> bool:
-    """Exact integer version of discriminant >= 0 for a grid triple."""
+def _realizable_hundredths(minus, plus):
+    """Exact integer version of discriminant >= 0 for grid triples (arrays)."""
     return (minus - 100 - plus) ** 2 - 400 * plus >= 0
 
 
 def screen_improper_set(records) -> ScreenResult:
     """Keep the findings whose triples are both realizable.
 
-    records is a sequence of ImproperRecord (grid triples required; the
-    exact integer screen depends on the hundredths representation).
+    records is an ImproperSet or a sequence of ImproperRecord (grid
+    triples required; the exact integer screen depends on the hundredths
+    representation).  Kept records are the caller's own objects.
     """
-    kept = []
-    evidence = []
-    for rec in records:
-        if not isinstance(rec, ImproperRecord):
-            raise TypeError("screen_improper_set expects ImproperRecord entries")
-        tp, tq = rec.triple_p, rec.triple_q
-        if _realizable_hundredths(tp.minus, tp.plus) and _realizable_hundredths(tq.minus, tq.plus):
-            low = tp.as_prob_triple()
-            high = tq.as_prob_triple()
-            kept.append(rec)
-            evidence.append(RealizabilityResult(
-                realizable=True,
-                roots_low=solve_outcome_probs(low),
-                roots_high=solve_outcome_probs(high),
-                disc_low=discriminant(low),
-                disc_high=discriminant(high),
-            ))
+    found = records if isinstance(records, ImproperSet) else ImproperSet.from_records(records)
+    keep = (_realizable_hundredths(found.p_minus, found.p_plus)
+            & _realizable_hundredths(found.q_minus, found.q_plus))
+    kept = found.take(np.flatnonzero(keep))
 
-    if kept:
-        values = [r.cfb_star for r in kept]
+    solutions = {}
+    for minus, plus in (set(zip(kept.p_minus.tolist(), kept.p_plus.tolist()))
+                        | set(zip(kept.q_minus.tolist(), kept.q_plus.tolist()))):
+        triple = GridTriple(minus, 100 - minus - plus, plus).as_prob_triple()
+        solutions[minus, plus] = (solve_outcome_probs(triple), discriminant(triple))
+
+    if len(kept):
+        values = kept.cfb_star.tolist()
         values_sorted = sorted(values)
         n = len(values_sorted)
         mid = n // 2
@@ -168,7 +186,7 @@ def screen_improper_set(records) -> ScreenResult:
     else:
         nan = float("nan")
         summary = ScreenSummary(0, nan, nan, nan, nan)
-    return ScreenResult(tuple(kept), tuple(evidence), summary)
+    return ScreenResult(kept, solutions, summary)
 
 
 def logistic_params_from_probs(y00: float, y01: float, y10: float, y11: float) -> tuple:

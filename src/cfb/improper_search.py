@@ -17,6 +17,10 @@ triple (pm, p0, pp) and high-level triple (qm, q0, qp):
 
 The search enumerates all pairs of triples on the hundredths simplex
 and keeps those satisfying both, recording the statistic for each.
+Survivors come back as columns (ImproperSet): the integer hundredths of
+both triples, the statistic and its deviation from 0.5.  The per-pair
+ImproperRecord objects are a view of those columns, built on first
+access to .records, so writing the census never creates them.
 
 A note on arithmetic.  The survivor set is defined by double precision
 evaluation of the filter expressions exactly as written in _scan_block
@@ -41,6 +45,7 @@ from .population_model import BetaXPopulation, ProbTriple
 __all__ = [
     "GridTriple",
     "ImproperRecord",
+    "ImproperSet",
     "SearchSummary",
     "GridSearchResult",
     "mean_benefit_increasing",
@@ -113,6 +118,73 @@ class ImproperRecord:
     deviation: float
 
 
+class ImproperSet:
+    """Grid findings as columns, one entry per (low, high) triple pair.
+
+    p_minus, p_plus and q_minus, q_plus are the integer hundredths of the
+    low and the high triple (the zero share is 100 minus the other two),
+    cfb_star and deviation are as in ImproperRecord.  len() counts the
+    findings; records, and iteration, give them as ImproperRecord
+    objects, built once on first use and shared between equal triples.
+    """
+
+    def __init__(self, p_minus, p_plus, q_minus, q_plus, cfb_star, deviation, records=None):
+        self.p_minus = np.asarray(p_minus, dtype=np.int64)
+        self.p_plus = np.asarray(p_plus, dtype=np.int64)
+        self.q_minus = np.asarray(q_minus, dtype=np.int64)
+        self.q_plus = np.asarray(q_plus, dtype=np.int64)
+        self.cfb_star = np.asarray(cfb_star, dtype=np.float64)
+        self.deviation = np.asarray(deviation, dtype=np.float64)
+        self._records = records
+
+    @classmethod
+    def from_records(cls, records) -> "ImproperSet":
+        """Columns of a sequence of ImproperRecord; records keeps the same objects."""
+        records = tuple(records)
+        if not all(isinstance(rec, ImproperRecord) for rec in records):
+            raise TypeError("expected ImproperRecord entries")
+        hund = np.array([(r.triple_p.minus, r.triple_p.plus, r.triple_q.minus, r.triple_q.plus)
+                         for r in records], dtype=np.int64).reshape(-1, 4)
+        return cls(*hund.T,
+                   [r.cfb_star for r in records], [r.deviation for r in records], records)
+
+    def __len__(self):
+        return len(self.cfb_star)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def _columns(self):
+        return (self.p_minus, self.p_plus, self.q_minus, self.q_plus, self.cfb_star, self.deviation)
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:
+            triples = {}
+
+            def triple(minus, plus):
+                t = triples.get((minus, plus))
+                if t is None:
+                    t = triples[minus, plus] = GridTriple(minus, 100 - minus - plus, plus)
+                return t
+
+            self._records = tuple(
+                ImproperRecord(triple(pm, pp), triple(qm, qp), v, d)
+                for pm, pp, qm, qp, v, d in zip(*(col.tolist() for col in self._columns())))
+        return self._records
+
+    def record(self, k: int) -> ImproperRecord:
+        """The k-th finding, without building the others."""
+        pm, pp, qm, qp, v, d = (col[k].item() for col in self._columns())
+        return ImproperRecord(GridTriple(pm, 100 - pm - pp, pp), GridTriple(qm, 100 - qm - qp, qp), v, d)
+
+    def take(self, idx) -> "ImproperSet":
+        """The findings at the integer positions idx, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        records = None if self._records is None else tuple(self._records[k] for k in idx.tolist())
+        return ImproperSet(*(col[idx] for col in self._columns()), records)
+
+
 @dataclass(frozen=True)
 class SearchSummary:
     count: int
@@ -126,10 +198,15 @@ class SearchSummary:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    records: tuple
+    survivors: ImproperSet
     summary: SearchSummary
     step: float
     c: float
+
+    @property
+    def records(self) -> tuple:
+        """The survivors as ImproperRecord objects, built on first access."""
+        return self.survivors.records
 
 
 def mean_benefit_increasing(triple_low: ProbTriple, triple_high: ProbTriple) -> bool:
@@ -235,7 +312,6 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
 
     ints = _enumerate_hundredths(hund)
-    trips = [GridTriple(m, z, p) for m, z, p in ints]
     m_arr = np.array([t[0] for t in ints], dtype=np.int64)
     p_arr = np.array([t[2] for t in ints], dtype=np.int64)
     vm = m_arr * 0.01
@@ -258,21 +334,18 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
         low_idx = high_idx = np.empty(0, dtype=np.int64)
         dev = np.empty(0)
     cfb = 0.5 + dev
-
-    records = tuple(
-        ImproperRecord(trips[i], trips[j], float(v), float(d))
-        for i, j, v, d in zip(low_idx, high_idx, cfb, dev)
-    )
+    survivors = ImproperSet(m_arr[low_idx], p_arr[low_idx], m_arr[high_idx], p_arr[high_idx],
+                            cfb, dev)
 
     counts, edges = np.histogram(cfb, bins=HIST_BINS, range=HIST_RANGE)
-    if records:
+    if len(survivors):
         k = int(np.argmin(dev))
         summary = SearchSummary(
-            count=len(records),
+            count=len(survivors),
             cfb_min=float(cfb[k]),
             cfb_max=float(cfb.max()),
             cfb_median=float(np.median(cfb)),
-            argmin=records[k],
+            argmin=survivors.record(k),
             hist_edges=tuple(float(e) for e in edges),
             hist_counts=tuple(int(n) for n in counts),
         )
@@ -281,7 +354,7 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
         summary = SearchSummary(0, nan, nan, nan, None,
                                 tuple(float(e) for e in edges),
                                 tuple(int(n) for n in counts))
-    return GridSearchResult(records, summary, step, c)
+    return GridSearchResult(survivors, summary, step, c)
 
 
 def continuous_improper_eval(alpha, beta, triple_low, triple_high, n, seed):

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _np_expit
 
 from .cfb_engine import MatchedBenefitDistribution
 from .errors import ZeroMassH
@@ -278,6 +277,10 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     levels with predictor_h_quadratic, and evaluates the statistic
     matched on the covariate and matched on the predicted benefit.
     """
+    # scipy's expit, not a numpy formula: the two differ in the last bit
+    # often enough to move 10-digit rows of the reported CSV
+    from scipy.special import expit
+
     inv = round(1.0 / grid_step)
     if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
         raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
@@ -301,7 +304,7 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
 
     # response probabilities per arm and level
     y = {
-        (t, x): _np_expit(beta0 + betax * x + betat * t + betaxt * (t * x))
+        (t, x): expit(beta0 + betax * x + betat * t + betaxt * (t * x))
         for t in (0, 1) for x in (0, 1, 2)
     }
 

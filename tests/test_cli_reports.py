@@ -4,16 +4,22 @@ Everything runs in process through cfb.run except one subprocess check
 that the console script is actually installed.
 """
 
+import os
 import shutil
+import stat
 import subprocess
+import threading
 
 import pytest
 
-from cfb import run
+import numpy as np
+
+from cfb import RunConfig, run
 from cfb.cli_reports import (
     IMPROPER_COLUMNS,
     MATCH_COLUMNS,
     REALIZABLE_COLUMNS,
+    _emit,
     _RhoRangeArg,
     _TripleArg,
     _read_improper_csv,
@@ -218,6 +224,64 @@ def test_read_improper_csv_rejects_off_grid_values(tmp_path):
         _read_improper_csv(str(bad))
 
 
+def test_read_improper_csv_accepts_other_spellings(tmp_path):
+    """Values off the canonical %.10g spelling go through the float check."""
+    canonical = tmp_path / "a.csv"
+    canonical.write_text(",".join(IMPROPER_COLUMNS) + "\n"
+                         "0.03,0,0.97,0,0.06,0.94,0.4188255613\n")
+    other = tmp_path / "b.csv"
+    other.write_text("# comment\n" + ",".join(IMPROPER_COLUMNS) + "\n\n"
+                     "3e-2,0.0,0.970,0,0.0600000001,.94,0.4188255613\n")
+    want = _read_improper_csv(str(canonical)).records
+    assert _read_improper_csv(str(other)).records == want
+    assert (want[0].triple_p.minus, want[0].triple_q.zero) == (3, 6)
+
+
+def test_read_improper_csv_rejects_malformed_rows(tmp_path):
+    bad = tmp_path / "bad.csv"
+    head = ",".join(IMPROPER_COLUMNS) + "\n0.03,0,0.97,0,0.06,0.94,0.41\n"
+    for row, message in (("0.03,0,0.97,0,0.06,0.41", "malformed row"),
+                         ("0.03,0,0.97,0,0.06,0.94,0.41,1", "malformed row"),
+                         ("0.5,0.5,0.5,0,0.06,0.94,0.41", "summing to 1"),
+                         ("-0.01,0.04,0.97,0,0.06,0.94,0.41", "hundredth"),
+                         ("1e300,0,0.97,0,0.06,0.94,0.41", "hundredth"),
+                         ("inf,0,0.97,0,0.06,0.94,0.41", "hundredth"),
+                         ("0.03,nan,0.97,0,0.06,0.94,0.41", "hundredth")):
+        bad.write_text(head + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            _read_improper_csv(str(bad))
+
+
+def test_emit_replaces_the_file_atomically(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    cfg = RunConfig("test", ())
+    # the row format rejects the second column's strings midway through the rows
+    rows = (np.arange(3.0), np.array(["x", "y", "z"], dtype=object))
+    with pytest.raises(TypeError):
+        _emit(str(out), cfg, ["a,b"], "%.10g,%d\n", rows)
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    _emit(str(out), cfg, ["a,b"], "%.10g,%s\n", rows)
+    assert out.read_text() == "# cfb 0.1.0\n# test\na,b\n0,x\n1,y\n2,z\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_emit_writes_a_pipe_in_place(tmp_path):
+    """A path that is no regular file, such as a pipe, is not replaced."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    _emit(str(fifo), RunConfig("test", ()), ["a"], "%d\n", (np.arange(2),))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == ["# cfb 0.1.0\n# test\na\n0\n1\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
 def test_screen_cf_pipeline(small_search, tmp_path, capsys):
     argv, out, _, _ = small_search
     real = tmp_path / "realizable.csv"
@@ -338,6 +402,13 @@ def test_hist_missing_column(tmp_path, capsys):
     src.write_text("name,score\na,1\n")
     assert run(["hist", "--in", str(src), "--col", "other"]) == 2
     assert "no column" in capsys.readouterr().err
+
+
+def test_hist_rejects_short_row(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("name,score\na,1\nb\n")
+    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    assert "no 'score' field" in capsys.readouterr().err
 
 
 def test_hist_rejects_empty_range(tmp_path, capsys):

@@ -140,6 +140,17 @@ def test_screen_agrees_with_exact_integer_rule(grid_result, screen_result):
         assert (id(rec) in kept) == exact
 
 
+def test_screen_of_columns_matches_screen_of_records(grid_result, screen_result):
+    """The columnar census and its record view screen to the same findings."""
+    res = screen_improper_set(grid_result.survivors)
+    assert res.summary == screen_result.summary
+    for name in ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation"):
+        assert (getattr(res.kept, name) == getattr(screen_result.kept, name)).all(), name
+    step = max(1, len(res.records) // 300)
+    assert res.records[::step] == screen_result.records[::step]
+    assert res.realizability[::step] == screen_result.realizability[::step]
+
+
 def test_screen_rejects_foreign_records():
     with pytest.raises(TypeError):
         screen_improper_set([(GridTriple(0, 100, 0), GridTriple(0, 100, 0), 0.5, 0.0)])

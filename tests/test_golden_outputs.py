@@ -1,0 +1,81 @@
+"""Byte-level golden outputs of the CLI and the import footprint of the package.
+
+The sha256 values pin every output byte at the default output names,
+which appear in the `#` header, so each run happens in its own empty
+directory.  Refactors of the writers, readers or result types must keep
+them.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+from cfb import bivariate_normal_cdf, cfb_engine, run
+
+CENSUS_GOLDEN = {
+    "improper.csv": "5f95531cf6101d5824d52aaa1275bae36615995454f88a4d8310aba3ad7937d7",
+    "fig1_hist.csv": "e612ab22237d1cb35f2dc6d8d611c38d537afe092bc4c5d4884de04b997ad243",
+    "realizable.csv": "4638eaa8011ec4888314513227d19f7e239ee92bf952b8aaa8b0f3b4041e37c3",
+    "fig6_hist.csv": "9cfefcc6560f824c0959612548c8e25e4f575afd95d164aceed2059389a9651c",
+}
+CENSUS_STDOUT_GOLDEN = {
+    "search": "773693de6fa8beab1b5f2b26bea25638650a5984580c7cf6d784dba956d82e27",
+    "screen-cf": "747ac3146b7f443ea75174dc777608369b9750104da00d2a55f7544ee750f9bd",
+}
+# match-compare --step 0.01 at the default seed
+MATCH_GOLDEN = {
+    "match_diffs.csv": "ce11fd240648b7d15eca631cc549fd71412f525073f7df1df0c0354ed5c427ea",
+    "fig2_hist.csv": "3819dda14303277d4acbf5214316548f3c92874c7288f77f00ecc33519a2453e",
+}
+MATCH_STDOUT_GOLDEN = "34521e7ce6068ad262b7fd359fe8c751897cc6609a6d51f96f1d1df21b433b2e"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_stdout(argv, capsys):
+    assert run(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_census_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert sha256(run_stdout(["search", "--step", "0.01"], capsys)) == CENSUS_STDOUT_GOLDEN["search"]
+    assert sha256(run_stdout(["screen-cf"], capsys)) == CENSUS_STDOUT_GOLDEN["screen-cf"]
+    for name, digest in CENSUS_GOLDEN.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CENSUS_GOLDEN)
+
+
+def test_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert sha256(run_stdout(["match-compare", "--step", "0.01"], capsys)) == MATCH_STDOUT_GOLDEN
+    for name, digest in MATCH_GOLDEN.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(MATCH_GOLDEN)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, cfb; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_engine_hooks_stay_module_level(monkeypatch):
+    """The thread pool class and quad are looked up on the module at call time,
+    so a caller can replace them (the traced benchmark counts quadratures so)."""
+    assert isinstance(cfb_engine.ThreadPoolExecutor, type)
+    calls = []
+    original = cfb_engine.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cfb_engine, "quad", counting)
+    assert bivariate_normal_cdf(0.3, -0.2, 0.5) == pytest.approx(0.33619843701551877, abs=1e-12)
+    assert calls

@@ -206,6 +206,20 @@ def test_census_count(grid_result):
     assert len(grid_result.records) == 283523
 
 
+def test_census_columns_match_records(grid_result):
+    found = grid_result.survivors
+    assert len(found) == len(grid_result.records)
+    for k in (0, 1, 4567, len(found) - 1):
+        r = grid_result.records[k]
+        assert found.record(k) == r
+        assert (found.p_minus[k], found.p_plus[k], found.q_minus[k], found.q_plus[k]) == (
+            r.triple_p.minus, r.triple_p.plus, r.triple_q.minus, r.triple_q.plus)
+        assert (found.cfb_star[k], found.deviation[k]) == (r.cfb_star, r.deviation)
+    part = found.take([5, 2])
+    assert part.records == (grid_result.records[5], grid_result.records[2])
+    assert part.records[0] is grid_result.records[5]
+
+
 def test_census_extremes(grid_result):
     s = grid_result.summary
     assert s.cfb_min == 0.41882556131260823
