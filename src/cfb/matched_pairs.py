@@ -260,6 +260,7 @@ def _two_group_cfb_arrays(c, low_m, low_z, low_p, high_m, high_z, high_p):
     a_mass = cc * (cross_conc + cross_disc) + (
         (c * c) * within_high + ((1.0 - c) * (1.0 - c)) * within_low
     )
+    del within_high, within_low
     defined = a_mass > 0.0
     dev = np.full(a_mass.shape, np.nan)
     np.divide(cc * (cross_conc - cross_disc), 2.0 * a_mass, out=dev, where=defined)
@@ -301,6 +302,9 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     base = np.arange(n, dtype=np.uint64) * np.uint64(4)
     coeffs = [lo + (hi - lo) * _uniform_open01(seed, base + np.uint64(m)) for m in range(4)]
     beta0, betax, betat, betaxt = coeffs
+    # each whole-grid intermediate is released once consumed: at 0.001
+    # steps one array is 4 MB and the kernel's peak is the sum of the live ones
+    del i_arr, j_arr, base
 
     # response probabilities per arm and level
     y = {
@@ -311,6 +315,7 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     w_low = a + b
     s0 = a / w_low
     s1 = b / w_low
+    del w_low
 
     # matched on the covariate: mixture of the per-level triples
     lm_x = s0 * (y[0, 0] * (1.0 - y[1, 0])) + s1 * (y[0, 1] * (1.0 - y[1, 1]))
@@ -327,13 +332,17 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     lm_h = ybar0 * (1.0 - ybar1)
     lz_h = ybar0 * ybar1 + (1.0 - ybar0) * (1.0 - ybar1)
     lp_h = ybar1 * (1.0 - ybar0)
+    del s0, s1, ybar0, ybar1
 
     hm = y[0, 2] * (1.0 - y[1, 2])
     hz = y[0, 2] * y[1, 2] + (1.0 - y[0, 2]) * (1.0 - y[1, 2])
     hp = y[1, 2] * (1.0 - y[0, 2])
+    del y
 
     cfb_x, undef_x = _two_group_cfb_arrays(c_high, lm_x, lz_x, lp_x, hm, hz, hp)
+    del lm_x, lz_x, lp_x
     cfb_h, undef_h = _two_group_cfb_arrays(c_high, lm_h, lz_h, lp_h, hm, hz, hp)
+    del c_high, lm_h, lz_h, lp_h, hm, hz, hp
     undefined = undef_x | undef_h
     abs_diff = np.abs(cfb_x - cfb_h)
 

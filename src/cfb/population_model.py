@@ -219,6 +219,15 @@ class BenefitPredictor:
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         if not self.table:
             raise ValueError("predictor table is empty")
+        # a nan score compares unequal to itself, so pairwise scoring, sorting
+        # and grouping by score would each read it differently
+        for x, score in self.table.items():
+            try:
+                finite = math.isfinite(score)
+            except TypeError:
+                raise ValueError(f"score for covariate level {x!r} is not a number: {score!r}") from None
+            if not finite:
+                raise ValueError(f"score for covariate level {x!r} is not finite: {score!r}")
 
     def __call__(self, x: int) -> float:
         try:

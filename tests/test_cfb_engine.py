@@ -5,11 +5,15 @@ recompute them by plain enumeration with Fraction arithmetic and share
 no code with the library.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfb import (
     BenefitPredictor,
@@ -31,6 +35,7 @@ from cfb import (
     gini_mean_difference,
     pair_table,
 )
+from cfb.cfb_engine import _pair_counts, _sample_b_from_triples
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
@@ -463,6 +468,93 @@ def test_monte_carlo_all_pairs_mode():
     flat = BenefitPredictor({0: 1.0, 1: 1.0})
     est, _ = cfb_monte_carlo(BINARY_POP, 400, 17, predictor=flat, all_pairs=True)
     assert est == 0.5
+
+
+def _brute_pair_counts(b, h):
+    conc = tied = valid = 0
+    for i in range(len(b)):
+        for j in range(i + 1, len(b)):
+            if b[i] == b[j]:
+                continue
+            valid += 1
+            if h[i] == h[j]:
+                tied += 1
+            elif (b[i] > b[j]) == (h[i] > h[j]):
+                conc += 1
+    return conc, tied, valid
+
+
+# few distinct values, so both coordinates tie heavily; -0.0 and 0.0 tie too
+_H_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])
+_B_FLOATS = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_counts_match_double_loop(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    if data.draw(st.booleans(), label="ternary"):
+        b = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)), dtype=np.int8)
+    else:
+        b = np.array(data.draw(st.lists(_B_FLOATS, min_size=n, max_size=n)))
+    h = np.array(data.draw(st.lists(_H_VALUES, min_size=n, max_size=n)))
+    assert _pair_counts(b, h) == _brute_pair_counts(b.tolist(), h.tolist())
+
+
+def test_pair_counts_of_two_units():
+    levels = (-1.5, -0.0, 0.0, 2.0)
+    for b1, b2, h1, h2 in itertools.product((-1, 0, 1), (-1, 0, 1), levels, levels):
+        b = np.array([b1, b2], dtype=np.int8)
+        assert _pair_counts(b, np.array([h1, h2])) == _brute_pair_counts([b1, b2], [h1, h2])
+
+
+def test_all_pairs_all_b_ties_is_undefined():
+    t = ProbTriple(0.0, 1.0, 0.0)
+    with pytest.raises(UndefinedCfb):
+        cfb_monte_carlo(BinaryXPopulation(0.5, t, t), 300, 3, all_pairs=True)
+    assert _pair_counts(np.zeros(50, dtype=np.int8), np.arange(50.0))[2] == 0
+
+
+def test_all_pairs_constant_continuous_predictor_is_exactly_half():
+    # betaxt = 0: continuous benefit, one predictor value for every unit
+    est, _ = cfb_monte_carlo(lg(0.0, 1.0, 0.0), 1000, 11, all_pairs=True)
+    assert est == 0.5
+
+
+# The all-pairs population of the benchmark (README Beta example 1) at the
+# first three seeds derived from 20230516, and one linear-Gaussian run.
+# Recorded from the pair-by-pair loop that sorting replaced; the counts are
+# exact, so the floats must not move in the last bit.
+ALL_PAIRS_BETA_POP = BetaXPopulation(0.5, 0.5, ProbTriple(0.08, 0.0, 0.92), ProbTriple(0.0, 0.15, 0.85))
+ALL_PAIRS_BETA_PINS = (
+    "(0.4259909311334547, 0.0007912464614731958)",
+    "(0.40087301822972204, 0.0008052013617083336)",
+    "(0.4213655393154574, 0.0007591849863856432)",
+)
+
+
+def test_all_pairs_estimates_are_pinned():
+    rng = random.Random(20230516)
+    for pin in ALL_PAIRS_BETA_PINS:
+        seed = rng.randrange(2**32)
+        assert repr(cfb_monte_carlo(ALL_PAIRS_BETA_POP, 2000, seed, all_pairs=True)) == pin
+    got = cfb_monte_carlo(lg(1.0, 1.0, 0.0), 2000, 7, all_pairs=True)
+    assert repr(got) == "(0.6990565282641321, 0.0003244084920475598)"
+
+
+def test_benefit_draw_matches_nested_where():
+    rng = np.random.default_rng(4)
+    tm = rng.random(3000) * 0.5
+    tz = rng.random(3000) * 0.5
+    tz[::3] = 0.0
+    u = rng.random(3000)
+    u[1::4] = tm[1::4]
+    u[2::4] = (tm + tz)[2::4]
+    old = np.where(u < tm, -1, np.where(u < tm + tz, 0, 1)).astype(np.int8)
+    new = _sample_b_from_triples(u, tm, tz)
+    assert new.dtype == np.int8
+    assert np.array_equal(new, old)
+    assert set(np.unique(new)) == {-1, 0, 1}
 
 
 def test_monte_carlo_all_pairs_unit_cap():

@@ -165,6 +165,12 @@ def test_benefit_predictor_rejects_empty_table():
         BenefitPredictor({})
 
 
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "1.0", None, 1j])
+def test_benefit_predictor_rejects_non_finite_scores(score):
+    with pytest.raises(ValueError, match="level 1"):
+        BenefitPredictor({0: 0.5, 1: score})
+
+
 def test_benefit_predictor_table_is_read_only():
     h = BenefitPredictor({0: 0.5})
     with pytest.raises(TypeError):
