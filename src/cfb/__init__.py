@@ -3,7 +3,7 @@
 The statistic asks how often a benefit predictor ranks a random pair of
 subjects the same way their realized treatment benefits do, ties scored
 one half, conditioned on the pair actually differing in benefit.  The
-package computes it exactly for discrete populations, by quadrature for
+package computes it exactly for discrete populations, in closed form for
 the linear-Gaussian family, and by seeded Monte Carlo elsewhere, plus
 the searches and screens built on top: the below-chance census of the
 oracle predictor, the independent-counterfactual realizability screen,

@@ -527,8 +527,10 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
         r = |betaxt| / sqrt(betaxt^2 + 2 sigma^2 (1 - rho))
 
     and the statistic equals Pr(both differences share a sign), i.e.
-    2 * Pr(D1 < 0, D2 < 0) = 0.5 + arcsin(r)/pi.  The quadrature route
-    is used here; the arcsine identity makes a good independent check.
+    2 * Pr(D1 < 0, D2 < 0) = 0.5 + arcsin(r)/pi by Sheppard's (1899)
+    orthant formula.  The arcsine is evaluated here, so no scipy import
+    and no quadrature; `2 * bivariate_normal_cdf(0, 0, r)` is the
+    independent check the tests compare it with.
 
     Raises DegenerateCfb when betaxt is 0: the predictor is then the
     same for every unit and no ranking is expressed.
@@ -541,7 +543,7 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
         b2 = pop.betaxt * pop.betaxt
         r = abs(pop.betaxt) / math.sqrt(b2 + 2.0 * pop.sigma * pop.sigma * (1.0 - pop.rho))
         r = min(r, 1.0)
-    value = 2.0 * bivariate_normal_cdf(0.0, 0.0, r)
+    value = 0.5 + math.asin(r) / math.pi
     # continuous benefit: the conditioning event has probability one
     return CfbResult(value, value, 1.0)
 

@@ -4,8 +4,14 @@ Every run prints or writes CSV with a `#` comment header carrying the
 library version and the fully resolved configuration, and no
 timestamps, so identical flags give byte-identical output.  Numeric
 fields are printed with 10 significant digits.  Result rows are written
-from numpy columns through one writer (_emit), files atomically, and
-read back by one reader (_read_csv) in blocks of lines.
+from numpy columns through one writer (_emit), files atomically.  Its
+one formatter (_RowText) turns a block of rows into text with numpy,
+byte for byte as Python's `"%.10g" % x` and `"%d" % n` would; a float
+whose 10th digit it cannot round exactly (scaled fraction within 1e-5
+of one half), a non-finite value, a zero and a three-digit exponent are
+formatted by Python's `%` instead.  `screen-cf` reads its input back in
+blocks of lines and `hist` reads its column with numpy's text reader,
+after one shared header scan (_csv_header).
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -18,6 +24,7 @@ import itertools
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,23 +86,209 @@ def _fmt(x) -> str:
     return "%.10g" % float(x)
 
 
-def _emit(path, config, lines, fmt=None, columns=()):
-    """Write the header, lines, then `fmt % row` for each row of columns.
+def _emit(path, config, lines, columns=()):
+    """Write the header, lines, then one line per row of columns.
 
-    fmt ends with a newline; columns are equal-length arrays.  Rows are
-    formatted a block at a time, so the whole text is never held at
-    once.  path None means stdout.
+    columns are equal-length arrays; their dtypes set the text (see
+    _RowText).  Rows are formatted a block at a time, so the whole text
+    is never held at once.  path None means stdout.
     """
     def blocks():
         yield "\n".join(config.header_lines() + lines) + "\n"
-        for i in range(0, len(columns[0]) if columns else 0, _ROWS_PER_WRITE):
-            rows = zip(*(col[i:i + _ROWS_PER_WRITE].tolist() for col in columns))
-            yield "".join([fmt % row for row in rows])
+        if columns:
+            text = _RowText()
+            for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+                yield text.rows([col[i:i + _ROWS_PER_WRITE] for col in columns])
 
     if path is None:
         sys.stdout.writelines(blocks())
     else:
         _write_atomic(path, blocks())
+
+
+class _RowText:
+    """CSV lines of numpy columns, byte for byte as Python's `%` writes them.
+
+    float columns print as "%.10g", integer and bool columns as "%d", and
+    bytes columns as they are.  A block of rows becomes a (words, rows)
+    matrix of little-endian uint32 words, in which each cell is a run of
+    words
+
+        [sep, sign, int digits] [".", 3 digits] [4 digits]... ["e-05"]
+
+    with NUL in every byte its text leaves unused; the matrix written row
+    after row, less its NUL bytes, is the text.  Digit words come from
+    tables of 4-digit groups, with NUL in place of the integer part's
+    leading zeros and the fraction's trailing zeros.
+
+    A float's 10 significant digits are m = rint(|x| * 10**k), with k
+    such that 1e9 <= m < 1e10.  The scaled value carries one rounding
+    error, or two where 10**k is not exact (|k| > 22), together below
+    2.3e-6 at 1e10, so rint gives the correctly rounded digits unless
+    the scaled value's fraction lies within 1e-5 of one half.  Those
+    cells, non-finite values, zeros and exponents of three digits are
+    formatted by Python's `%` instead (75 of the 4,486,509 floats
+    `match-compare` writes at default flags), as are integers of 10
+    digits or more.
+    """
+
+    _POINT, _MINUS = ord("."), np.uint32(ord("-") << 8)
+    _MAX_K = 110  # 10**k is tabled for |k| <= _MAX_K; 9 - k is the decimal exponent
+
+    def __init__(self):
+        g = np.arange(10000)
+        digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+        chars = (digits + ord("0")).astype(np.uint8)
+        nonzero = digits != 0
+        lead = np.where(np.cumsum(nonzero, axis=1) == 0, 0, chars).astype(np.uint8)
+        trail = np.where(np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] == 0, 0, chars).astype(np.uint8)
+        full, lead, trail = (c.view("<u4")[:, 0] for c in (chars, lead, trail))
+        lead_last = lead.copy()
+        lead_last[0] = ord("0") << 24
+        # a table pair is indexed by group + size * flag: the flag selects the NUL-padded half
+        self._int_mid = np.concatenate([full, lead])  # flag: no higher digit
+        self._int_last = np.concatenate([full, lead_last])
+        self._frac = np.concatenate([full, trail])  # flag: no lower digit
+        self._first = np.concatenate([full[:1000] & 0xFFFFFF00 | self._POINT,
+                                      np.where(g[:1000] > 0, trail[:1000] & 0xFFFFFF00 | self._POINT, 0)])
+        self._exp = np.frombuffer(b"\0" * 4 + "".join("e%+03d" % e for e in range(-99, 100)).encode(), "<u4")
+        self._pow10 = np.array([float(10 ** k) for k in range(self._MAX_K + 2)])
+
+    def rows(self, columns):
+        """Text of the rows of equal-length columns, each row ending in a newline."""
+        n = len(columns[0])
+        if not n:
+            return ""
+        cells = []
+        for c, col in enumerate(columns):
+            # each field starts with its separator; the first field's "\n" ends the previous row
+            sep = "\n" if c == 0 else ","
+            words, fast, spec = self._cell_words(col)
+            words[0] = words[0] | ord(sep)
+            slow = () if fast is None else np.flatnonzero(~fast)
+            texts = [(sep + spec % x).encode() for x in col[slow].tolist()] if len(slow) else []
+            width = max([len(words)] + [-(-len(t) // 4) for t in texts])
+            cells.append((words, slow, texts, width))
+        matrix = np.empty((sum(cell[3] for cell in cells), n), "<u4")
+        row = 0
+        for words, slow, texts, width in cells:
+            for j, word in enumerate(words):
+                matrix[row + j] = word
+            matrix[row + len(words):row + width] = 0
+            if texts:
+                padded = b"".join(t.ljust(4 * width, b"\0") for t in texts)
+                matrix[row:row + width, slow] = np.frombuffer(padded, "<u4").reshape(-1, width).T
+            row += width
+        return matrix.T.tobytes().translate(None, b"\0").decode("ascii")[1:] + "\n"
+
+    def _cell_words(self, col):
+        """(word arrays of the cells, mask of the cells they format or None for all,
+        `%` spec of the others)."""
+        kind = col.dtype.kind
+        if kind == "f":
+            return (*self._float_words(col.astype(np.float64)), "%.10g")
+        if kind in "biu":
+            fast = (col > -10 ** 10) & (col < 10 ** 10)
+            v = np.where(fast, col, 0).astype(np.int64)
+            words = self._int_words(np.abs(v))
+            words[0] = words[0] | self._MINUS * (v < 0)
+            return words, fast, "%d"
+        if kind == "S":
+            width = col.dtype.itemsize
+            text = np.zeros((len(col), 4 * ((width + 4) // 4)), np.uint8)
+            text[:, 1:width + 1] = col.view(np.uint8).reshape(len(col), width)
+            return list(text.view("<u4").T), None, None
+        raise TypeError(f"cannot write a column of dtype {col.dtype}")
+
+    def _int_words(self, n):
+        """Words of non-negative int64 values below 1e10: leading zeros NUL, 0 as "0".
+
+        The first word's bytes 0 and 1 stay NUL, for the separator and the sign.
+        """
+        count = 1
+        while n.max() >= 10 ** (4 * count - 2):
+            count += 1
+        words, top = [], True  # top: no higher digit
+        for j in reversed(range(count)):
+            group = n // 10 ** (4 * j) if j else n
+            table = self._int_last if j == 0 else self._int_mid
+            words.append(table[group + 10000 * top])
+            if j:
+                n = n - group * 10 ** (4 * j)
+                top = top & (group == 0)
+        return words
+
+    def _frac_words(self, frac, count):
+        """Words of the first 4 * count - 1 digits after the point, given as one int64:
+        ".ddd" "dddd"..., trailing zeros NUL and no point when the fraction is 0.
+
+        Trailing words that are NUL in every cell are left out.
+        """
+        words = []
+        for j in reversed(range(count)):
+            if j:
+                group = frac // 10 ** (4 * j)
+                frac = frac - group * 10 ** (4 * j)
+                last = frac == 0  # no lower digit
+            else:
+                group, last = frac, True
+            table, size = (self._frac, 10000) if words else (self._first, 1000)
+            words.append(table[group + size * last])
+        while words and not words[-1].any():
+            words.pop()
+        return words
+
+    def _scaled(self, a, k):
+        """a * 10**k, with one rounding where 10**k is exact."""
+        if k.min() >= 0:
+            return a * self._pow10[k]
+        return np.where(k >= 0, a * self._pow10[np.maximum(k, 0)], a / self._pow10[np.maximum(-k, 0)])
+
+    def _float_words(self, v):
+        """(word arrays, mask of the cells they format, or None for all) of a float64 array."""
+        a = np.abs(v)
+        fast = None
+        if not (a.min() > 0 and a.max() < np.inf):
+            fast = (a > 0) & (a < np.inf)
+            a[~fast] = 1.0
+        k = (9.0 - np.floor(np.log10(a))).astype(np.intp)
+        if k.min() < -self._MAX_K or k.max() > self._MAX_K:
+            np.clip(k, -self._MAX_K, self._MAX_K, out=k)
+        scaled = self._scaled(a, k)
+        if scaled.min() < 1e9 or scaled.max() >= 1e10:  # log10 was one off
+            k += scaled < 1e9
+            k -= scaled >= 1e10
+            scaled = self._scaled(a, k)
+        m = np.rint(scaled)
+        near_half = np.abs(scaled - m) >= 0.5 - 1e-5
+        if near_half.any():
+            fast = ~near_half if fast is None else fast & ~near_half
+        if m.max() >= 1e10:
+            carry = m >= 1e10
+            m[carry] = 1e9
+            k -= carry
+        if k.min() < 9 - 99 or k.max() > 9 + 99:
+            fast = (k >= 9 - 99) & (k <= 9 + 99) if fast is None else fast & (k >= 9 - 99) & (k <= 9 + 99)
+        if fast is not None:
+            m[~fast], k[~fast] = 1e9, 9
+        # fixed notation for exponents -4..9; otherwise one integer digit and "e+XX"
+        fixed = None if k.min() >= 0 and k.max() <= 13 else (k >= 0) & (k <= 13)
+        digits_after = k if fixed is None else np.where(fixed, k, 9)
+        scale = self._pow10[digits_after]
+        whole = np.floor(m / scale)
+        words = self._int_words(whole.astype(np.int64))
+        words[0] = words[0] | self._MINUS * (v < 0)
+        count = (int(digits_after.max()) + 4) // 4
+        frac = ((m - whole * scale) * self._pow10[4 * count - 1 - digits_after]).astype(np.int64)
+        frac_words = self._frac_words(frac, count)
+        if fixed is not None:
+            exp = self._exp[np.where(fixed, 0, 109 - k)]
+            # below 1e-4 or from 1e10 the fraction has 9 digits, so a fourth word is NUL
+            if len(frac_words) >= 4:
+                frac_words[3] = frac_words[3] | exp
+            else:
+                frac_words.append(exp)
+        return words + frac_words, fast
 
 
 def _write_atomic(path, blocks):
@@ -122,31 +315,51 @@ def _write_atomic(path, blocks):
 
 
 def _triple_table():
-    """101 x 101 table: [minus, plus] hundredths -> "minus,zero,plus" decimals."""
+    """101 x 101 bytes table: [minus, plus] hundredths -> b"minus,zero,plus" decimals."""
     h = _HUNDREDTH_TEXT
-    return np.array([[f"{h[m]},{h[100 - m - p]},{h[p]}" if m + p <= 100 else ""
-                      for p in range(101)] for m in range(101)], dtype=object)
+    return np.array([[f"{h[m]},{h[100 - m - p]},{h[p]}".encode() if m + p <= 100 else b""
+                      for p in range(101)] for m in range(101)])
 
 
-def _csv_blocks(path):
-    """Data lines of a CSV, a block at a time; `#` lines and empty lines are dropped."""
-    with open(path) as f:
-        tail = ""
-        while block := f.read(_CHARS_PER_READ):
-            lines = (tail + block).split("\n")
-            tail = lines.pop()
-            yield [line for line in lines if line and line[0] != "#"]
-        if tail and tail[0] != "#":
-            yield [tail]
-
-
-def _read_csv(path):
-    """(column names, blocks of data lines) of a CSV this module wrote."""
-    blocks = _csv_blocks(path)
-    for lines in blocks:
-        if lines:
-            return lines[0].split(","), itertools.chain([lines[1:]], blocks)
+def _csv_header(f, path):
+    """Column names on the first line of f that is neither empty nor a `#` comment."""
+    while line := f.readline():
+        line = line.rstrip("\n")
+        if line and line[0] != "#":
+            return line.split(",")
     raise ValueError(f"{path}: empty input")
+
+
+def _csv_blocks(f):
+    """Data lines of the rest of f, a block at a time; `#` lines and empty lines are dropped."""
+    tail = ""
+    while block := f.read(_CHARS_PER_READ):
+        lines = (tail + block).split("\n")
+        tail = lines.pop()
+        yield [line for line in lines if line and line[0] != "#"]
+    if tail and tail[0] != "#":
+        yield [tail]
+
+
+def _read_column(path, name):
+    """The values of one column of a CSV, parsed by numpy's text reader.
+
+    Lines after the header are data rows; `#` starts a comment and empty
+    lines are skipped.  A row that lacks the column, or a field that is
+    no number, raises ValueError naming the file.
+    """
+    with open(path) as f:
+        header = _csv_header(f, path)
+        if name not in header:
+            raise ValueError(f"{path}: no column named {name!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy warns when no row follows the header
+                return np.loadtxt(f, delimiter=",", comments="#", usecols=header.index(name), ndmin=1)
+        except ValueError as e:
+            if "column index" in str(e):
+                raise ValueError(f"{path}: a row has no {name!r} field") from None
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _hundredths(path, texts):
@@ -257,7 +470,7 @@ def _cmd_search(args) -> int:
 
     found = result.survivors
     triples = _triple_table()
-    _emit(args.out, cfg, [",".join(IMPROPER_COLUMNS)], "%s,%s,%.10g\n",
+    _emit(args.out, cfg, [",".join(IMPROPER_COLUMNS)],
           (triples[found.p_minus, found.p_plus], triples[found.q_minus, found.q_plus],
            found.cfb_star))
 
@@ -283,22 +496,23 @@ def _cmd_search(args) -> int:
 
 def _read_improper_csv(path) -> ImproperSet:
     """The findings of a `search` CSV, checked row by row."""
-    header, blocks = _read_csv(path)
-    if tuple(header) != IMPROPER_COLUMNS:
-        raise ValueError(f"{path}: unexpected columns {header!r}")
     width = len(IMPROPER_COLUMNS)
     hund = [[] for _ in range(6)]
     cfb = []
-    for lines in blocks:
-        if not lines:
-            continue
-        if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-            bad = next(line for line in lines if line.count(",") != width - 1)
-            raise ValueError(f"{path}: malformed row {bad.split(',')!r}")
-        fields = ",".join(lines).split(",")
-        for k, col in enumerate(hund):
-            col += _hundredths(path, fields[k::width])
-        cfb += map(float, fields[6::width])
+    with open(path) as f:
+        header = _csv_header(f, path)
+        if tuple(header) != IMPROPER_COLUMNS:
+            raise ValueError(f"{path}: unexpected columns {header!r}")
+        for lines in _csv_blocks(f):
+            if not lines:
+                continue
+            if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+                bad = next(line for line in lines if line.count(",") != width - 1)
+                raise ValueError(f"{path}: malformed row {bad.split(',')!r}")
+            fields = ",".join(lines).split(",")
+            for k, col in enumerate(hund):
+                col += _hundredths(path, fields[k::width])
+            cfb += map(float, fields[6::width])
     h = np.array(hund, dtype=np.int64).reshape(6, -1)
     bad = (h[:3].sum(axis=0) != 100) | (h[3:].sum(axis=0) != 100)
     if bad.any():
@@ -322,7 +536,7 @@ def _cmd_screen_cf(args) -> int:
     # (y0, y1) of the first root of the low, then the high triple
     roots = np.array([ev.roots_low[0] + ev.roots_high[0] for ev in res.realizability],
                      dtype=np.float64).reshape(-1, 4)
-    _emit(args.out, cfg, [",".join(REALIZABLE_COLUMNS)], "%s,%s" + ",%.10g" * 5 + "\n",
+    _emit(args.out, cfg, [",".join(REALIZABLE_COLUMNS)],
           (triples[kept.p_minus, kept.p_plus], triples[kept.q_minus, kept.q_plus],
            kept.cfb_star, *roots.T))
 
@@ -391,7 +605,7 @@ def _cmd_match_compare(args) -> int:
     result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
 
     r = result
-    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], "%.10g," * 9 + "%d\n",
+    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)],
           (r.a, r.b, r.beta0, r.betax, r.betat, r.betaxt,
            r.cfb_covariate, r.cfb_prediction, r.abs_diff, r.undefined))
 
@@ -427,17 +641,7 @@ def _cmd_hist(args) -> int:
         ("hi", _fmt(args.hi) if args.hi is not None else "auto"),
         ("out", args.out if args.out else "-"),
     ))
-    header, blocks = _read_csv(args.inp)
-    if args.col not in header:
-        raise ValueError(f"{args.inp}: no column named {args.col!r}")
-    idx = header.index(args.col)
-    vals = []
-    for lines in blocks:
-        try:
-            vals += map(float, [line.split(",")[idx] for line in lines])
-        except IndexError:
-            raise ValueError(f"{args.inp}: a row has no {args.col!r} field") from None
-    vals = np.array(vals, dtype=np.float64)
+    vals = _read_column(args.inp, args.col)
     vals = vals[~np.isnan(vals)]
     if not vals.size:
         raise ValueError(f"{args.inp}: column {args.col!r} has no usable values")

@@ -9,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import threading
+import warnings
 
 import pytest
 
@@ -256,14 +257,14 @@ def test_emit_replaces_the_file_atomically(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("previous\n")
     cfg = RunConfig("test", ())
-    # the row format rejects the second column's strings midway through the rows
+    # the writer rejects the object column after the header is written
     rows = (np.arange(3.0), np.array(["x", "y", "z"], dtype=object))
     with pytest.raises(TypeError):
-        _emit(str(out), cfg, ["a,b"], "%.10g,%d\n", rows)
+        _emit(str(out), cfg, ["a,b"], rows)
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    _emit(str(out), cfg, ["a,b"], "%.10g,%s\n", rows)
+    _emit(str(out), cfg, ["a,b"], (rows[0], np.array([b"x", b"y", b"z"])))
     assert out.read_text() == "# cfb 0.1.0\n# test\na,b\n0,x\n1,y\n2,z\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -275,7 +276,7 @@ def test_emit_writes_a_pipe_in_place(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
     reader.start()
-    _emit(str(fifo), RunConfig("test", ()), ["a"], "%d\n", (np.arange(2),))
+    _emit(str(fifo), RunConfig("test", ()), ["a"], (np.arange(2),))
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == ["# cfb 0.1.0\n# test\na\n0\n1\n"]
@@ -416,6 +417,57 @@ def test_hist_rejects_empty_range(tmp_path, capsys):
     src.write_text("score\n2\n2\n")
     assert run(["hist", "--in", str(src), "--col", "score"]) == 2
     capsys.readouterr()
+
+
+def hist_counts(src, capsys, *extra):
+    assert run(["hist", "--in", str(src), "--col", "score", "--bins", "2",
+                "--lo", "0", "--hi", "10", *extra]) == 0
+    out = capsys.readouterr().out
+    return [int(l.split(",")[2]) for l in out.splitlines()[3:]]
+
+
+def test_hist_rejects_a_non_numeric_field(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("name,score\na,1\nb,one\n")
+    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    err = capsys.readouterr().err
+    assert str(src) in err and "one" in err
+
+
+def test_hist_skips_comment_lines_between_rows(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("# cfb 0.1.0\nname,score\na,1\n# note\nb,2\n\nc,7\n")
+    assert hist_counts(src, capsys) == [2, 1]
+
+
+def test_hist_reads_a_last_row_without_newline(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("name,score\na,1\nb,7")
+    assert hist_counts(src, capsys) == [1, 1]
+
+
+def test_hist_accepts_rows_with_more_fields_than_the_header(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("name,score\na,1,extra\nb,7,x,y\n")
+    assert hist_counts(src, capsys) == [1, 1]
+
+
+def test_hist_drops_nan_values(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("name,score\na,nan\nb,1\nc,NaN\nd,7\n")
+    assert hist_counts(src, capsys) == [1, 1]
+    src.write_text("name,score\na,nan\n")
+    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    assert "no usable values" in capsys.readouterr().err
+
+
+def test_hist_of_a_header_without_rows_exits_2_quietly(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("# cfb 0.1.0\nname,score\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    assert "no usable values" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

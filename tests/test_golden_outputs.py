@@ -30,6 +30,12 @@ MATCH_GOLDEN = {
     "fig2_hist.csv": "3819dda14303277d4acbf5214316548f3c92874c7288f77f00ecc33519a2453e",
 }
 MATCH_STDOUT_GOLDEN = "34521e7ce6068ad262b7fd359fe8c751897cc6609a6d51f96f1d1df21b433b2e"
+# match-compare at its default --step 0.001 (bench/run.py GOLDEN): 139,872 exponent-form values,
+# 139,830 of them abs_diff, against 1,339 at --step 0.01
+MATCH_FULL_GOLDEN = {
+    "match_diffs.csv": "b85563bcadf5fd83aafd34acef312b73f7fadcaec224da1c55186cff0d3776bb",
+    "fig2_hist.csv": "2c47d89e656aaefe9c04fc7b1610947e36954ea7dd3cfb140535d1a7ada7813c",
+}
 
 
 def sha256(data):
@@ -58,11 +64,28 @@ def test_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(MATCH_GOLDEN)
 
 
+def test_full_size_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["match-compare", "--step", "0.001"]) == 0
+    capsys.readouterr()
+    for name, digest in MATCH_FULL_GOLDEN.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, cfb; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_rho_sweep_leaves_scipy_out():
+    code = ("import sys; from cfb import run; "
+            "code = run(['rho-sweep', '--beta-xt', '1.0', '--rho', '-1:1:0.5']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_engine_hooks_stay_module_level(monkeypatch):
