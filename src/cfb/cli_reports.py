@@ -9,9 +9,12 @@ one formatter (_RowText) turns a block of rows into text with numpy,
 byte for byte as Python's `"%.10g" % x` and `"%d" % n` would; a float
 whose 10th digit it cannot round exactly (scaled fraction within 1e-5
 of one half), a non-finite value, a zero and a three-digit exponent are
-formatted by Python's `%` instead.  `screen-cf` reads its input back in
-blocks of lines and `hist` reads its column with numpy's text reader,
-after one shared header scan (_csv_header).
+formatted by Python's `%` instead.  Both readers parse with numpy's text
+reader after one shared header scan (_csv_header): `hist` reads its
+column in one call, `screen-cf` reads `improper.csv` a block of lines at
+a time (_CHARS_PER_READ), so its memory stays flat, and checks each
+block's hundredths and triple sums on arrays.  In both, `#` starts a
+comment anywhere in a line.
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -20,7 +23,6 @@ statistic is undefined for the requested configuration.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import re
 import sys
@@ -60,7 +62,6 @@ _DEFAULT_SEED = 20230516
 
 # the "%.10g" spelling of k/100, as the census files give triple entries
 _HUNDREDTH_TEXT = tuple("%.10g" % (k / 100.0) for k in range(101))
-_HUNDREDTH_OF = {text: k for k, text in enumerate(_HUNDREDTH_TEXT)}
 
 _ROWS_PER_WRITE = 1 << 14
 _CHARS_PER_READ = 1 << 18
@@ -322,23 +323,17 @@ def _triple_table():
 
 
 def _csv_header(f, path):
-    """Column names on the first line of f that is neither empty nor a `#` comment."""
+    """Column names on the first line of f that is neither empty nor a `#` comment.
+
+    f is a text or a binary file.
+    """
     while line := f.readline():
-        line = line.rstrip("\n")
+        if isinstance(line, bytes):
+            line = line.decode()
+        line = line.rstrip("\r\n")
         if line and line[0] != "#":
             return line.split(",")
     raise ValueError(f"{path}: empty input")
-
-
-def _csv_blocks(f):
-    """Data lines of the rest of f, a block at a time; `#` lines and empty lines are dropped."""
-    tail = ""
-    while block := f.read(_CHARS_PER_READ):
-        lines = (tail + block).split("\n")
-        tail = lines.pop()
-        yield [line for line in lines if line and line[0] != "#"]
-    if tail and tail[0] != "#":
-        yield [tail]
 
 
 def _read_column(path, name):
@@ -360,21 +355,6 @@ def _read_column(path, name):
             if "column index" in str(e):
                 raise ValueError(f"{path}: a row has no {name!r} field") from None
             raise ValueError(f"{path}: {e}") from None
-
-
-def _hundredths(path, texts):
-    """Integer hundredths 0..100 of field texts; a value must lie within 1e-6 of one."""
-    try:
-        return list(map(_HUNDREDTH_OF.__getitem__, texts))
-    except KeyError:
-        pass
-    out = []
-    for text in texts:
-        v = float(text)
-        if not 0.0 <= v <= 1.0 or abs(v * 100 - round(v * 100)) > 1e-6:
-            raise ValueError(f"{path}: {v!r} is not a hundredth between 0 and 1")
-        out.append(round(v * 100))
-    return out
 
 
 class _TripleArg:
@@ -495,31 +475,70 @@ def _cmd_search(args) -> int:
 
 
 def _read_improper_csv(path) -> ImproperSet:
-    """The findings of a `search` CSV, checked row by row."""
-    width = len(IMPROPER_COLUMNS)
-    hund = [[] for _ in range(6)]
-    cfb = []
-    with open(path) as f:
+    """The findings of a `search` CSV, parsed by numpy's text reader a block of lines at a time.
+
+    Lines after the header are data rows; `#` starts a comment and empty
+    lines are skipped.  A row must hold seven numbers, the first six
+    hundredths between 0 and 1 (within 1e-6) making two triples that
+    each sum to 1; any other row raises ValueError naming the file.
+    """
+    hund, cfb = [np.empty((4, 0), np.int64)], [np.empty(0)]
+    rows = 0  # data rows before the block
+    with open(path, "rb") as f:
         header = _csv_header(f, path)
         if tuple(header) != IMPROPER_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header!r}")
-        for lines in _csv_blocks(f):
-            if not lines:
-                continue
-            if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-                bad = next(line for line in lines if line.count(",") != width - 1)
-                raise ValueError(f"{path}: malformed row {bad.split(',')!r}")
-            fields = ",".join(lines).split(",")
-            for k, col in enumerate(hund):
-                col += _hundredths(path, fields[k::width])
-            cfb += map(float, fields[6::width])
-    h = np.array(hund, dtype=np.int64).reshape(6, -1)
-    bad = (h[:3].sum(axis=0) != 100) | (h[3:].sum(axis=0) != 100)
-    if bad.any():
-        raise ValueError(f"{path}: data row {int(np.argmax(bad)) + 1} does not hold two "
-                         "triples summing to 1")
-    cfb = np.array(cfb, dtype=np.float64)
-    return ImproperSet(h[0], h[2], h[3], h[5], cfb, cfb - 0.5)
+        while lines := f.readlines(_CHARS_PER_READ):
+            block = _parse_rows(lines)
+            if block is not None and not len(block):
+                continue  # comments and empty lines only
+            if block is None or block.shape[1] != len(IMPROPER_COLUMNS):
+                raise ValueError(f"{path}: {_malformed_row(lines, rows)}")
+            triples = block[:, :6]
+            scaled = triples * 100
+            k = np.rint(scaled)
+            with np.errstate(invalid="ignore"):  # inf - inf; the range test rejects inf and nan
+                off = ~((triples >= 0) & (triples <= 1)) | (np.abs(scaled - k) > 1e-6)
+            if off.any():
+                r, j = np.argwhere(off)[0].tolist()
+                raise ValueError(f"{path}: data row {rows + r + 1}: {triples[r, j].item()!r} "
+                                 "is not a hundredth between 0 and 1")
+            k = k.astype(np.int64)
+            bad = (k[:, :3].sum(axis=1) != 100) | (k[:, 3:].sum(axis=1) != 100)
+            if bad.any():
+                raise ValueError(f"{path}: data row {rows + int(np.argmax(bad)) + 1} does not hold two "
+                                 "triples summing to 1")
+            hund.append(k[:, [0, 2, 3, 5]].T)
+            cfb.append(block[:, 6].copy())  # a view would keep the whole block alive
+            rows += len(block)
+    cfb = np.concatenate(cfb)
+    return ImproperSet(*np.concatenate(hund, axis=1), cfb, cfb - 0.5)
+
+
+def _parse_rows(lines):
+    """Rows of numbers of byte lines as a 2-d float array, or None when they do not make one."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns when the lines hold no row
+            return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    except ValueError:
+        return None
+
+
+def _malformed_row(lines, row):
+    """Message naming the first of lines that is no row of seven numbers.
+
+    row counts the data rows before lines.
+    """
+    for line in lines:
+        text = line.partition(b"#")[0].rstrip(b"\r\n")
+        if not text:
+            continue
+        row += 1
+        parsed = _parse_rows([line])
+        if parsed is None or parsed.shape[1] != len(IMPROPER_COLUMNS):
+            return f"malformed row {text.decode(errors='replace').split(',')!r} (data row {row})"
+    return "malformed rows"  # not reached: loadtxt rejects lines together only if it rejects one
 
 
 def _cmd_screen_cf(args) -> int:
@@ -533,12 +552,14 @@ def _cmd_screen_cf(args) -> int:
 
     kept = res.kept
     triples = _triple_table()
-    # (y0, y1) of the first root of the low, then the high triple
-    roots = np.array([ev.roots_low[0] + ev.roots_high[0] for ev in res.realizability],
-                     dtype=np.float64).reshape(-1, 4)
+    # (y0, y1) of each kept triple's first root, by its (minus, plus) hundredths
+    first_root = np.zeros((101, 101, 2))
+    for (minus, plus), (roots, _) in res.solutions.items():
+        first_root[minus, plus] = roots[0]
     _emit(args.out, cfg, [",".join(REALIZABLE_COLUMNS)],
           (triples[kept.p_minus, kept.p_plus], triples[kept.q_minus, kept.q_plus],
-           kept.cfb_star, *roots.T))
+           kept.cfb_star, *first_root[kept.p_minus, kept.p_plus].T,
+           *first_root[kept.q_minus, kept.q_plus].T))
 
     c_all, edges = np.histogram(found.cfb_star, bins=HIST_BINS, range=HIST_RANGE)
     c_kept, _ = np.histogram(kept.cfb_star, bins=HIST_BINS, range=HIST_RANGE)

@@ -103,6 +103,14 @@ class ProbTriple:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(pop, *names):
+    """ValueError unless each named field of pop is a finite number."""
+    for name in names:
+        v = getattr(pop, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class BinaryXPopulation:
     """Two covariate levels: X=0 with probability 1-c, X=1 with probability c.
@@ -133,6 +141,7 @@ class BetaXPopulation:
     triple1: ProbTriple
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "beta")
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("Beta shape parameters must be positive")
 
@@ -199,6 +208,7 @@ class LinearGaussianPopulation:
     rho: float
 
     def __post_init__(self):
+        _require_finite(self, "beta0", "betax", "betat", "betaxt", "sigma", "rho")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not -1.0 <= self.rho <= 1.0:

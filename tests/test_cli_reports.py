@@ -15,7 +15,7 @@ import pytest
 
 import numpy as np
 
-from cfb import RunConfig, run
+from cfb import RunConfig, cli_reports, run, screen_improper_set
 from cfb.cli_reports import (
     IMPROPER_COLUMNS,
     MATCH_COLUMNS,
@@ -253,6 +253,106 @@ def test_read_improper_csv_rejects_malformed_rows(tmp_path):
             _read_improper_csv(str(bad))
 
 
+def assert_same_findings(got, want):
+    for name in ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_read_improper_csv_across_block_edges(small_search, tmp_path, monkeypatch):
+    """Comment and empty lines at block edges, blocks of comments only, a comment
+    after a row and a last row without newline read as the plain file does."""
+    _, out, _, _ = small_search
+    want = _read_improper_csv(str(out))
+    _, columns, rows = read_rows(out)
+    noisy = ["# cfb 0.1.0\n", "\n", columns + "\n"]
+    for k, row in enumerate(rows[:-1]):
+        noisy.append(row + (" # note\n" if k == 3 else "\n"))
+        if k % 9 == 0:
+            noisy += ["# comment line\n"] * 30  # longer than a block
+        if k % 4 == 0:
+            noisy += ["\n", "#\n"]
+    noisy.append(rows[-1])
+    noisy_path = tmp_path / "noisy.csv"
+    noisy_path.write_text("".join(noisy))
+    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 100)
+    assert_same_findings(_read_improper_csv(str(noisy_path)), want)
+    assert_same_findings(_read_improper_csv(str(out)), want)
+
+
+def test_read_improper_csv_hands_numpy_one_block_at_a_time(small_search, tmp_path, monkeypatch):
+    """An input of several default-size blocks is parsed block by block, never whole."""
+    _, out, _, _ = small_search
+    _, columns, rows = read_rows(out)
+    big = tmp_path / "big.csv"
+    big.write_text(columns + "\n" + "".join(row + "\n" for row in rows) * 50)
+    size = big.stat().st_size
+    assert size > 3 * cli_reports._CHARS_PER_READ
+    calls = []
+    loadtxt = np.loadtxt
+
+    def recording(lines, *args, **kwargs):
+        calls.append(sum(map(len, lines)))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    found = _read_improper_csv(str(big))
+    assert len(found) == 50 * len(rows)
+    assert len(calls) >= 3
+    assert max(calls) < cli_reports._CHARS_PER_READ + 100
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0.015,0.985,0,0,0.5,0.5,0.49", "0.015 is not a hundredth"),
+    ("0.03,0,0.97,0,0.06,0.94", "malformed row"),
+    ("0.03,0,0.97,0,0.06,0.94,0.41,0.41", "malformed row"),
+    ("0.03,0,abc,0,0.06,0.94,0.41", "malformed row"),
+    ("0.03,0,0.97,0,0.06,0.94,", "malformed row"),
+    ("0.03,0,0.97,0,0.06,0_0.94,0.41", "malformed row"),
+    ("0.03,0,0.96,0,0.06,0.94,0.41", "summing to 1"),
+], ids=["off-grid", "short", "long", "non-numeric", "empty-field", "underscore", "bad-sum"])
+def test_screen_cf_rejects_a_bad_row_in_a_later_block(small_search, tmp_path, capsys, bad, message):
+    _, out, _, _ = small_search
+    _, columns, rows = read_rows(out)
+    rows = rows * 50
+    k = len(rows) - 17  # well past the first block
+    rows[k] = bad
+    src = tmp_path / "in.csv"
+    src.write_text("# cfb 0.1.0\n" + columns + "\n# note\n\n" + "".join(row + "\n" for row in rows))
+    assert src.stat().st_size > 3 * cli_reports._CHARS_PER_READ
+    real, fig6 = tmp_path / "real.csv", tmp_path / "fig6.csv"
+    assert run(["screen-cf", "--in", str(src), "--out", str(real), "--hist-out", str(fig6)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{src}: " in captured.err and message in captured.err
+    assert f"data row {k + 1}" in captured.err
+    assert not real.exists() and not fig6.exists()
+
+
+def test_screen_cf_roots_are_the_first_realizability_roots(small_search, tmp_path, capsys):
+    """The y columns of realizable.csv are roots_low[0] and roots_high[0] of each kept finding."""
+    _, out, _, _ = small_search
+    real = tmp_path / "realizable.csv"
+    assert run(["screen-cf", "--in", str(out), "--out", str(real),
+                "--hist-out", str(tmp_path / "fig6.csv")]) == 0
+    capsys.readouterr()
+    res = screen_improper_set(_read_improper_csv(str(out)))
+    _, _, rows = read_rows(real)
+    assert len(rows) == len(res.realizability) > 0
+    for row, ev in zip(rows, res.realizability):
+        assert row.split(",")[7:] == ["%.10g" % v for v in ev.roots_low[0] + ev.roots_high[0]]
+
+
+@pytest.mark.parametrize("value", ["two", "-1"])
+def test_search_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, value):
+    """CFB_THREADS sets the census scan's workers, so search checks it too."""
+    monkeypatch.setenv("CFB_THREADS", value)
+    monkeypatch.chdir(tmp_path)
+    assert run(["search", "--step", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "CFB_THREADS" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_emit_replaces_the_file_atomically(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("previous\n")
@@ -329,6 +429,20 @@ def test_beta_mc_rejects_non_qualifying_pair(capsys):
                 "--p", "0.2,0.6,0.2", "--q", "0.2,0.6,0.2", "--n", "1000"])
     assert code == 2
     assert "below-chance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["rho-sweep", "--beta-xt", "nan"], "betaxt"),
+    (["rho-sweep", "--beta-xt", "inf"], "betaxt"),
+    (["rho-sweep", "--beta-xt", "1", "--sigma", "inf"], "sigma"),
+    (["beta-mc", "--alpha", "inf", "--beta", "0.5",
+      "--p", "0.08,0,0.92", "--q", "0,0.15,0.85", "--n", "1000"], "alpha"),
+], ids=["rho-sweep-beta-xt-nan", "rho-sweep-beta-xt-inf", "rho-sweep-sigma-inf", "beta-mc-alpha-inf"])
+def test_non_finite_population_parameters_exit_two(capsys, argv, name):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite" in captured.err
 
 
 def test_rho_sweep_stdout(capsys):

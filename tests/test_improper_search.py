@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cfb import improper_search
 from cfb import (
     BetaXPopulation,
     GridTriple,
@@ -138,6 +139,47 @@ def test_grid_search_unit_step_has_no_survivors():
     assert res.summary.argmin is None
     assert np.isnan(res.summary.cfb_min)
     assert sum(res.summary.hist_counts) == 0
+
+
+SURVIVOR_COLUMNS = ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation")
+
+
+@pytest.mark.parametrize("c", [0.5, 0.3])
+def test_grid_search_is_the_same_on_one_and_two_threads(monkeypatch, c):
+    monkeypatch.setenv("CFB_THREADS", "1")
+    one = grid_search(0.01, c)
+    monkeypatch.setenv("CFB_THREADS", "2")
+    two = grid_search(0.01, c)
+    assert len(one.survivors) > 0
+    for name in SURVIVOR_COLUMNS:
+        a, b = getattr(one.survivors, name), getattr(two.survivors, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert one.summary == two.summary
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rebound_scan_block_sees_every_block(monkeypatch, threads):
+    """grid_search calls _scan_block through the module global, once per block, so a
+    wrapper bound there (the traced benchmark counts scanned pairs so) sees all of them."""
+    monkeypatch.setenv("CFB_THREADS", threads)
+    want = grid_search(0.05)
+    seen = []
+    original = improper_search._scan_block
+
+    def recording(i0, i1, vm, v0, vp, c):
+        seen.append((i0, i1, len(vm)))
+        return original(i0, i1, vm, v0, vp, c)
+
+    monkeypatch.setattr(improper_search, "_scan_block", recording)
+    got = grid_search(0.05)
+    n = seen[0][2]
+    spans = sorted((i0, i1) for i0, i1, _ in seen)
+    assert len(spans) > 2
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert sum((i1 - i0) * size for i0, i1, size in seen) == n * n
+    for name in SURVIVOR_COLUMNS:
+        assert getattr(got.survivors, name).tobytes() == getattr(want.survivors, name).tobytes()
 
 
 def test_quarter_step_matches_rational_enumeration():

@@ -114,6 +114,15 @@ def test_beta_x_population_validates_shapes():
         BetaXPopulation(1.0, -2.0, t, t)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_beta_x_population_rejects_non_finite_shapes(field, value):
+    t = ProbTriple(0.2, 0.3, 0.5)
+    shapes = {"alpha": 1.0, "beta": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BetaXPopulation(shapes["alpha"], shapes["beta"], t, t)
+
+
 def test_logistic_rct_population_masses():
     pop = LogisticRctPopulation(0.25, 0.25, 0.0, 2.0, 0.0, 2.0)
     masses = pop.covariate_masses()
@@ -145,6 +154,15 @@ def test_linear_gaussian_population_validation():
         LinearGaussianPopulation(0.0, 0.0, 0.0, 1.0, 1.0, 1.5)
     pop = LinearGaussianPopulation(0.0, 0.0, 0.0, 1.0, 1.0, -1.0)
     assert pop.rho == -1.0
+
+
+@pytest.mark.parametrize("field", ["beta0", "betax", "betat", "betaxt", "sigma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_linear_gaussian_population_rejects_non_finite_fields(field, value):
+    fields = dict(beta0=0.0, betax=0.0, betat=0.0, betaxt=1.0, sigma=1.0, rho=0.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LinearGaussianPopulation(**fields)
 
 
 # ---------------------------------------------------------------------------
