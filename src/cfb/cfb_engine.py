@@ -58,6 +58,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Pairs per Monte Carlo chunk.  Chunks get independent child seeds, so
 # results do not depend on how many threads consume them.
 _CHUNK_PAIRS = 1_000_000
+# Pairs per block of the Beta sampler and of scoring inside a chunk: small
+# enough that the block's temporaries stay in cache, large enough that two
+# pool threads seldom wait for the GIL between numpy calls.
+_BLOCK = 65_536
+# Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
+_JOHNK_RECHECK = 2.0 ** -48
+# Below this shape X or Y underflows often and Generator.beta is faster.
+_JOHNK_MIN_SHAPE = 0.01
+_TINY = np.finfo(np.float64).tiny
 _ALL_PAIRS_MAX_UNITS = 10_000
 
 
@@ -291,12 +300,94 @@ def _sample_b_from_triples(u, t_minus, t_zero):
     return b
 
 
-def _draw_units(pop, rng, count, predictor):
-    """Draw (B, H) for `count` independent units.  Returns two arrays."""
+def _beta_draws(rng, a, b, count):
+    """`count` Beta(a, b) draws that leave rng where rng.beta(a, b, count) does.
+
+    For a, b <= 1 numpy's C loop is Johnk's: draw U, V; X = U**(1/a),
+    Y = V**(1/b); accept when X + Y <= 1 and U + V > 0; return X/(X+Y),
+    computed from logarithms when X or Y underflows to 0.  Here the same
+    loop runs on blocks of k pairs from rng.random(2k).  k never exceeds
+    the draws still needed, so every pair a block accepts is used and the
+    stream ends where numpy's loop ends it.  Pairs whose X + Y lies within
+    2**-48 of 1, or whose X or Y is below the normal range, are redone one
+    by one in libm arithmetic, as numpy's loop does them, so every accept
+    decision agrees with it.  Other values may differ from rng.beta's in
+    the last few bits, because numpy's vectorized pow (and u*u for an
+    exponent of 2) round differently from libm.
+
+    Shapes above 1 call rng.beta, and so do shapes below 0.01: there a
+    growing share of X or Y underflows and numpy's own loop is faster.
+    """
+    if not (_JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0):
+        return rng.beta(a, b, count)
+    ea, eb = 1.0 / a, 1.0 / b
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        k = min(_BLOCK, count - filled)
+        uv = rng.random(2 * k)
+        u, v = uv[0::2], uv[1::2]
+        x = u * u if ea == 2.0 else np.power(u, ea)
+        y = v * v if eb == 2.0 else np.power(v, eb)
+        s = x + y
+        accept = s <= 1.0
+        with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
+            value = x / s
+        redo = np.abs(s - 1.0) <= _JOHNK_RECHECK
+        if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
+            redo |= (x < _TINY) | (y < _TINY)
+        for i in np.flatnonzero(redo).tolist():
+            got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
+            accept[i] = got is not None
+            if got is not None:
+                value[i] = got
+        value = np.extract(accept, value)
+        out[filled:filled + len(value)] = value
+        filled += len(value)
+    return out
+
+
+def _johnk_pair(u, v, a, b):
+    """One step of numpy's Johnk loop in libm arithmetic: X/(X+Y), or None if rejected."""
+    x = math.pow(u, 1.0 / a)
+    y = math.pow(v, 1.0 / b)
+    if not (x + y <= 1.0 and u + v > 0.0):
+        return None
+    if x > 0.0 and y > 0.0:
+        return x / (x + y)
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    log_v = math.log(v) if v > 0.0 else -math.inf
+    d = log_u / a - log_v / b
+    if d > 0.0:
+        return math.exp(-math.log1p(math.exp(-d)))
+    return math.exp(d - math.log1p(math.exp(d)))
+
+
+def _draw_columns(pop, rng, count, predictor):
+    """The random columns behind `count` units, drawn in stream order.
+
+    Each column holds one value per unit; _units maps any slice of them
+    to (B, H).  Raises for populations or predictors with no sampler.
+    """
+    if isinstance(pop, BinaryXPopulation):
+        return rng.random(count), rng.random(count)
+    if isinstance(pop, BetaXPopulation):
+        if predictor is not None:
+            raise ValueError("custom predictors are only supported for discrete covariates")
+        return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
+    if isinstance(pop, LinearGaussianPopulation):
+        if predictor is not None:
+            raise ValueError("custom predictors are only supported for discrete covariates")
+        return tuple(rng.standard_normal(count) for _ in range(3))
+    raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
+
+
+def _units(pop, columns, predictor):
+    """(B, H) of the units whose random columns (see _draw_columns) are given."""
     if isinstance(pop, BinaryXPopulation):
         h_table = predictor if predictor is not None else best_predictor(pop)
-        x = rng.random(count) < pop.c
-        u = rng.random(count)
+        x_uniform, u = columns
+        x = x_uniform < pop.c
         t0, t1 = pop.triple0, pop.triple1
         tm = np.where(x, t1.p_minus, t0.p_minus)
         tz = np.where(x, t1.p_zero, t0.p_zero)
@@ -304,38 +395,18 @@ def _draw_units(pop, rng, count, predictor):
         h = np.where(x, h_table(1), h_table(0))
         return b, h
     if isinstance(pop, BetaXPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
-        x = rng.beta(pop.alpha, pop.beta, count)
-        u = rng.random(count)
+        x, u = columns
         t0, t1 = pop.triple0, pop.triple1
         tm = t0.p_minus + (t1.p_minus - t0.p_minus) * x
         tz = t0.p_zero + (t1.p_zero - t0.p_zero) * x
-        tp = t0.p_plus + (t1.p_plus - t0.p_plus) * x
         b = _sample_b_from_triples(u, tm, tz)
-        h = tp - tm  # oracle predictor E[B | X]
-        return b, h
-    if isinstance(pop, LinearGaussianPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
-        x = rng.standard_normal(count)
-        z1 = rng.standard_normal(count)
-        z2 = rng.standard_normal(count)
-        eps0 = pop.sigma * z1
-        eps1 = pop.sigma * (pop.rho * z1 + math.sqrt(1.0 - pop.rho * pop.rho) * z2)
-        h = pop.betat + pop.betaxt * x
-        b = h + (eps1 - eps0)
-        return b, h
-    raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
-
-
-def _score_pairs(b1, h1, b2, h2):
-    """Concordance score sum and valid-pair count for paired arrays."""
-    conc = ((b1 > b2) & (h1 > h2)) | ((b1 < b2) & (h1 < h2))
-    valid = b1 != b2
-    tied = valid & (h1 == h2)
-    wsum = float(conc.sum()) + 0.5 * float(tied.sum())
-    return wsum, int(valid.sum())
+        tp = t0.p_plus + (t1.p_plus - t0.p_plus) * x
+        return b, tp - tm  # oracle predictor E[B | X]
+    x, z1, z2 = columns
+    eps0 = pop.sigma * z1
+    eps1 = pop.sigma * (pop.rho * z1 + math.sqrt(1.0 - pop.rho * pop.rho) * z2)
+    h = pop.betat + pop.betaxt * x
+    return h + (eps1 - eps0), h
 
 
 def _pairs_within(counts):
@@ -383,9 +454,25 @@ def _pair_counts(b, h):
 
 
 def _score_chunk(pop, child_seed, m, predictor):
+    """Exact (concordant, predictor-tied, benefit-differing) counts over the
+    pairs (i, i + m) of 2m units drawn from child_seed.
+
+    The random columns are drawn whole, in stream order; units are built
+    and pairs scored one cache-sized block at a time.
+    """
     rng = np.random.default_rng(child_seed)
-    b, h = _draw_units(pop, rng, 2 * m, predictor)
-    return _score_pairs(b[:m], h[:m], b[m:], h[m:])
+    columns = _draw_columns(pop, rng, 2 * m, predictor)
+    conc = tied = valid = 0
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        b1, h1 = _units(pop, [c[lo:hi] for c in columns], predictor)
+        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns], predictor)
+        differ = b1 != b2
+        conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
+                 + int(np.count_nonzero((b1 < b2) & (h1 < h2))))
+        tied += int(np.count_nonzero(differ & (h1 == h2)))
+        valid += int(np.count_nonzero(differ))
+    return conc, tied, valid
 
 
 def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
@@ -404,6 +491,14 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
     predictor : BenefitPredictor, optional
         Alternative score table (discrete covariates only); default is
         the oracle predictor.
+
+    Independent pairs come in chunks of 10**6, each from its own child of
+    SeedSequence(seed) and scored one block at a time into exact integer
+    counts, so no result depends on CFB_THREADS.  Beta covariates with
+    shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
+    stream (_beta_draws): the counts are those of Generator.beta draws
+    unless a draw that moved by a few ULP crosses a benefit threshold or
+    swaps the order of two predictor values.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
@@ -432,10 +527,8 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
         if n < 2:
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        b, h = _draw_units(pop, rng, n, predictor)
+        b, h = _units(pop, _draw_columns(pop, rng, n, predictor), predictor)
         conc, tied, valid = _pair_counts(b, h)
-        # exact integers below 2**53, so this is the float a pair-by-pair sum gives
-        wsum = conc + 0.5 * tied
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
@@ -449,16 +542,12 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
                 ))
         else:
             parts = [_score_chunk(pop, c, m, predictor) for c, m in zip(children, sizes)]
-        wsum = 0.0
-        valid = 0
-        # merge in chunk order, so thread scheduling cannot reorder the sum
-        for w, k in parts:
-            wsum += w
-            valid += k
+        conc, tied, valid = (sum(col) for col in zip(*parts))
 
     if valid == 0:
         raise UndefinedCfb("no sampled pair disagrees in realized benefit")
-    est = wsum / valid
+    # exact integers below 2**53, so this is the float a pair-by-pair sum gives
+    est = (conc + 0.5 * tied) / valid
     se = math.sqrt(est * (1.0 - est) / valid)
     return est, se
 

@@ -23,6 +23,7 @@ statistic is undefined for the requested configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -397,6 +398,9 @@ class _RhoRangeArg:
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected start:stop:step, got {text!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise argparse.ArgumentTypeError(
+                f"start, stop and step must be finite, got {text!r}")
         if step <= 0.0 or stop < start:
             raise argparse.ArgumentTypeError("need stop >= start and step > 0")
         count = round((stop - start) / step) + 1
@@ -417,6 +421,9 @@ class _RhoRangeArg:
 
 
 def _cmd_eval_discrete(args) -> int:
+    # checked here: the pair table's own checks would name a symptom, not --c
+    if not 0.0 < args.c < 1.0:
+        raise ValueError(f"--c must be a finite value strictly inside (0, 1), got {args.c!r}")
     cfg = RunConfig("eval-discrete", (
         ("c", _fmt(args.c)),
         ("p", args.p.raw),
@@ -734,8 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=_RhoRangeArg, default=_RhoRangeArg("-1:1:0.1"),
                     help="start:stop:step (default -1:1:0.1)")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    # lets --rho -1:1:0.1 parse; tokens starting -<digit> are values here
-    sp._negative_number_matcher = re.compile(r"^-\d")
+    # lets --rho -1:1:0.1 (or -.5:..., -inf:...) parse; tokens that start like
+    # a negative float are values here, so the range check can name them
+    sp._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     sp.set_defaults(func=_cmd_rho_sweep)
 
     sp = sub.add_parser("match-compare",

@@ -35,7 +35,7 @@ from cfb import (
     gini_mean_difference,
     pair_table,
 )
-from cfb.cfb_engine import _pair_counts, _sample_b_from_triples
+from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
@@ -452,6 +452,37 @@ def test_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
     assert serial == threaded
 
 
+BETA_T0 = ProbTriple(0.08, 0.0, 0.92)
+BETA_T1 = ProbTriple(0.0, 0.15, 0.85)
+
+# repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),
+# recorded while Beta covariates were still drawn with Generator.beta
+BETA_MC_PINS = {
+    ((0.5, 0.5), 20230516): "(0.4434352847714495, 0.0006865200636442703)",
+    ((0.5, 0.5), 7): "(0.4439251889866873, 0.0006869005491352497)",
+    ((0.5, 0.5), 11): "(0.4447089184582289, 0.0006865588976947703)",
+    ((0.3, 0.9), 20230516): "(0.45014667962595584, 0.000741113319600518)",
+    ((0.3, 0.9), 7): "(0.45117201378526256, 0.0007415165829014962)",
+    ((0.3, 0.9), 11): "(0.45070500475905884, 0.0007402702858851016)",
+}
+
+
+@pytest.mark.parametrize("shape, seed", list(BETA_MC_PINS), ids=str)
+def test_beta_monte_carlo_estimates_are_pinned(shape, seed):
+    pop = BetaXPopulation(*shape, BETA_T0, BETA_T1)
+    assert repr(cfb_monte_carlo(pop, 2_500_000, seed)) == BETA_MC_PINS[shape, seed]
+
+
+def test_beta_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
+    pop = BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1)
+    monkeypatch.setenv("CFB_THREADS", "1")
+    serial = cfb_monte_carlo(pop, 2_500_000, 7)
+    monkeypatch.setenv("CFB_THREADS", "2")
+    threaded = cfb_monte_carlo(pop, 2_500_000, 7)
+    assert serial == threaded
+    assert repr(serial) == BETA_MC_PINS[(0.5, 0.5), 7]
+
+
 def test_monte_carlo_agrees_with_closed_form():
     est, se = cfb_monte_carlo(BINARY_POP, 400_000, 20230516)
     want = cfb_two_group(0.5, HEADLINE_P, HEADLINE_Q).value
@@ -591,3 +622,97 @@ def test_monte_carlo_input_validation():
     beta_pop = BetaXPopulation(0.5, 0.5, HEADLINE_P, HEADLINE_Q)
     with pytest.raises(ValueError, match="discrete"):
         cfb_monte_carlo(beta_pop, 100, 1, predictor=BenefitPredictor({0: 1.0}))
+
+
+# ---------------------------------------------------------------------------
+# Beta sampler: numpy's Johnk loop, vectorized on the same stream
+# ---------------------------------------------------------------------------
+
+_TINY = np.finfo(float).tiny
+
+
+def _assert_matches_generator_beta(a, b, count, seed=5):
+    """_beta_draws agrees with Generator.beta: same stream position after
+    the draw, values within 4 ULP wherever both are normal numbers."""
+    ours_rng = np.random.default_rng(seed)
+    numpy_rng = np.random.default_rng(seed)
+    got = _beta_draws(ours_rng, a, b, count)
+    want = numpy_rng.beta(a, b, count)
+    assert got.shape == want.shape == (count,)
+    assert ours_rng.random() == numpy_rng.random(), (a, b, count)
+    normal = (np.abs(got) >= _TINY) & (np.abs(want) >= _TINY)
+    ulps = np.abs(got[normal].view(np.int64) - want[normal].view(np.int64))
+    assert ulps.max(initial=0) <= 4, (a, b, count)
+    return got, want
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.5, 0.5), (0.3, 0.9), (0.7, 0.2), (1.0, 1.0), (1.0, 0.5), (0.01, 0.02), (1e-300, 0.5),
+    (0.01, 0.01), (0.001, 0.001), (1e-200, 3e-200),
+])
+def test_beta_draws_follow_generator_beta(a, b):
+    got, want = _assert_matches_generator_beta(a, b, 50_000)
+    # values below the normal range come from pairs whose X is below it
+    # too; those are redone in libm arithmetic, so they match bit for bit
+    tiny_rows = want < _TINY
+    assert got[tiny_rows].tobytes() == want[tiny_rows].tobytes()
+    assert np.array_equal(got == 1.0, want == 1.0)
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2_000_000])
+def test_beta_draws_end_where_generator_beta_ends(count):
+    _assert_matches_generator_beta(0.5, 0.5, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.0, 1.0, exclude_min=True), b=st.floats(0.0, 1.0, exclude_min=True),
+       count=st.integers(0, 3 * _BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_beta_draws_follow_generator_beta_on_any_shape(a, b, count, seed):
+    _assert_matches_generator_beta(a, b, count, seed)
+
+
+def test_beta_draws_call_generator_beta_outside_the_johnk_range():
+    # shapes above 1, and shapes below 0.01 where X or Y underflows often
+    for a, b in ((2.0, 3.0), (1.5, 0.5), (0.5, 1.0000001), (0.009, 0.5), (0.5, 1e-300)):
+        rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+        got = _beta_draws(rng1, a, b, 10_000)
+        assert got.tobytes() == rng2.beta(a, b, 10_000).tobytes()
+        assert rng1.random() == rng2.random()
+
+
+class _Uniforms:
+    """Stands in for a Generator whose random() hands out the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        assert len(out) == n, "sampler drew more uniforms than supplied"
+        return np.array(out)
+
+
+# Pairs with U**2 + V**2 next to 1 on which u*u and libm's pow(u, 2), the
+# call numpy's loop makes, round to opposite sides of 1 (found by search).
+LIBM_ACCEPTS = (float.fromhex("0x1.6572331d2cef8p-3"), float.fromhex("0x1.f82430a522e17p-1"))
+LIBM_REJECTS = (float.fromhex("0x1.60772e2a94c93p-1"), float.fromhex("0x1.735d772def768p-1"))
+
+
+def test_pinned_pairs_straddle_one():
+    for (u, v), libm_accepts in ((LIBM_ACCEPTS, True), (LIBM_REJECTS, False)):
+        assert (math.pow(u, 2.0) + math.pow(v, 2.0) <= 1.0) is libm_accepts
+        assert (u * u + v * v <= 1.0) is not libm_accepts
+
+
+def test_beta_draws_recheck_accept_decisions_next_to_one():
+    u, v = LIBM_ACCEPTS
+    stream = _Uniforms([u, v, 0.25, 0.5])
+    got = _beta_draws(stream, 0.5, 0.5, 1)
+    x, y = math.pow(u, 2.0), math.pow(v, 2.0)
+    assert got.tolist() == [x / (x + y)]
+    assert stream.values == [0.25, 0.5]
+
+    stream = _Uniforms([*LIBM_REJECTS, 0.25, 0.5])
+    got = _beta_draws(stream, 0.5, 0.5, 1)
+    assert got.tolist() == [0.0625 / (0.0625 + 0.25)]
+    assert stream.values == []

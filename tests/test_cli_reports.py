@@ -133,6 +133,30 @@ def test_exit_two_on_degenerate_parameters(capsys):
     assert "constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho", ["0:1:inf", "nan:1:0.5", "0:inf:0.5", "0:nan:0.5", "-inf:1:0.5", "0:1:nan"])
+def test_rho_sweep_rejects_non_finite_range(capsys, rho):
+    for argv in (["--rho", rho], [f"--rho={rho}"]):
+        assert run(["rho-sweep", "--beta-xt", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "start, stop and step must be finite" in captured.err
+
+
+def test_rho_sweep_takes_a_range_starting_at_a_bare_fraction(capsys):
+    assert run(["rho-sweep", "--beta-xt", "1", "--rho", "-.5:.5:.5"]) == 0
+    assert [l.split(",")[0] for l in capsys.readouterr().out.splitlines()[3:]] == ["-0.5", "0", "0.5"]
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "0", "1", "1.5"])
+def test_eval_discrete_rejects_c_outside_the_open_unit_interval(capsys, c):
+    argv = list(EVAL_ARGS)
+    argv[argv.index("--c") + 1] = c
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--c must be a finite value strictly inside (0, 1)" in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
