@@ -29,7 +29,6 @@ from .population_model import (
     benefit_triple_from_outcome_probs,
     best_predictor,
     expit,
-    interpolate_triple,
     logit,
     outcome_prob,
 )
@@ -67,14 +66,11 @@ from .counterfactual_screen import (
     solve_outcome_probs,
 )
 from .matched_pairs import (
-    CovariateDistribution,
     MatchingExperimentResult,
     MatchingFactor,
-    SamplingScheme,
     benefit_given_h,
     matching_experiment,
     predictor_h_quadratic,
-    x_prime_distribution,
 )
 from .cli_reports import RunConfig, main, run
 
@@ -83,7 +79,7 @@ __all__ = [
     "CfbError", "DegenerateCfb", "ParameterUnbounded", "UndefinedCfb", "ZeroMassH",
     "ProbTriple", "BinaryXPopulation", "BetaXPopulation", "LogisticRctPopulation",
     "LinearGaussianPopulation", "BenefitPredictor", "best_predictor",
-    "interpolate_triple", "outcome_prob", "benefit_triple_from_outcome_probs",
+    "outcome_prob", "benefit_triple_from_outcome_probs",
     "logit", "expit",
     "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
     "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
@@ -94,8 +90,7 @@ __all__ = [
     "continuous_improper_eval",
     "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",
     "solve_outcome_probs", "screen_improper_set", "logistic_params_from_probs",
-    "CovariateDistribution", "SamplingScheme", "MatchingFactor",
-    "MatchingExperimentResult", "x_prime_distribution", "benefit_given_h",
+    "MatchingFactor", "MatchingExperimentResult", "benefit_given_h",
     "predictor_h_quadratic", "matching_experiment",
     "RunConfig", "run", "main",
 ]

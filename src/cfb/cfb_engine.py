@@ -227,6 +227,23 @@ def cfb_from_pair_table(table: PairTable) -> CfbResult:
     return CfbResult(num / den, num, den)
 
 
+def _two_group_masses(c, pm, p0, pp, qm, q0, qp):
+    """(cross_conc, cross_disc, A) of the two-level closed form.
+
+    Low level: mass 1-c, triple (pm, p0, pp); high level: mass c, triple
+    (qm, q0, qp).  Takes Python floats or numpy arrays alike, so
+    cfb_two_group, the census scan and the matching sweep evaluate the
+    same terms in the same order: equal inputs give bitwise equal masses.
+    """
+    cross_conc = qp * p0 + qp * pm + q0 * pm
+    within_high = qp * q0 + qp * qm + q0 * qm
+    within_low = pp * p0 + pp * pm + p0 * pm
+    cross_disc = pp * q0 + pp * qm + p0 * qm
+    within = (c * c) * within_high + ((1.0 - c) * (1.0 - c)) * within_low
+    del within_high, within_low  # on whole-grid arrays, each is one more live array
+    return cross_conc, cross_disc, c * (1.0 - c) * (cross_conc + cross_disc) + within
+
+
 def cfb_two_group(c: float, triple_low: ProbTriple, triple_high: ProbTriple) -> CfbResult:
     """Closed form for a population with two predictor levels.
 
@@ -244,23 +261,17 @@ def cfb_two_group(c: float, triple_low: ProbTriple, triple_high: ProbTriple) -> 
     disagreement.  The deviation form is used for the value so that
     triple_low == triple_high gives exactly 0.5: the two cross masses
     are then the same expression term for term.
+
+    The masses come from _two_group_masses, which the census scan
+    (improper_search) and the matching sweep (matched_pairs) use too.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
-    pm, p0, pp = triple_low.as_tuple()
-    qm, q0, qp = triple_high.as_tuple()
-    cross_conc = qp * p0 + qp * pm + q0 * pm
-    within_high = qp * q0 + qp * qm + q0 * qm
-    within_low = pp * p0 + pp * pm + p0 * pm
-    cross_disc = pp * q0 + pp * qm + p0 * qm
-    cc = c * (1.0 - c)
-    within = (c * c) * within_high + ((1.0 - c) * (1.0 - c)) * within_low
-    a = cc * (cross_conc + cross_disc) + within
+    cross_conc, cross_disc, a = _two_group_masses(c, *triple_low.as_tuple(), *triple_high.as_tuple())
     if a == 0.0:
         raise UndefinedCfb("no pair disagrees in realized benefit")
-    value = 0.5 + cc * (cross_conc - cross_disc) / (2.0 * a)
-    num = cc * cross_conc + 0.5 * within
-    return CfbResult(value, 2.0 * num, 2.0 * a)
+    net = c * (1.0 - c) * (cross_conc - cross_disc)
+    return CfbResult(0.5 + net / (2.0 * a), a + net, 2.0 * a)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +656,9 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
 
 def gini_mean_difference(dist: MatchedBenefitDistribution) -> float:
     """E|H1 - H2| for two independent draws of the predictor level."""
-    acc = 0.0
-    rows = dist.rows
-    for i, (hi, wi, _) in enumerate(rows):
-        for hj, wj, _ in rows[i + 1:]:
-            acc += wi * wj * (hj - hi)
-    return 2.0 * acc
+    h = np.array(dist.h_values())
+    w = np.array(dist.weights())
+    return float(w @ np.abs(h[:, None] - h[None, :]) @ w)
 
 
 def empirical_cfb_oracle(atoms) -> CfbResult:

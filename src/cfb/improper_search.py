@@ -34,13 +34,14 @@ floating-point filter so results stay reproducible cell for cell.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cfb_engine import _worker_count, cfb_monte_carlo
+from .cfb_engine import _two_group_masses, _worker_count, cfb_monte_carlo
 from .population_model import BetaXPopulation, ProbTriple
 
 __all__ = [
@@ -259,7 +260,9 @@ def _scan_block(i0, i1, vm, v0, vp, c):
 
     Returns (low_idx, high_idx, deviation) arrays for the survivors.
     The expressions here are the definition of the survivor set; see
-    the module docstring before touching them.
+    the module docstring before touching them.  Only the denominator A
+    comes from the shared two-group kernel: the deviation keeps chain,
+    which equals cross_conc - cross_disc exactly but not in rounding.
     """
     pm = vm[i0:i1, None]
     p0 = v0[i0:i1, None]
@@ -275,21 +278,8 @@ def _scan_block(i0, i1, vm, v0, vp, c):
         return bi, qi, np.empty(0)
     pi = bi + i0
 
-    kpm = vm[pi]
-    kp0 = v0[pi]
-    kpp = vp[pi]
-    kqm = vm[qi]
-    kq0 = v0[qi]
-    kqp = vp[qi]
-    cross_conc = kqp * kp0 + kqp * kpm + kq0 * kpm
-    within_high = kqp * kq0 + kqp * kqm + kq0 * kqm
-    within_low = kpp * kp0 + kpp * kpm + kp0 * kpm
-    cross_disc = kpp * kq0 + kpp * kqm + kp0 * kqm
-    cc = c * (1.0 - c)
-    a = cc * (cross_conc + cross_disc) + (
-        (c * c) * within_high + ((1.0 - c) * (1.0 - c)) * within_low
-    )
-    dev = cc * chain[keep] / (2.0 * a)
+    _, _, a = _two_group_masses(c, vm[pi], v0[pi], vp[pi], vm[qi], v0[qi], vp[qi])
+    dev = c * (1.0 - c) * chain[keep] / (2.0 * a)
     return pi, qi, dev
 
 
@@ -314,6 +304,8 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
     blocks are joined in order, so the result does not depend on the
     thread count.
     """
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
     hund = round(step * 100)
     if abs(step * 100 - hund) > 1e-9 or hund < 1 or 100 % hund != 0:
         raise ValueError("step must be a multiple of 0.01 that divides 1")

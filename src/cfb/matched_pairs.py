@@ -9,7 +9,9 @@ independently inside that level and the pair difference picks up extra
 spread.  benefit_given_h builds the per-level difference distribution
 for either factor; matching_experiment sweeps a dense grid of
 three-level populations with random logistic coefficients and compares
-the concordance statistic under the two factors cell by cell.
+the concordance statistic under the two factors cell by cell.  Each
+cell's statistic is the two-level closed form of cfb_two_group, on the
+same masses (cfb_engine._two_group_masses) evaluated over whole arrays.
 
 The experiment needs to be bit-reproducible across platforms and numpy
 versions, so its coefficient draws come from a self-contained counter
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfb_engine import MatchedBenefitDistribution
+from .cfb_engine import MatchedBenefitDistribution, _two_group_masses
 from .errors import ZeroMassH
 from .population_model import (
     BenefitPredictor,
@@ -37,11 +39,8 @@ from .population_model import (
 )
 
 __all__ = [
-    "CovariateDistribution",
-    "SamplingScheme",
     "MatchingFactor",
     "MatchingExperimentResult",
-    "x_prime_distribution",
     "benefit_given_h",
     "predictor_h_quadratic",
     "matching_experiment",
@@ -53,80 +52,11 @@ DIFF_HIST_RANGE = (0.0, 0.25)
 DIFF_HIST_BINS = 50
 
 
-@dataclass(frozen=True)
-class CovariateDistribution:
-    """Discrete covariate distribution as ((level, mass), ...).
-
-    Masses must be strictly positive and sum to 1; levels must be
-    distinct.  Kept in the order given.
-    """
-
-    levels: tuple
-
-    def __post_init__(self):
-        levels = tuple((int(x), float(m)) for x, m in self.levels)
-        if not levels:
-            raise ValueError("distribution needs at least one level")
-        if len({x for x, _ in levels}) != len(levels):
-            raise ValueError("levels must be distinct")
-        if any(m <= 0.0 for _, m in levels):
-            raise ValueError("masses must be strictly positive")
-        total = math.fsum(m for _, m in levels)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "levels", levels)
-
-
-class SamplingScheme(enum.Enum):
-    """How the matched pair's covariate level X' is reached."""
-
-    SIMULTANEOUS_CONDITIONING = "simultaneous_conditioning"
-    SEQUENTIAL_TREATED_FIRST = "sequential_treated_first"
-
-
 class MatchingFactor(enum.Enum):
+    """What the two members of a matched pair agree on."""
+
     COVARIATE = "covariate"
     PREDICTED_BENEFIT = "predicted_benefit"
-
-
-def x_prime_distribution(dist, scheme, treatment_marginal=None):
-    """Covariate distribution seen at the matched-pair level.
-
-    SIMULTANEOUS_CONDITIONING draws the two members independently and
-    conditions on agreement, which squares and renormalizes the masses.
-    SEQUENTIAL_TREATED_FIRST lets the treated member set the level; its
-    distribution is the plain covariate one reweighted by the chance of
-    being treated, Pr(T=1 | X=x), given as treatment_marginal.  Under a
-    randomized design that chance is constant, so passing None (the
-    default) returns the input unchanged.
-    """
-    if not isinstance(dist, CovariateDistribution):
-        raise TypeError("dist must be a CovariateDistribution")
-    if not isinstance(scheme, SamplingScheme):
-        raise TypeError("scheme must be a SamplingScheme")
-
-    if scheme is SamplingScheme.SEQUENTIAL_TREATED_FIRST:
-        if treatment_marginal is None:
-            return dist
-        weighted = []
-        for x, m in dist.levels:
-            try:
-                t = float(treatment_marginal[x])
-            except KeyError:
-                raise ValueError(f"treatment_marginal has no entry for level {x}") from None
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"treatment probability for level {x} is {t!r}")
-            if t > 0.0:
-                weighted.append((x, m * t))
-        if not weighted:
-            raise ValueError("treatment marginal leaves no level with positive mass")
-        total = math.fsum(m for _, m in weighted)
-        return CovariateDistribution(tuple((x, m / total) for x, m in weighted))
-
-    if treatment_marginal is not None:
-        raise ValueError("treatment_marginal only applies to SEQUENTIAL_TREATED_FIRST")
-    total = math.fsum(m * m for _, m in dist.levels)
-    return CovariateDistribution(tuple((x, m * m / total) for x, m in dist.levels))
 
 
 def benefit_given_h(pop, predictor, factor):
@@ -250,20 +180,12 @@ class MatchingExperimentResult:
         return len(self.a)
 
 
-def _two_group_cfb_arrays(c, low_m, low_z, low_p, high_m, high_z, high_p):
-    """Vectorized two-level closed form; nan where undefined."""
-    cross_conc = high_p * low_z + high_p * low_m + high_z * low_m
-    within_high = high_p * high_z + high_p * high_m + high_z * high_m
-    within_low = low_p * low_z + low_p * low_m + low_z * low_m
-    cross_disc = low_p * high_z + low_p * high_m + low_z * high_m
-    cc = c * (1.0 - c)
-    a_mass = cc * (cross_conc + cross_disc) + (
-        (c * c) * within_high + ((1.0 - c) * (1.0 - c)) * within_low
-    )
-    del within_high, within_low
+def _two_group_cfb_arrays(c, *triples):
+    """Two-level closed form over arrays (cfb_engine._two_group_masses); nan where undefined."""
+    cross_conc, cross_disc, a_mass = _two_group_masses(c, *triples)
     defined = a_mass > 0.0
     dev = np.full(a_mass.shape, np.nan)
-    np.divide(cc * (cross_conc - cross_disc), 2.0 * a_mass, out=dev, where=defined)
+    np.divide(c * (1.0 - c) * (cross_conc - cross_disc), 2.0 * a_mass, out=dev, where=defined)
     return np.where(defined, 0.5 + dev, np.nan), ~defined
 
 
@@ -282,10 +204,14 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     # often enough to move 10-digit rows of the reported CSV
     from scipy.special import expit
 
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     inv = round(1.0 / grid_step)
     if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
         raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")
     if not lo < hi:
         raise ValueError("coeff_range must be an increasing pair")
 

@@ -11,9 +11,8 @@ subject).
 A population couples a distribution for X with, at each covariate
 level, a distribution for B.  Several concrete families are provided,
 plus the derived quantities the rest of the package needs: the oracle
-benefit predictor, interpolated benefit triples, logistic outcome
-probabilities, and the benefit triple implied by independent potential
-outcomes.
+benefit predictor, logistic outcome probabilities, and the benefit
+triple implied by independent potential outcomes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "LinearGaussianPopulation",
     "BenefitPredictor",
     "best_predictor",
-    "interpolate_triple",
     "outcome_prob",
     "benefit_triple_from_outcome_probs",
     "logit",
@@ -132,7 +130,8 @@ class BetaXPopulation:
     """Continuous covariate X ~ Beta(alpha, beta) on [0, 1].
 
     The benefit triple at X=x interpolates linearly between triple0 (at
-    x=0) and triple1 (at x=1); see interpolate_triple.
+    x=0) and triple1 (at x=1), componentwise, so it stays a valid triple
+    and E[B | X=x] is affine in x.
     """
 
     alpha: float
@@ -258,28 +257,6 @@ def best_predictor(pop: BinaryXPopulation) -> BenefitPredictor:
     """Oracle predictor h*(x) = E[B | X=x] for a two-level population."""
     return BenefitPredictor(
         {0: pop.triple0.mean_benefit, 1: pop.triple1.mean_benefit}
-    )
-
-
-def interpolate_triple(x: float, triple0: ProbTriple, triple1: ProbTriple) -> ProbTriple:
-    """Componentwise linear interpolation between two benefit triples.
-
-    Parameters
-    ----------
-    x : float in [0, 1]
-        Interpolation coordinate; 0 gives triple0, 1 gives triple1.
-
-    The result is a valid triple for any x in [0, 1] because the simplex
-    is convex.  E[B] interpolates linearly as well, which is what makes
-    the oracle predictor affine in x for BetaXPopulation.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"interpolation coordinate must lie in [0, 1], got {x!r}")
-    p0, p1 = triple0, triple1
-    return ProbTriple(
-        p0.p_minus + (p1.p_minus - p0.p_minus) * x,
-        p0.p_zero + (p1.p_zero - p0.p_zero) * x,
-        p0.p_plus + (p1.p_plus - p0.p_plus) * x,
     )
 
 

@@ -7,11 +7,18 @@ recorded alongside the result so the runtime budget can be checked
 without running the scan twice.
 """
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from cfb import grid_search, screen_improper_set
+
+# pyproject's pythonpath puts src on this interpreter's path; the tests
+# that start a fresh interpreter find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

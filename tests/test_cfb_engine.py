@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfb import (
@@ -36,6 +36,7 @@ from cfb import (
     pair_table,
 )
 from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples
+from cfb.matched_pairs import _two_group_cfb_arrays
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
@@ -193,6 +194,27 @@ def test_all_b_ties_raise_undefined():
         cfb_two_group(0.5, t, t)
     with pytest.raises(UndefinedCfb):
         empirical_cfb_oracle([(0, 0.0, 0.5), (0, 1.0, 0.5)])
+
+
+_TRIPLES = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda uv: (min(uv), max(uv) - min(uv), 1.0 - max(uv))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), low=_TRIPLES, high=_TRIPLES)
+@example(c=0.5, low=(0.0, 1.0, 0.0), high=(0.0, 1.0, 0.0))
+def test_two_group_closed_form_is_one_kernel_on_scalars_and_arrays(c, low, high):
+    """cfb_two_group and the matching sweep's array route give the same bits."""
+    value, undefined = _two_group_cfb_arrays(np.array([c]), *(np.array([v]) for v in low + high))
+    try:
+        closed = cfb_two_group(c, ProbTriple(*low), ProbTriple(*high))
+    except UndefinedCfb:
+        assert undefined[0] and math.isnan(value[0])
+    else:
+        assert not undefined[0] and value[0] == closed.value
 
 
 def test_label_swap_mirrors_the_statistic():

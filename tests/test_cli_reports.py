@@ -498,6 +498,22 @@ def test_rho_sweep_writes_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag, message", [
+    ("search", "--step", "step must be finite"),
+    ("match-compare", "--step", "grid_step must be finite"),
+    ("match-compare", "--coeff-min", "coeff_range must be finite"),
+    ("match-compare", "--coeff-max", "coeff_range must be finite"),
+])
+def test_grid_flags_reject_non_finite_values(tmp_path, monkeypatch, capsys, command, flag, message, value):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_match_compare_files(tmp_path, capsys):
     out = tmp_path / "match_diffs.csv"
     hist = tmp_path / "fig2_hist.csv"

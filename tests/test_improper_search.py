@@ -21,6 +21,7 @@ from cfb import (
     ImproperRecord,
     ProbTriple,
     cfb_monte_carlo,
+    cfb_two_group,
     continuous_improper_eval,
     cross_pair_reversal,
     grid_search,
@@ -295,6 +296,23 @@ def test_every_record_sits_below_chance_in_convention_arithmetic(grid_result):
     # deviations at the resolution limit round back onto 0.5 exactly
     assert sum(1 for r in recs if r.cfb_star == 0.5) == 569
     assert all(r.cfb_star <= 0.5 for r in recs)
+
+
+def test_census_values_agree_with_the_public_closed_form(grid_result):
+    """The scan's deviation keeps its frozen chain expression, so it may
+    differ from cfb_two_group in the last bits, but no further."""
+    prob = {}
+
+    def closed(t):
+        if t not in prob:
+            prob[t] = t.as_prob_triple()
+        return prob[t]
+
+    recs = grid_result.records
+    assert len(recs) == 283523
+    gap = max(abs(r.cfb_star - cfb_two_group(0.5, closed(r.triple_p), closed(r.triple_q)).value)
+              for r in recs)
+    assert gap <= 1e-15
 
 
 def test_census_decomposition_in_exact_arithmetic(grid_result):

@@ -9,16 +9,13 @@ import pytest
 
 from cfb import (
     BenefitPredictor,
-    CovariateDistribution,
     LogisticRctPopulation,
     MatchingFactor,
-    SamplingScheme,
     ZeroMassH,
     benefit_given_h,
     cfb_two_group,
     matching_experiment,
     predictor_h_quadratic,
-    x_prime_distribution,
 )
 from cfb.matched_pairs import _uniform_open01
 
@@ -28,73 +25,6 @@ FIXTURE_POP = LogisticRctPopulation(0.25, 0.25, 0.0, 2.0, 0.0, 2.0)
 FIXTURE_COV_LOW = (0.13292110058925347, 0.6835494427914801, 0.18352945661926653)
 FIXTURE_PRED_LOW = (0.17880846128712344, 0.59177472139574, 0.2294168173171365)
 FIXTURE_HIGH = (0.000329318452608989, 0.9816905032631569, 0.017980178284234167)
-
-
-# ---------------------------------------------------------------------------
-# covariate distributions
-# ---------------------------------------------------------------------------
-
-
-def test_covariate_distribution_validation():
-    ok = CovariateDistribution(((0, 0.5), (1, 0.3), (2, 0.2)))
-    assert ok.levels == ((0, 0.5), (1, 0.3), (2, 0.2))
-    with pytest.raises(ValueError, match="distinct"):
-        CovariateDistribution(((0, 0.5), (0, 0.5)))
-    with pytest.raises(ValueError, match="positive"):
-        CovariateDistribution(((0, 0.0), (1, 1.0)))
-    with pytest.raises(ValueError, match="sum"):
-        CovariateDistribution(((0, 0.5), (1, 0.6)))
-    with pytest.raises(ValueError):
-        CovariateDistribution(())
-
-
-def test_x_prime_is_identity_for_randomized_sequential_matching():
-    d = CovariateDistribution(((0, 0.5), (1, 0.3), (2, 0.2)))
-    out = x_prime_distribution(d, SamplingScheme.SEQUENTIAL_TREATED_FIRST)
-    assert out is d
-
-
-def test_x_prime_squares_masses_under_simultaneous_conditioning():
-    d = CovariateDistribution(((0, 0.5), (1, 0.3), (2, 0.2)))
-    out = x_prime_distribution(d, SamplingScheme.SIMULTANEOUS_CONDITIONING)
-    got = tuple(m for _, m in out.levels)
-    assert got == pytest.approx(
-        (0.6578947368421053, 0.2368421052631579, 0.10526315789473686), abs=1e-15
-    )
-    # squaring shifts mass toward the already common levels
-    assert got[0] > 0.5 and got[2] < 0.2
-
-
-def test_x_prime_sequential_with_nonuniform_treatment():
-    d = CovariateDistribution(((0, 0.5), (1, 0.3), (2, 0.2)))
-    out = x_prime_distribution(
-        d, SamplingScheme.SEQUENTIAL_TREATED_FIRST,
-        treatment_marginal={0: 0.5, 1: 0.0, 2: 0.5},
-    )
-    levels = dict(out.levels)
-    assert set(levels) == {0, 2}
-    assert levels[0] == pytest.approx(0.5 / 0.7, abs=1e-15)
-    assert levels[2] == pytest.approx(0.2 / 0.7, abs=1e-15)
-
-
-def test_x_prime_argument_errors():
-    d = CovariateDistribution(((0, 0.5), (1, 0.5)))
-    with pytest.raises(ValueError, match="only applies"):
-        x_prime_distribution(d, SamplingScheme.SIMULTANEOUS_CONDITIONING,
-                             treatment_marginal={0: 0.5, 1: 0.5})
-    with pytest.raises(ValueError, match="no entry"):
-        x_prime_distribution(d, SamplingScheme.SEQUENTIAL_TREATED_FIRST,
-                             treatment_marginal={0: 0.5})
-    with pytest.raises(ValueError):
-        x_prime_distribution(d, SamplingScheme.SEQUENTIAL_TREATED_FIRST,
-                             treatment_marginal={0: 0.5, 1: 1.5})
-    with pytest.raises(ValueError, match="no level"):
-        x_prime_distribution(d, SamplingScheme.SEQUENTIAL_TREATED_FIRST,
-                             treatment_marginal={0: 0.0, 1: 0.0})
-    with pytest.raises(TypeError):
-        x_prime_distribution(((0, 1.0),), SamplingScheme.SEQUENTIAL_TREATED_FIRST)
-    with pytest.raises(TypeError):
-        x_prime_distribution(d, "sequential")
 
 
 # ---------------------------------------------------------------------------
@@ -267,5 +197,7 @@ def test_matching_experiment_validation():
         matching_experiment(grid_step=0.3)
     with pytest.raises(ValueError, match="grid_step"):
         matching_experiment(grid_step=0.6)
+    with pytest.raises(ValueError, match="grid_step must be finite and positive"):
+        matching_experiment(grid_step=0.0)
     with pytest.raises(ValueError, match="increasing"):
         matching_experiment(grid_step=0.1, coeff_range=(2.0, -2.0))

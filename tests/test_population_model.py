@@ -15,7 +15,6 @@ from cfb import (
     benefit_triple_from_outcome_probs,
     best_predictor,
     expit,
-    interpolate_triple,
     logit,
     outcome_prob,
 )
@@ -203,39 +202,8 @@ def test_best_predictor_scores_are_mean_benefits():
 
 
 # ---------------------------------------------------------------------------
-# interpolation and the logistic response surface
+# the logistic response surface
 # ---------------------------------------------------------------------------
-
-
-def test_interpolate_triple_endpoints_are_exact():
-    p = ProbTriple(0.08, 0.0, 0.92)
-    q = ProbTriple(0.0, 0.15, 0.85)
-    assert interpolate_triple(0.0, p, q).as_tuple() == p.as_tuple()
-    assert interpolate_triple(1.0, p, q).as_tuple() == q.as_tuple()
-
-
-def test_interpolate_triple_midpoint():
-    p = ProbTriple(0.08, 0.0, 0.92)
-    q = ProbTriple(0.0, 0.15, 0.85)
-    mid = interpolate_triple(0.5, p, q)
-    assert mid.as_tuple() == pytest.approx((0.04, 0.075, 0.885), abs=1e-15)
-
-
-def test_interpolate_triple_is_componentwise_affine():
-    p = ProbTriple(0.3, 0.45, 0.25)
-    q = ProbTriple(0.05, 0.15, 0.8)
-    for x in (0.125, 0.5, 0.875):
-        got = interpolate_triple(x, p, q)
-        for g, a, b in zip(got.as_tuple(), p.as_tuple(), q.as_tuple()):
-            assert g == pytest.approx(a + (b - a) * x, abs=1e-15)
-
-
-def test_interpolate_triple_rejects_outside_unit_interval():
-    p = ProbTriple(0.3, 0.45, 0.25)
-    with pytest.raises(ValueError):
-        interpolate_triple(-0.01, p, p)
-    with pytest.raises(ValueError):
-        interpolate_triple(1.01, p, p)
 
 
 def test_outcome_prob_values_and_domain():
