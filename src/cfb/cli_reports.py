@@ -741,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=_RhoRangeArg, default=_RhoRangeArg("-1:1:0.1"),
                     help="start:stop:step (default -1:1:0.1)")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    # lets --rho -1:1:0.1 (or -.5:..., -inf:...) parse; tokens that start like
-    # a negative float are values here, so the range check can name them
-    sp._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     sp.set_defaults(func=_cmd_rho_sweep)
 
     sp = sub.add_parser("match-compare",
@@ -764,6 +761,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hi", type=float, default=None)
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.set_defaults(func=_cmd_hist)
+
+    # no option name starts with "-" and a digit, ".", "inf" or "nan", so such a
+    # token is a value: --coeff-min -1e1, --rho -inf:0:1 and --p -0.1,... reach
+    # their flag's own check instead of argparse's "expected one argument"
+    negative_number = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = negative_number
 
     return parser
 

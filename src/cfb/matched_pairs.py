@@ -17,7 +17,10 @@ The experiment needs to be bit-reproducible across platforms and numpy
 versions, so its coefficient draws come from a self-contained counter
 based generator (the splitmix64 finalizer) rather than numpy's stateful
 generators: cell k consumes draws 4k..4k+3 no matter how the sweep is
-chunked.
+chunked, and the sweep runs in blocks of _CELLS_PER_BLOCK cells.  Its
+logistic is the C library's exp reached through numpy's complex exp
+(cexp), bit for bit as scipy.special.expit, with math.exp where z < -709
+(see _logistic), so no SciPy import is needed.
 """
 
 from __future__ import annotations
@@ -189,6 +192,75 @@ def _two_group_cfb_arrays(c, *triples):
     return np.where(defined, 0.5 + dev, np.nan), ~defined
 
 
+def _logistic(z):
+    """1 / (1 + exp(-z)) over an array, bit for bit as scipy.special.expit.
+
+    expit evaluates exactly that formula with the C library's exp.  numpy's
+    float exp is its own SIMD routine and differs from it in the last bit
+    often enough to move 10-digit rows of the reported CSV; numpy's complex
+    exp calls the C library's cexp, whose real part at zero imaginary part
+    is its exp.  Where exp(-z) exceeds e**709 glibc's cexp scales and rounds
+    twice, so those z < -709 take math.exp instead (inf where it overflows,
+    giving 0.0 as expit does).
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp((-z).astype(np.complex128)).real
+    for k in np.flatnonzero(z < -709.0):
+        try:
+            e[k] = math.exp(-z[k])
+        except OverflowError:
+            e[k] = math.inf
+    return 1.0 / (1.0 + e)
+
+
+# cells per block of the sweep: the block's two dozen float64 and complex
+# temporaries stay in cache, where a whole-grid pass streams each through memory
+_CELLS_PER_BLOCK = 16_384
+
+
+def _sweep_block(a, b, beta0, betax, betat, betaxt):
+    """Statistic under each matching factor for one block of cells.
+
+    Returns (cfb_covariate, cfb_prediction, undefined) for the cells whose
+    masses and coefficients are given.
+    """
+    c_high = (1.0 - a) - b
+
+    # response probabilities per arm and level
+    y = {
+        (t, x): _logistic(beta0 + betax * x + betat * t + betaxt * (t * x))
+        for t in (0, 1) for x in (0, 1, 2)
+    }
+
+    w_low = a + b
+    s0 = a / w_low
+    s1 = b / w_low
+
+    # matched on the covariate: mixture of the per-level triples
+    lm_x = s0 * (y[0, 0] * (1.0 - y[1, 0])) + s1 * (y[0, 1] * (1.0 - y[1, 1]))
+    lz_x = (
+        s0 * (y[0, 0] * y[1, 0] + (1.0 - y[0, 0]) * (1.0 - y[1, 0]))
+        + s1 * (y[0, 1] * y[1, 1] + (1.0 - y[0, 1]) * (1.0 - y[1, 1]))
+    )
+    lp_x = s0 * (y[1, 0] * (1.0 - y[0, 0])) + s1 * (y[1, 1] * (1.0 - y[0, 1]))
+
+    # matched on predicted benefit: members mix independently, so the
+    # double mixture collapses to the mixed response probabilities
+    ybar0 = s0 * y[0, 0] + s1 * y[0, 1]
+    ybar1 = s0 * y[1, 0] + s1 * y[1, 1]
+    lm_h = ybar0 * (1.0 - ybar1)
+    lz_h = ybar0 * ybar1 + (1.0 - ybar0) * (1.0 - ybar1)
+    lp_h = ybar1 * (1.0 - ybar0)
+
+    hm = y[0, 2] * (1.0 - y[1, 2])
+    hz = y[0, 2] * y[1, 2] + (1.0 - y[0, 2]) * (1.0 - y[1, 2])
+    hp = y[1, 2] * (1.0 - y[0, 2])
+
+    cfb_x, undef_x = _two_group_cfb_arrays(c_high, lm_x, lz_x, lp_x, hm, hz, hp)
+    cfb_h, undef_h = _two_group_cfb_arrays(c_high, lm_h, lz_h, lp_h, hm, hz, hp)
+    return cfb_x, cfb_h, undef_x | undef_h
+
+
 def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed: int = 20230516):
     """Sweep covariate-mass cells with random logistic coefficients.
 
@@ -200,10 +272,6 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     levels with predictor_h_quadratic, and evaluates the statistic
     matched on the covariate and matched on the predicted benefit.
     """
-    # scipy's expit, not a numpy formula: the two differ in the last bit
-    # often enough to move 10-digit rows of the reported CSV
-    from scipy.special import expit
-
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     inv = round(1.0 / grid_step)
@@ -223,54 +291,18 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
 
     a = i_arr.astype(np.float64) * grid_step
     b = j_arr.astype(np.float64) * grid_step
-    c_high = (1.0 - a) - b
 
-    base = np.arange(n, dtype=np.uint64) * np.uint64(4)
-    coeffs = [lo + (hi - lo) * _uniform_open01(seed, base + np.uint64(m)) for m in range(4)]
+    coeffs = [np.empty(n) for _ in range(4)]
+    cfb_x, cfb_h, abs_diff = np.empty(n), np.empty(n), np.empty(n)
+    undefined = np.empty(n, dtype=bool)
+    for start in range(0, n, _CELLS_PER_BLOCK):
+        blk = slice(start, min(start + _CELLS_PER_BLOCK, n))
+        base = np.arange(blk.start, blk.stop, dtype=np.uint64) * np.uint64(4)
+        for m, col in enumerate(coeffs):
+            col[blk] = lo + (hi - lo) * _uniform_open01(seed, base + np.uint64(m))
+        cx, ch, undefined[blk] = _sweep_block(a[blk], b[blk], *(col[blk] for col in coeffs))
+        cfb_x[blk], cfb_h[blk], abs_diff[blk] = cx, ch, np.abs(cx - ch)
     beta0, betax, betat, betaxt = coeffs
-    # each whole-grid intermediate is released once consumed: at 0.001
-    # steps one array is 4 MB and the kernel's peak is the sum of the live ones
-    del i_arr, j_arr, base
-
-    # response probabilities per arm and level
-    y = {
-        (t, x): expit(beta0 + betax * x + betat * t + betaxt * (t * x))
-        for t in (0, 1) for x in (0, 1, 2)
-    }
-
-    w_low = a + b
-    s0 = a / w_low
-    s1 = b / w_low
-    del w_low
-
-    # matched on the covariate: mixture of the per-level triples
-    lm_x = s0 * (y[0, 0] * (1.0 - y[1, 0])) + s1 * (y[0, 1] * (1.0 - y[1, 1]))
-    lz_x = (
-        s0 * (y[0, 0] * y[1, 0] + (1.0 - y[0, 0]) * (1.0 - y[1, 0]))
-        + s1 * (y[0, 1] * y[1, 1] + (1.0 - y[0, 1]) * (1.0 - y[1, 1]))
-    )
-    lp_x = s0 * (y[1, 0] * (1.0 - y[0, 0])) + s1 * (y[1, 1] * (1.0 - y[0, 1]))
-
-    # matched on predicted benefit: members mix independently, so the
-    # double mixture collapses to the mixed response probabilities
-    ybar0 = s0 * y[0, 0] + s1 * y[0, 1]
-    ybar1 = s0 * y[1, 0] + s1 * y[1, 1]
-    lm_h = ybar0 * (1.0 - ybar1)
-    lz_h = ybar0 * ybar1 + (1.0 - ybar0) * (1.0 - ybar1)
-    lp_h = ybar1 * (1.0 - ybar0)
-    del s0, s1, ybar0, ybar1
-
-    hm = y[0, 2] * (1.0 - y[1, 2])
-    hz = y[0, 2] * y[1, 2] + (1.0 - y[0, 2]) * (1.0 - y[1, 2])
-    hp = y[1, 2] * (1.0 - y[0, 2])
-    del y
-
-    cfb_x, undef_x = _two_group_cfb_arrays(c_high, lm_x, lz_x, lp_x, hm, hz, hp)
-    del lm_x, lz_x, lp_x
-    cfb_h, undef_h = _two_group_cfb_arrays(c_high, lm_h, lz_h, lp_h, hm, hz, hp)
-    del c_high, lm_h, lz_h, lp_h, hm, hz, hp
-    undefined = undef_x | undef_h
-    abs_diff = np.abs(cfb_x - cfb_h)
 
     counts, edges = np.histogram(
         abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE

@@ -514,6 +514,36 @@ def test_grid_flags_reject_non_finite_values(tmp_path, monkeypatch, capsys, comm
     assert not list(tmp_path.iterdir())
 
 
+# negative values in exponent, inf and nan spelling given as a separate argument:
+# each reaches its flag's own check (exit 2 naming it) or is accepted (exit 0 and
+# echoed in the `#` header)
+@pytest.mark.parametrize("argv, code, text", [
+    (["eval-discrete", "--c", "-1e-1", "--p", "0.25,0.01,0.74", "--q", "0.14,0.18,0.68"],
+     2, "--c must be a finite value strictly inside (0, 1), got -0.1"),
+    (["eval-discrete", "--p", "-1e-1,0.5,0.6", "--q", "0.14,0.18,0.68"], 2, "p_minus=-0.1 outside [0, 1]"),
+    (["search", "--step", "-1e-2"], 2, "step must be"),
+    (["search", "--c", "-inf"], 2, "c must lie strictly inside (0, 1), got -inf"),
+    (["screen-cf", "--in", "-1.csv"], 2, "No such file or directory: '-1.csv'"),
+    (["beta-mc", "--alpha", "-5e-1", "--beta", "0.5", "--p", "0.08,0,0.92", "--q", "0,0.15,0.85",
+      "--n", "100"], 2, "Beta shape parameters must be positive"),
+    (["rho-sweep", "--beta-xt", "1", "--sigma", "-1e0"], 2, "sigma must be positive"),
+    (["rho-sweep", "--beta-xt", "1", "--rho", "-inf:0:1"], 2, "start, stop and step must be finite"),
+    (["rho-sweep", "--beta-xt", "-1e0", "--rho", "-1:1:0.5"], 0, "# rho-sweep beta-xt=-1 "),
+    (["match-compare", "--step", "0.1", "--coeff-min", "-1e1"], 0, " coeff-min=-10 coeff-max=5 "),
+    (["match-compare", "--step", "0.1", "--coeff-max", "-INF"], 2, "coeff_range must be finite"),
+    (["match-compare", "--step", "-1e-1"], 2, "grid_step must be finite and positive, got -0.1"),
+    (["hist", "--in", "col.csv", "--col", "x", "--lo", "-1e-3", "--hi", "1"], 0, " lo=-0.001 hi=1 "),
+    (["hist", "--in", "col.csv", "--col", "x", "--lo", "-nan"], 2, "need lo < hi"),
+])
+def test_negative_flag_values_are_values(tmp_path, monkeypatch, capsys, argv, code, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "col.csv").write_text("x\n0.25\n0.5\n")
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert "expected one argument" not in captured.err
+    assert text in (captured.out if code == 0 else captured.err)
+
+
 def test_match_compare_files(tmp_path, capsys):
     out = tmp_path / "match_diffs.csv"
     hist = tmp_path / "fig2_hist.csv"

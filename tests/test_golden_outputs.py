@@ -37,6 +37,14 @@ MATCH_FULL_GOLDEN = {
     "fig2_hist.csv": "2c47d89e656aaefe9c04fc7b1610947e36954ea7dd3cfb140535d1a7ada7813c",
 }
 
+# match-compare --step 0.01 --coeff-min=-400 --coeff-max=400: five z values of this
+# sweep fall in (-709.79, -709), where the sweep's logistic leaves glibc's cexp
+WIDE_GOLDEN = {
+    "match_diffs.csv": "68bddcefac37aab68e0d404e3c0841c14a4a5d97a8db888a9dd858dc693e6f7e",
+    "fig2_hist.csv": "c5141abbdbd16192476a7f44a6e9d5a6736be56e1e48acc6ece1da22d48b0fea",
+}
+WIDE_STDOUT_GOLDEN = "65260ec390f825910fcc3191dfa3deeedd7baae23a112ad3125c8c5b7fd85c59"
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -72,6 +80,14 @@ def test_full_size_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsy
         assert sha256((tmp_path / name).read_bytes()) == digest, name
 
 
+def test_wide_range_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["match-compare", "--step", "0.01", "--coeff-min=-400", "--coeff-max=400"]
+    assert sha256(run_stdout(argv, capsys)) == WIDE_STDOUT_GOLDEN
+    for name, digest in WIDE_GOLDEN.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, cfb; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -84,6 +100,16 @@ def test_rho_sweep_leaves_scipy_out():
             "code = run(['rho-sweep', '--beta-xt', '1.0', '--rho', '-1:1:0.5']); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_match_compare_leaves_scipy_out(tmp_path):
+    code = ("import sys; from cfb import run; "
+            "code = run(['match-compare', '--step', '0.05']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
 

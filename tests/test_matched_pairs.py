@@ -4,6 +4,8 @@ The worked fixture (masses 0.25/0.25/0.5, coefficients (0, 2, 0, 2),
 quadratic predictor) is frozen from tools/oracles/oracle_matched.py.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from cfb import (
     ZeroMassH,
     benefit_given_h,
     cfb_two_group,
+    matched_pairs,
     matching_experiment,
     predictor_h_quadratic,
 )
-from cfb.matched_pairs import _uniform_open01
+from cfb.matched_pairs import _logistic, _uniform_open01
 
 FIXTURE_POP = LogisticRctPopulation(0.25, 0.25, 0.0, 2.0, 0.0, 2.0)
 
@@ -201,3 +204,37 @@ def test_matching_experiment_validation():
         matching_experiment(grid_step=0.0)
     with pytest.raises(ValueError, match="increasing"):
         matching_experiment(grid_step=0.1, coeff_range=(2.0, -2.0))
+
+
+def test_logistic_is_scipy_expit_bit_for_bit():
+    """The sweep's logistic must equal scipy.special.expit in every bit: on the
+    default sweep's six linear predictors, on uniform z over [-750, 750], in the
+    band (-709.79, -709) where glibc's cexp rounds twice, and at the edges."""
+    from scipy.special import expit
+
+    res = matching_experiment()
+    zs = [res.beta0 + res.betax * x + res.betat * t + res.betaxt * (t * x)
+          for t in (0, 1) for x in (0, 1, 2)]
+    rng = np.random.default_rng(20230516)
+    zs.append(rng.uniform(-750.0, 750.0, 2_000_000))
+    zs.append(rng.uniform(-709.79, -709.0, 100_000))
+    zs.append(np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf]))
+    for z in zs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _logistic(z)
+        assert not caught
+        assert got.tobytes() == expit(z).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1177])
+def test_sweep_is_independent_of_block_size(monkeypatch, block):
+    # 1176 cells at step 0.02; coefficients up to 400 put z below -709 and past exp's overflow
+    want = matching_experiment(grid_step=0.02, coeff_range=(-400.0, 400.0), seed=3)
+    assert len(want) == 1176
+    monkeypatch.setattr(matched_pairs, "_CELLS_PER_BLOCK", block)
+    got = matching_experiment(grid_step=0.02, coeff_range=(-400.0, 400.0), seed=3)
+    for name in ("a", "b", "beta0", "betax", "betat", "betaxt",
+                 "cfb_covariate", "cfb_prediction", "abs_diff", "undefined"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.hist_counts == want.hist_counts
