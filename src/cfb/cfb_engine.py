@@ -641,9 +641,10 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
     if pop.rho == 1.0:
         r = 1.0
     else:
-        b2 = pop.betaxt * pop.betaxt
-        r = abs(pop.betaxt) / math.sqrt(b2 + 2.0 * pop.sigma * pop.sigma * (1.0 - pop.rho))
-        r = min(r, 1.0)
+        # scaled by a power of two, which is exact, so that no square overflows or underflows
+        _, e = math.frexp(max(abs(pop.betaxt), pop.sigma))
+        b, s = math.ldexp(pop.betaxt, -e), math.ldexp(pop.sigma, -e)
+        r = min(abs(b) / math.sqrt(b * b + 2.0 * s * s * (1.0 - pop.rho)), 1.0)
     value = 0.5 + math.asin(r) / math.pi
     # continuous benefit: the conditioning event has probability one
     return CfbResult(value, value, 1.0)

@@ -16,6 +16,10 @@ a time (_CHARS_PER_READ), so its memory stays flat, and checks each
 block's hundredths and triple sums on arrays.  In both, `#` starts a
 comment anywhere in a line.
 
+Each subcommand's flags are declared once, in _COMMANDS: name, parser,
+default and the header text of an unset value.  The argument parser,
+the value checks and the `#` header all come from that table.
+
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
 """
@@ -29,6 +33,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +63,6 @@ IMPROPER_COLUMNS = ("p_minus", "p_zero", "p_plus",
 REALIZABLE_COLUMNS = IMPROPER_COLUMNS + ("y0_x0", "y1_x0", "y0_x1", "y1_x1")
 MATCH_COLUMNS = ("a", "b", "beta0", "betax", "betat", "betaxt",
                  "cfb_x", "cfb_h", "abs_diff", "undefined_flag")
-
-_DEFAULT_SEED = 20230516
 
 # the "%.10g" spelling of k/100, as the census files give triple entries
 _HUNDREDTH_TEXT = tuple("%.10g" % (k / 100.0) for k in range(101))
@@ -297,8 +300,9 @@ def _write_atomic(path, blocks):
     """Write text blocks to a temporary file beside path, then rename it over path.
 
     An interrupted write leaves the previous file, or none, and removes
-    the temporary one; a reader never sees a short file.  A path that
-    exists but is no regular file (a device or pipe) is written in place.
+    the temporary one; a reader never sees a short file, and an OSError
+    names path.  A path that exists but is no regular file (a device or
+    pipe) is written in place.
     """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -310,9 +314,11 @@ def _write_atomic(path, blocks):
         with open(tmp, "w", newline="") as f:
             f.writelines(blocks)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):  # name the file the caller asked for, not the temporary one
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 
@@ -363,23 +369,17 @@ class _TripleArg:
 
     def __init__(self, text: str):
         self.raw = text
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"expected three comma-separated decimals, got {text!r}")
         try:
-            vals = [float(p) for p in parts]
+            minus, zero, plus = map(float, text.split(","))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected three comma-separated decimals, got {text!r}") from None
-        total = vals[0] + vals[1] + vals[2]
+        total = minus + zero + plus
         if abs(total - 1.0) > 1e-9:
             raise argparse.ArgumentTypeError(
                 f"triple {text!r} sums to {total!r}, not 1")
-        if total != 1.0:
-            vals = [v / total for v in vals]
         try:
-            self.triple = ProbTriple(*vals)
+            self.triple = ProbTriple(minus / total, zero / total, plus / total)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -389,12 +389,8 @@ class _RhoRangeArg:
 
     def __init__(self, text: str):
         self.raw = text
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"expected start:stop:step, got {text!r}")
         try:
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = map(float, text.split(":"))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected start:stop:step, got {text!r}") from None
@@ -403,7 +399,10 @@ class _RhoRangeArg:
                 f"start, stop and step must be finite, got {text!r}")
         if step <= 0.0 or stop < start:
             raise argparse.ArgumentTypeError("need stop >= start and step > 0")
-        count = round((stop - start) / step) + 1
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise argparse.ArgumentTypeError(f"(stop - start) / step overflows in {text!r}")
+        count = round(steps) + 1
         if abs(start + (count - 1) * step - stop) > 1e-9:
             raise argparse.ArgumentTypeError(
                 f"step {step} does not evenly divide [{start}, {stop}]")
@@ -420,15 +419,7 @@ class _RhoRangeArg:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval_discrete(args) -> int:
-    # checked here: the pair table's own checks would name a symptom, not --c
-    if not 0.0 < args.c < 1.0:
-        raise ValueError(f"--c must be a finite value strictly inside (0, 1), got {args.c!r}")
-    cfg = RunConfig("eval-discrete", (
-        ("c", _fmt(args.c)),
-        ("p", args.p.raw),
-        ("q", args.q.raw),
-    ))
+def _cmd_eval_discrete(args, cfg) -> int:
     dist = MatchedBenefitDistribution((
         (0.0, 1.0 - args.c, args.p.triple),
         (1.0, args.c, args.q.triple),
@@ -446,13 +437,7 @@ def _cmd_eval_discrete(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    cfg = RunConfig("search", (
-        ("step", _fmt(args.step)),
-        ("c", _fmt(args.c)),
-        ("out", args.out),
-        ("hist-out", args.hist_out),
-    ))
+def _cmd_search(args, cfg) -> int:
     result = grid_search(args.step, args.c)
 
     found = result.survivors
@@ -548,12 +533,7 @@ def _malformed_row(lines, row):
     return "malformed rows"  # not reached: loadtxt rejects lines together only if it rejects one
 
 
-def _cmd_screen_cf(args) -> int:
-    cfg = RunConfig("screen-cf", (
-        ("in", args.inp),
-        ("out", args.out),
-        ("hist-out", args.hist_out),
-    ))
+def _cmd_screen_cf(args, cfg) -> int:
     found = _read_improper_csv(args.inp)
     res = screen_improper_set(found)
 
@@ -586,15 +566,7 @@ def _cmd_screen_cf(args) -> int:
     return 0
 
 
-def _cmd_beta_mc(args) -> int:
-    cfg = RunConfig("beta-mc", (
-        ("alpha", _fmt(args.alpha)),
-        ("beta", _fmt(args.beta)),
-        ("p", args.p.raw),
-        ("q", args.q.raw),
-        ("n", str(args.n)),
-        ("seed", str(args.seed)),
-    ))
+def _cmd_beta_mc(args, cfg) -> int:
     est, se = continuous_improper_eval(
         args.alpha, args.beta, args.p.triple, args.q.triple, args.n, args.seed)
     _emit(None, cfg, [
@@ -605,13 +577,7 @@ def _cmd_beta_mc(args) -> int:
     return 0
 
 
-def _cmd_rho_sweep(args) -> int:
-    cfg = RunConfig("rho-sweep", (
-        ("beta-xt", _fmt(args.beta_xt)),
-        ("sigma", _fmt(args.sigma)),
-        ("rho", args.rho.raw),
-        ("out", args.out if args.out else "-"),
-    ))
+def _cmd_rho_sweep(args, cfg) -> int:
     lines = ["rho,cfb_star"]
     for rho in args.rho.values():
         pop = LinearGaussianPopulation(0.0, 0.0, 0.0, args.beta_xt, args.sigma, float(rho))
@@ -621,15 +587,7 @@ def _cmd_rho_sweep(args) -> int:
     return 0
 
 
-def _cmd_match_compare(args) -> int:
-    cfg = RunConfig("match-compare", (
-        ("step", _fmt(args.step)),
-        ("coeff-min", _fmt(args.coeff_min)),
-        ("coeff-max", _fmt(args.coeff_max)),
-        ("seed", str(args.seed)),
-        ("out", args.out),
-        ("hist-out", args.hist_out),
-    ))
+def _cmd_match_compare(args, cfg) -> int:
     result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
 
     r = result
@@ -660,15 +618,7 @@ def _cmd_match_compare(args) -> int:
     return 0
 
 
-def _cmd_hist(args) -> int:
-    cfg = RunConfig("hist", (
-        ("in", args.inp),
-        ("col", args.col),
-        ("bins", str(args.bins)),
-        ("lo", _fmt(args.lo) if args.lo is not None else "auto"),
-        ("hi", _fmt(args.hi) if args.hi is not None else "auto"),
-        ("out", args.out if args.out else "-"),
-    ))
+def _cmd_hist(args, cfg) -> int:
     vals = _read_column(args.inp, args.col)
     vals = vals[~np.isnan(vals)]
     if not vals.size:
@@ -686,90 +636,130 @@ def _cmd_hist(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly and entry points
+# the subcommand table, parser assembly and entry points
 # ---------------------------------------------------------------------------
 
 
-def _add_triple_args(sp):
-    sp.add_argument("--p", dest="p", type=_TripleArg, required=True,
-                    help="low-level benefit triple: minus,zero,plus")
-    sp.add_argument("--q", dest="q", type=_TripleArg, required=True,
-                    help="high-level benefit triple: minus,zero,plus")
+def _number(convert, need, ok=lambda v: True):
+    """Parser of a flag's text: convert(text), rejected as not `need` if that fails or is not ok."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value!r}")
+        return value
+    return parse
+
+
+_REAL = _number(float, "a number")  # the kernels check the values they take
+_COUNT = _number(int, "a positive integer", lambda n: n > 0)
+
+
+class _Flag(NamedTuple):
+    """One option of a subcommand: its name, parser, default and header text.
+
+    parse turns the typed text into the handler's value and raises
+    argparse.ArgumentTypeError naming the problem.  default is the text
+    an omitted flag takes; a flag with neither default nor absent must
+    be given, and one with absent may stay unset: its value is None and
+    the header shows absent.
+    """
+
+    name: str
+    parse: object = str
+    default: str | None = None
+    absent: str | None = None
+    help: str | None = None
+
+    @property
+    def dest(self):  # "in" is a keyword, so the handlers read args.inp
+        return "inp" if self.name == "in" else self.name.replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: object  # handler(args, cfg) -> exit code
+    flags: tuple  # _Flag, in header order
+
+
+_TRIPLE_FLAGS = (_Flag("p", _TripleArg, help="low-level benefit triple: minus,zero,plus"),
+                 _Flag("q", _TripleArg, help="high-level benefit triple: minus,zero,plus"))
+# one parser for both seeds: match-compare's kernel would take a negative seed mod 2**64
+_SEED_FLAG = _Flag("seed", _number(int, "a non-negative integer", lambda n: n >= 0), "20230516")
+_RANGE_END = _number(float, "a finite number (need lo < hi for the histogram range)", math.isfinite)
+
+_COMMANDS = {
+    "eval-discrete": _Command("pair table and statistic for two covariate levels", _cmd_eval_discrete, (
+        # checked here: the pair table's own checks would name a symptom, not --c
+        _Flag("c", _number(float, "a finite value strictly inside (0, 1)", lambda c: 0.0 < c < 1.0),
+              "0.5", help="mass of the high-h level"),
+        *_TRIPLE_FLAGS)),
+    "search": _Command("exhaustive below-chance grid search", _cmd_search, (
+        _Flag("step", _REAL, "0.01"),
+        _Flag("c", _REAL, "0.5"),
+        _Flag("out", default="improper.csv"),
+        _Flag("hist-out", default="fig1_hist.csv"))),
+    "screen-cf": _Command("keep findings realizable from independent responses", _cmd_screen_cf, (
+        _Flag("in", default="improper.csv"),
+        _Flag("out", default="realizable.csv"),
+        _Flag("hist-out", default="fig6_hist.csv"))),
+    "beta-mc": _Command("Monte Carlo statistic for a Beta-mixed pair", _cmd_beta_mc, (
+        _Flag("alpha", _REAL),
+        _Flag("beta", _REAL),
+        *_TRIPLE_FLAGS,
+        _Flag("n", _COUNT, "1000000", help="sampled pairs"),
+        _SEED_FLAG)),
+    "rho-sweep": _Command("closed-form statistic over a response-correlation range", _cmd_rho_sweep, (
+        _Flag("beta-xt", _REAL),
+        _Flag("sigma", _REAL, "1"),
+        _Flag("rho", _RhoRangeArg, "-1:1:0.1", help="start:stop:step"),
+        _Flag("out", absent="-", help="CSV path (default stdout)"))),
+    "match-compare": _Command("matching-factor comparison over the mass grid", _cmd_match_compare, (
+        _Flag("step", _REAL, "0.001"),
+        _Flag("coeff-min", _REAL, "-5"),
+        _Flag("coeff-max", _REAL, "5"),
+        _SEED_FLAG,
+        _Flag("out", default="match_diffs.csv"),
+        _Flag("hist-out", default="fig2_hist.csv"))),
+    "hist": _Command("histogram a column of an emitted CSV", _cmd_hist, (
+        _Flag("in"),
+        _Flag("col"),
+        _Flag("bins", _COUNT, "50"),
+        _Flag("lo", _RANGE_END, absent="auto", help="range start (default the column's minimum)"),
+        _Flag("hi", _RANGE_END, absent="auto", help="range end (default the column's maximum)"),
+        _Flag("out", absent="-", help="CSV path (default stdout)"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of _COMMANDS; it leaves each flag's value as the text given."""
     parser = argparse.ArgumentParser(
         prog="cfb",
         description="concordance-for-benefit computations and reports",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("eval-discrete",
-                        help="pair table and statistic for two covariate levels")
-    sp.add_argument("--c", type=float, default=0.5,
-                    help="mass of the high-h level (default 0.5)")
-    _add_triple_args(sp)
-    sp.set_defaults(func=_cmd_eval_discrete)
-
-    sp = sub.add_parser("search", help="exhaustive below-chance grid search")
-    sp.add_argument("--step", type=float, default=0.01)
-    sp.add_argument("--c", type=float, default=0.5)
-    sp.add_argument("--out", default="improper.csv")
-    sp.add_argument("--hist-out", dest="hist_out", default="fig1_hist.csv")
-    sp.set_defaults(func=_cmd_search)
-
-    sp = sub.add_parser("screen-cf",
-                        help="keep findings realizable from independent responses")
-    sp.add_argument("--in", dest="inp", default="improper.csv")
-    sp.add_argument("--out", default="realizable.csv")
-    sp.add_argument("--hist-out", dest="hist_out", default="fig6_hist.csv")
-    sp.set_defaults(func=_cmd_screen_cf)
-
-    sp = sub.add_parser("beta-mc",
-                        help="Monte Carlo statistic for a Beta-mixed pair")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    _add_triple_args(sp)
-    sp.add_argument("--n", type=int, default=1_000_000, help="sampled pairs")
-    sp.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    sp.set_defaults(func=_cmd_beta_mc)
-
-    sp = sub.add_parser("rho-sweep",
-                        help="closed-form statistic over a response-correlation range")
-    sp.add_argument("--beta-xt", dest="beta_xt", type=float, required=True)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--rho", type=_RhoRangeArg, default=_RhoRangeArg("-1:1:0.1"),
-                    help="start:stop:step (default -1:1:0.1)")
-    sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sp.set_defaults(func=_cmd_rho_sweep)
-
-    sp = sub.add_parser("match-compare",
-                        help="matching-factor comparison over the mass grid")
-    sp.add_argument("--step", type=float, default=0.001)
-    sp.add_argument("--coeff-min", dest="coeff_min", type=float, default=-5.0)
-    sp.add_argument("--coeff-max", dest="coeff_max", type=float, default=5.0)
-    sp.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    sp.add_argument("--out", default="match_diffs.csv")
-    sp.add_argument("--hist-out", dest="hist_out", default="fig2_hist.csv")
-    sp.set_defaults(func=_cmd_match_compare)
-
-    sp = sub.add_parser("hist", help="histogram a column of an emitted CSV")
-    sp.add_argument("--in", dest="inp", required=True)
-    sp.add_argument("--col", required=True)
-    sp.add_argument("--bins", type=int, default=50)
-    sp.add_argument("--lo", type=float, default=None)
-    sp.add_argument("--hi", type=float, default=None)
-    sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sp.set_defaults(func=_cmd_hist)
-
     # no option name starts with "-" and a digit, ".", "inf" or "nan", so such a
     # token is a value: --coeff-min -1e1, --rho -inf:0:1 and --p -0.1,... reach
     # their flag's own check instead of argparse's "expected one argument"
     negative_number = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-    for sp in sub.choices.values():
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp._negative_number_matcher = negative_number
-
+        for flag in command.flags:
+            required = flag.default is None and flag.absent is None
+            note = "(required)" if required else flag.default and f"(default {flag.default})"
+            sp.add_argument("--" + flag.name, dest=flag.dest, default=flag.default, required=required,
+                            help=" ".join(filter(None, (flag.help, note))))
     return parser
+
+
+def _header_text(value) -> str:
+    """A parsed flag value as the `#` header spells it."""
+    if isinstance(value, (int, float)):
+        return _fmt(value)
+    return getattr(value, "raw", value)
 
 
 def run(argv) -> int:
@@ -779,15 +769,23 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
+    command = _COMMANDS[args.subcommand]
+    options = []
+    for flag in command.flags:
+        text = getattr(args, flag.dest)
+        try:
+            value = None if text is None else flag.parse(text)
+        except argparse.ArgumentTypeError as e:
+            print(f"cfb: --{flag.name} {e}", file=sys.stderr)
+            return 2
+        setattr(args, flag.dest, value)
+        options.append((flag.name, flag.absent if value is None else _header_text(value)))
     try:
-        return args.func(args)
+        return command.handler(args, RunConfig(args.subcommand, tuple(options)))
     except UndefinedCfb as e:
         print(f"cfb: undefined statistic: {e}", file=sys.stderr)
         return 3
-    except CfbError as e:
-        print(f"cfb: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (CfbError, ValueError, OSError) as e:
         print(f"cfb: {e}", file=sys.stderr)
         return 2
 

@@ -306,7 +306,7 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
     """
     if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
-    hund = round(step * 100)
+    hund = round(step * 100) if abs(step) <= 1.0 else 0  # step * 100 may overflow to inf
     if abs(step * 100 - hund) > 1e-9 or hund < 1 or 100 % hund != 0:
         raise ValueError("step must be a multiple of 0.01 that divides 1")
     if not 0.0 < c < 1.0:

@@ -274,6 +274,8 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
+    if not math.isfinite(1.0 / grid_step):
+        raise ValueError(f"grid_step is too small: 1 / grid_step overflows, got {grid_step!r}")
     inv = round(1.0 / grid_step)
     if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
         raise ValueError("grid_step must divide 1 with at least 3 subdivisions")

@@ -432,6 +432,18 @@ def test_linear_gaussian_matches_arcsine_identity_on_small_grid():
                 assert got == pytest.approx(0.5 + math.asin(r) / math.pi, abs=1e-9)
 
 
+def test_linear_gaussian_depends_on_the_ratio_at_any_magnitude():
+    """betaxt and sigma scaled together keep the value, also where their squares
+    would overflow or underflow a float."""
+    for betaxt, sigma, rho in ((1.0, 1.0, 0.0), (0.25, 2.0, 0.3), (-3.0, 0.5, -0.9)):
+        want = cfb_linear_gaussian(lg(betaxt, sigma, rho)).value
+        for k in (-1000, -600, 600, 1000):
+            assert cfb_linear_gaussian(lg(betaxt * 2.0 ** k, sigma * 2.0 ** k, rho)).value == want
+        assert cfb_linear_gaussian(lg(betaxt * 1e-320, sigma * 1e-320, rho)).value == pytest.approx(want)
+    assert cfb_linear_gaussian(lg(1e308, 1.0, 0.0)).value == 1.0
+    assert cfb_linear_gaussian(lg(1.0, 1e308, 0.0)).value == 0.5
+
+
 def test_linear_gaussian_closed_form_matches_the_quadrature():
     """Sheppard's arcsine against 2 * bivariate_normal_cdf(0, 0, r): same `%.10g` text
     on 3,618 (betaxt, sigma, rho) cases, so rho-sweep's output does not move."""

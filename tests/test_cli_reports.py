@@ -12,6 +12,8 @@ import threading
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -160,6 +162,44 @@ def test_eval_discrete_rejects_c_outside_the_open_unit_interval(capsys, c):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# the `#` header of every subcommand at its default flags and at non-canonical
+# spellings: floats as "%.10g", triples and rho ranges as typed, unset flags as
+# "auto" or "-"; every file a run writes carries the same two lines
+@pytest.mark.parametrize("argv, header", [
+    (EVAL_ARGS[:1] + EVAL_ARGS[3:], "eval-discrete c=0.5 p=0.25,0.01,0.74 q=0.14,0.18,0.68"),
+    (["eval-discrete", "--c", "5e-1", "--p", ".25,.01,.74", "--q", "0.14,0.18,0.68"],
+     "eval-discrete c=0.5 p=.25,.01,.74 q=0.14,0.18,0.68"),
+    (["search"], "search step=0.01 c=0.5 out=improper.csv hist-out=fig1_hist.csv"),
+    (["search", "--step", "0.25"], "search step=0.25 c=0.5 out=improper.csv hist-out=fig1_hist.csv"),
+    (["screen-cf"], "screen-cf in=improper.csv out=realizable.csv hist-out=fig6_hist.csv"),
+    (["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92", "--q", "0,0.15,0.85"],
+     "beta-mc alpha=0.5 beta=0.5 p=0.08,0,0.92 q=0,0.15,0.85 n=1000000 seed=20230516"),
+    (["rho-sweep", "--beta-xt", "1"], "rho-sweep beta-xt=1 sigma=1 rho=-1:1:0.1 out=-"),
+    (["rho-sweep", "--beta-xt", "1", "--rho=-.5:.5:.25", "--sigma", "2e0"],
+     "rho-sweep beta-xt=1 sigma=2 rho=-.5:.5:.25 out=-"),
+    (["match-compare"], "match-compare step=0.001 coeff-min=-5 coeff-max=5 seed=20230516 "
+                        "out=match_diffs.csv hist-out=fig2_hist.csv"),
+    (["hist", "--in", "col.csv", "--col", "x"], "hist in=col.csv col=x bins=50 lo=auto hi=auto out=-"),
+    (["hist", "--in", "col.csv", "--col", "x", "--lo", "0", "--bins", "7", "--out", "h7.csv"],
+     "hist in=col.csv col=x bins=7 lo=0 hi=auto out=h7.csv"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_header_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, header):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "col.csv").write_text("x\n0.25\n0.5\n")
+    (tmp_path / "improper.csv").write_text(",".join(IMPROPER_COLUMNS) + "\n")
+    inputs = {"col.csv": os.stat("col.csv"), "improper.csv": os.stat("improper.csv")}
+    assert run(argv) == 0
+    want = ["# cfb 0.1.0", "# " + header]
+    out = capsys.readouterr().out
+    if out:
+        assert out.splitlines()[:2] == want
+    written = [p for p in tmp_path.iterdir() if p.name not in inputs or p.stat() != inputs[p.name]]
+    assert out or written
+    for path in written:
+        with open(path) as f:
+            assert [f.readline().rstrip("\n") for _ in want] == want, path.name
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +447,20 @@ def test_emit_writes_a_pipe_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--step", "0.25"],
+    ["rho-sweep", "--beta-xt", "1"],
+    ["match-compare", "--step", "0.25"],
+])
+def test_write_errors_name_the_out_path(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "nodir/a.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory: 'nodir/a.csv'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_screen_cf_pipeline(small_search, tmp_path, capsys):
     argv, out, _, _ = small_search
     real = tmp_path / "realizable.csv"
@@ -544,6 +598,45 @@ def test_negative_flag_values_are_values(tmp_path, monkeypatch, capsys, argv, co
     assert text in (captured.out if code == 0 else captured.err)
 
 
+BETA_ARGS = ["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92", "--q", "0,0.15,0.85"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hist", "--in", "col.csv", "--col", "x", "--lo", "nan"], "--lo must be a finite number (need lo < hi"),
+    (["hist", "--in", "col.csv", "--col", "x", "--lo", "-inf", "--hi", "1"], "--lo must be a finite number"),
+    (["hist", "--in", "col.csv", "--col", "x", "--hi", "inf"], "--hi must be a finite number"),
+    (["hist", "--in", "col.csv", "--col", "x", "--bins", "0"], "--bins must be a positive integer, got 0"),
+    (BETA_ARGS + ["--n", "0"], "--n must be a positive integer, got 0"),
+    (BETA_ARGS + ["--n", "100", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    # the matching kernel would take -1 mod 2**64, the seed 18446744073709551615
+    (["match-compare", "--step", "0.25", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+])
+def test_flag_checks_name_their_flag(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "col.csv").write_text("x\n0.25\n0.5\n")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["col.csv"]
+
+
+# steps whose scaled count overflows a float reach a check, not a traceback
+@pytest.mark.parametrize("argv, message", [
+    (["rho-sweep", "--beta-xt", "1", "--rho", "0:1:1e-320"], "--rho (stop - start) / step overflows"),
+    (["rho-sweep", "--beta-xt", "1", "--rho=-1e308:1e308:1e308"], "--rho (stop - start) / step overflows"),
+    (["search", "--step", "1e308"], "step must be a multiple of 0.01 that divides 1"),
+    (["match-compare", "--step", "1e-320"], "grid_step is too small"),
+])
+def test_extreme_steps_exit_two(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_match_compare_files(tmp_path, capsys):
     out = tmp_path / "match_diffs.csv"
     hist = tmp_path / "fig2_hist.csv"
@@ -652,6 +745,73 @@ def test_hist_of_a_header_without_rows_exits_2_quietly(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run(["hist", "--in", str(src), "--col", "score"]) == 2
     assert "no usable values" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzer
+# ---------------------------------------------------------------------------
+
+# every flag of every subcommand in the table, valued from a few valid spellings
+# and the edge cases shared by all kinds; valid steps are >= 0.05, --n <= 1e4,
+# --bins <= 1000 and rho ranges <= 801 points, so that no draw allocates much
+FUZZ_VALID = {
+    "c": ["0.5", "0.3"],
+    "p": ["0.25,0.01,0.74", "0.08,0,0.92", "0,1,0"],
+    "q": ["0.14,0.18,0.68", "0,0.15,0.85", "0,1,0"],
+    "step": ["0.05", "0.1", "0.25", "0.5"],
+    "out": ["out.csv", "nodir/out.csv"],
+    "hist-out": ["hist.csv", "nodir/hist.csv"],
+    "in": ["in.csv", "missing.csv"],
+    "alpha": ["0.5", "2"],
+    "beta": ["0.5", "2"],
+    "n": ["1", "2", "100", "10000"],
+    "seed": ["0", "7", str(2 ** 64)],
+    "beta-xt": ["1", "-2"],
+    "sigma": ["1", "0.5"],
+    "rho": ["-1:1:0.1", "0:1:0.25", "-.5:.5:.5", "-1:1:0.0025"],
+    "coeff-min": ["-5", "-400"],
+    "coeff-max": ["5", "1"],
+    "col": ["cfb_star", "p_minus", "nope"],
+    "bins": ["1", "50", "1000"],
+    "lo": ["0", "0.45"],
+    "hi": ["1", "0.45"],
+}
+FUZZ_EDGES = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e308", "1e-320", "x", "0,1", "0:1", ""]
+FUZZ_INPUT = ",".join(IMPROPER_COLUMNS) + "\n0.03,0,0.97,0,0.06,0.94,0.4188255613\n" \
+    "0.25,0.01,0.74,0.14,0.18,0.68,0.4908655453\n"
+
+
+@st.composite
+def cli_argv(draw):
+    name = draw(st.sampled_from(sorted(cli_reports._COMMANDS)))
+    argv = [name]
+    for flag in cli_reports._COMMANDS[name].flags:
+        values = st.sampled_from(FUZZ_VALID[flag.name] + FUZZ_EDGES)
+        # an omitted --step or --n runs at full size
+        if flag.name not in ("step", "n") and (flag.default or flag.absent):
+            values = st.none() | values
+        value = draw(values)
+        if value is not None:
+            argv.append(f"--{flag.name}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+@example(argv=["rho-sweep", "--beta-xt=1e-320", "--sigma=1e-320"])  # squares that underflow to 0
+@example(argv=["search", "--step=1e308"])
+def test_argv_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
+    work = tmp_path / str(len(list(tmp_path.iterdir())))
+    work.mkdir()
+    (work / "in.csv").write_text(FUZZ_INPUT)
+    monkeypatch.chdir(work)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), captured.err
+    if code:
+        assert captured.out == ""
+    assert ".tmp" not in captured.err
+    assert not list(work.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
