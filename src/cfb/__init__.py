@@ -12,85 +12,48 @@ and the matched-pair factor comparison.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CfbError,
-    DegenerateCfb,
-    ParameterUnbounded,
-    UndefinedCfb,
-    ZeroMassH,
-)
-from .population_model import (
-    BenefitPredictor,
-    BetaXPopulation,
-    BinaryXPopulation,
-    LinearGaussianPopulation,
-    LogisticRctPopulation,
-    ProbTriple,
-    benefit_triple_from_outcome_probs,
-    best_predictor,
-    expit,
-    logit,
-    outcome_prob,
-)
-from .cfb_engine import (
-    CfbResult,
-    MatchedBenefitDistribution,
-    PairTable,
-    bivariate_normal_cdf,
-    cfb_from_pair_table,
-    cfb_linear_gaussian,
-    cfb_monte_carlo,
-    cfb_two_group,
-    empirical_cfb_oracle,
-    gini_mean_difference,
-    pair_table,
-)
-from .improper_search import (
-    GridSearchResult,
-    GridTriple,
-    ImproperRecord,
-    ImproperSet,
-    SearchSummary,
-    continuous_improper_eval,
-    cross_pair_reversal,
-    grid_search,
-    mean_benefit_increasing,
-)
-from .counterfactual_screen import (
-    RealizabilityResult,
-    ScreenResult,
-    ScreenSummary,
-    discriminant,
-    logistic_params_from_probs,
-    screen_improper_set,
-    solve_outcome_probs,
-)
-from .matched_pairs import (
-    MatchingExperimentResult,
-    MatchingFactor,
-    benefit_given_h,
-    matching_experiment,
-    predictor_h_quadratic,
-)
-from .cli_reports import RunConfig, main, run
+from importlib import import_module as _import_module
 
-__all__ = [
-    "__version__",
-    "CfbError", "DegenerateCfb", "ParameterUnbounded", "UndefinedCfb", "ZeroMassH",
-    "ProbTriple", "BinaryXPopulation", "BetaXPopulation", "LogisticRctPopulation",
-    "LinearGaussianPopulation", "BenefitPredictor", "best_predictor",
-    "outcome_prob", "benefit_triple_from_outcome_probs",
-    "logit", "expit",
-    "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
-    "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
-    "bivariate_normal_cdf", "cfb_linear_gaussian", "gini_mean_difference",
-    "empirical_cfb_oracle",
-    "GridTriple", "ImproperRecord", "ImproperSet", "SearchSummary", "GridSearchResult",
-    "mean_benefit_increasing", "cross_pair_reversal", "grid_search",
-    "continuous_improper_eval",
-    "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",
-    "solve_outcome_probs", "screen_improper_set", "logistic_params_from_probs",
-    "MatchingFactor", "MatchingExperimentResult", "benefit_given_h",
-    "predictor_h_quadratic", "matching_experiment",
-    "RunConfig", "run", "main",
-]
+# each public name and the module that defines it; a module is imported
+# when one of its names is first used (PEP 562), so `import cfb` loads
+# neither the kernels nor numpy, and each subcommand only what it runs
+_EXPORTS = {
+    "errors": ("CfbError", "DegenerateCfb", "ParameterUnbounded", "UndefinedCfb", "ZeroMassH"),
+    "population_model": (
+        "ProbTriple", "BinaryXPopulation", "BetaXPopulation", "LogisticRctPopulation",
+        "LinearGaussianPopulation", "BenefitPredictor", "best_predictor",
+        "outcome_prob", "benefit_triple_from_outcome_probs", "logit", "expit"),
+    "cfb_engine": (
+        "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
+        "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
+        "bivariate_normal_cdf", "cfb_linear_gaussian", "gini_mean_difference",
+        "empirical_cfb_oracle"),
+    "improper_search": (
+        "GridTriple", "ImproperRecord", "ImproperSet", "SearchSummary", "GridSearchResult",
+        "mean_benefit_increasing", "cross_pair_reversal", "grid_search",
+        "continuous_improper_eval"),
+    "counterfactual_screen": (
+        "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",
+        "solve_outcome_probs", "screen_improper_set", "logistic_params_from_probs"),
+    "matched_pairs": (
+        "MatchingFactor", "MatchingExperimentResult", "benefit_given_h",
+        "predictor_h_quadratic", "matching_experiment"),
+    "cli_reports": ("RunConfig", "run", "main"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule
+        return _import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

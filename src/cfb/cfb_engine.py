@@ -14,17 +14,17 @@ does not exist and UndefinedCfb is raised.
 Exact routes (closed form for two groups, the nine-cell pair table for
 any finite mixture), a Monte Carlo route for continuous populations,
 and the bivariate normal machinery for the linear-Gaussian closed form
-all live here.
+all live here.  Only the Monte Carlo route and gini_mean_difference use
+numpy, and they import it when called, so the exact routes run without it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateCfb, UndefinedCfb
 from .population_model import (
@@ -66,7 +66,7 @@ _BLOCK = 65_536
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
 _JOHNK_MIN_SHAPE = 0.01
-_TINY = np.finfo(np.float64).tiny
+_TINY = sys.float_info.min  # np.finfo(np.float64).tiny
 _ALL_PAIRS_MAX_UNITS = 10_000
 
 
@@ -305,6 +305,8 @@ def _sample_b_from_triples(u, t_minus, t_zero):
     thresholds u clears gives the same values, because t_zero >= 0 keeps
     t_minus <= t_minus + t_zero in floating point too.
     """
+    import numpy as np
+
     b = (u >= t_minus).view(np.int8)
     b += (u >= t_minus + t_zero).view(np.int8)
     b -= 1
@@ -331,6 +333,8 @@ def _beta_draws(rng, a, b, count):
     """
     if not (_JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0):
         return rng.beta(a, b, count)
+    import numpy as np
+
     ea, eb = 1.0 / a, 1.0 / b
     out = np.empty(count)
     filled = 0
@@ -395,6 +399,8 @@ def _draw_columns(pop, rng, count, predictor):
 
 def _units(pop, columns, predictor):
     """(B, H) of the units whose random columns (see _draw_columns) are given."""
+    import numpy as np
+
     if isinstance(pop, BinaryXPopulation):
         h_table = predictor if predictor is not None else best_predictor(pop)
         x_uniform, u = columns
@@ -437,6 +443,8 @@ def _pair_counts(b, h):
     with two searchsorted calls, then every block of 2w is sorted.  Ties
     follow from group sizes.  O(n log^2 n) time, O(n) memory.
     """
+    import numpy as np
+
     n = len(b)
     _, b_rank = np.unique(b, return_inverse=True)
     h_levels, h_rank = np.unique(h, return_inverse=True)
@@ -471,6 +479,8 @@ def _score_chunk(pop, child_seed, m, predictor):
     The random columns are drawn whole, in stream order; units are built
     and pairs scored one cache-sized block at a time.
     """
+    import numpy as np
+
     rng = np.random.default_rng(child_seed)
     columns = _draw_columns(pop, rng, 2 * m, predictor)
     conc = tied = valid = 0
@@ -531,6 +541,7 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
         raise ValueError("n must be positive")
     if predictor is not None and not isinstance(predictor, BenefitPredictor):
         raise TypeError("predictor must be a BenefitPredictor")
+    import numpy as np
 
     if all_pairs:
         if n > _ALL_PAIRS_MAX_UNITS:
@@ -657,6 +668,8 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
 
 def gini_mean_difference(dist: MatchedBenefitDistribution) -> float:
     """E|H1 - H2| for two independent draws of the predictor level."""
+    import numpy as np
+
     h = np.array(dist.h_values())
     w = np.array(dist.weights())
     return float(w @ np.abs(h[:, None] - h[None, :]) @ w)

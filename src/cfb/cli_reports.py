@@ -20,6 +20,10 @@ Each subcommand's flags are declared once, in _COMMANDS: name, parser,
 default and the header text of an unset value.  The argument parser,
 the value checks and the `#` header all come from that table.
 
+Each handler imports the kernel module it runs, and numpy, when it is
+called: `import cfb.cli_reports` loads neither, and `eval-discrete` and
+`rho-sweep`, whose results are scalar arithmetic, run without numpy.
+
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
 """
@@ -35,25 +39,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .cfb_engine import (
-    MatchedBenefitDistribution,
-    cfb_linear_gaussian,
-    cfb_two_group,
-    pair_table,
-)
-from .counterfactual_screen import screen_improper_set
 from .errors import CfbError, UndefinedCfb
-from .improper_search import (
-    HIST_BINS,
-    HIST_RANGE,
-    ImproperSet,
-    continuous_improper_eval,
-    grid_search,
-)
-from .matched_pairs import matching_experiment
-from .population_model import LinearGaussianPopulation, ProbTriple
 
 __all__ = ["RunConfig", "run", "main",
            "IMPROPER_COLUMNS", "REALIZABLE_COLUMNS", "MATCH_COLUMNS"]
@@ -69,6 +55,10 @@ _HUNDREDTH_TEXT = tuple("%.10g" % (k / 100.0) for k in range(101))
 
 _ROWS_PER_WRITE = 1 << 14
 _CHARS_PER_READ = 1 << 18
+
+# the most values a flag may ask for, checked before anything is allocated
+_MAX_RHO_POINTS = 1_000_000  # rho-sweep --rho
+_MAX_MATCH_CELLS = 10_000_000  # match-compare --step: 20x the default grid's 498,501 cells
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,9 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    np = sys.modules.get("numpy")  # a numpy integer exists only once numpy is imported
+    integer = isinstance(x, int) or np is not None and isinstance(x, np.integer)
+    if integer and not isinstance(x, bool):
         return str(int(x))
     return "%.10g" % float(x)
 
@@ -137,10 +129,13 @@ class _RowText:
     digits or more.
     """
 
-    _POINT, _MINUS = ord("."), np.uint32(ord("-") << 8)
+    _POINT = ord(".")
     _MAX_K = 110  # 10**k is tabled for |k| <= _MAX_K; 9 - k is the decimal exponent
 
     def __init__(self):
+        import numpy as np
+
+        self._MINUS = np.uint32(ord("-") << 8)
         g = np.arange(10000)
         digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
         chars = (digits + ord("0")).astype(np.uint8)
@@ -161,6 +156,8 @@ class _RowText:
 
     def rows(self, columns):
         """Text of the rows of equal-length columns, each row ending in a newline."""
+        import numpy as np
+
         n = len(columns[0])
         if not n:
             return ""
@@ -189,6 +186,8 @@ class _RowText:
     def _cell_words(self, col):
         """(word arrays of the cells, mask of the cells they format or None for all,
         `%` spec of the others)."""
+        import numpy as np
+
         kind = col.dtype.kind
         if kind == "f":
             return (*self._float_words(col.astype(np.float64)), "%.10g")
@@ -245,12 +244,16 @@ class _RowText:
 
     def _scaled(self, a, k):
         """a * 10**k, with one rounding where 10**k is exact."""
+        import numpy as np
+
         if k.min() >= 0:
             return a * self._pow10[k]
         return np.where(k >= 0, a * self._pow10[np.maximum(k, 0)], a / self._pow10[np.maximum(-k, 0)])
 
     def _float_words(self, v):
         """(word arrays, mask of the cells they format, or None for all) of a float64 array."""
+        import numpy as np
+
         a = np.abs(v)
         fast = None
         if not (a.min() > 0 and a.max() < np.inf):
@@ -324,6 +327,8 @@ def _write_atomic(path, blocks):
 
 def _triple_table():
     """101 x 101 bytes table: [minus, plus] hundredths -> b"minus,zero,plus" decimals."""
+    import numpy as np
+
     h = _HUNDREDTH_TEXT
     return np.array([[f"{h[m]},{h[100 - m - p]},{h[p]}".encode() if m + p <= 100 else b""
                       for p in range(101)] for m in range(101)])
@@ -350,6 +355,8 @@ def _read_column(path, name):
     lines are skipped.  A row that lacks the column, or a field that is
     no number, raises ValueError naming the file.
     """
+    import numpy as np
+
     with open(path) as f:
         header = _csv_header(f, path)
         if name not in header:
@@ -378,6 +385,8 @@ class _TripleArg:
         if abs(total - 1.0) > 1e-9:
             raise argparse.ArgumentTypeError(
                 f"triple {text!r} sums to {total!r}, not 1")
+        from .population_model import ProbTriple
+
         try:
             self.triple = ProbTriple(minus / total, zero / total, plus / total)
         except ValueError as e:
@@ -385,7 +394,7 @@ class _TripleArg:
 
 
 class _RhoRangeArg:
-    """Parsed --rho start:stop:step value."""
+    """Parsed --rho start:stop:step value of at most _MAX_RHO_POINTS points."""
 
     def __init__(self, text: str):
         self.raw = text
@@ -403,6 +412,9 @@ class _RhoRangeArg:
         if not math.isfinite(steps):
             raise argparse.ArgumentTypeError(f"(stop - start) / step overflows in {text!r}")
         count = round(steps) + 1
+        if count > _MAX_RHO_POINTS:  # checked before any value is built
+            raise argparse.ArgumentTypeError(
+                f"{text!r} makes {steps + 1:.10g} points, more than {_MAX_RHO_POINTS:,}")
         if abs(start + (count - 1) * step - stop) > 1e-9:
             raise argparse.ArgumentTypeError(
                 f"step {step} does not evenly divide [{start}, {stop}]")
@@ -411,7 +423,14 @@ class _RhoRangeArg:
         self.count = count
 
     def values(self):
-        return np.linspace(self.start, self.stop, self.count)
+        """The count points from start to stop as floats, bit for bit as np.linspace gives them:
+        i * step + start with step = (stop - start) / (count - 1), and stop last."""
+        n = self.count - 1
+        step = (self.stop - self.start) / n if n else 0.0
+        values = [float(i) * step + self.start for i in range(self.count)]
+        if n:
+            values[-1] = self.stop
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +439,8 @@ class _RhoRangeArg:
 
 
 def _cmd_eval_discrete(args, cfg) -> int:
+    from .cfb_engine import MatchedBenefitDistribution, cfb_two_group, pair_table
+
     dist = MatchedBenefitDistribution((
         (0.0, 1.0 - args.c, args.p.triple),
         (1.0, args.c, args.q.triple),
@@ -438,6 +459,8 @@ def _cmd_eval_discrete(args, cfg) -> int:
 
 
 def _cmd_search(args, cfg) -> int:
+    from .improper_search import grid_search
+
     result = grid_search(args.step, args.c)
 
     found = result.survivors
@@ -466,14 +489,19 @@ def _cmd_search(args, cfg) -> int:
     return 0
 
 
-def _read_improper_csv(path) -> ImproperSet:
+def _read_improper_csv(path):
     """The findings of a `search` CSV, parsed by numpy's text reader a block of lines at a time.
 
     Lines after the header are data rows; `#` starts a comment and empty
     lines are skipped.  A row must hold seven numbers, the first six
     hundredths between 0 and 1 (within 1e-6) making two triples that
     each sum to 1; any other row raises ValueError naming the file.
+    Returns an improper_search.ImproperSet.
     """
+    import numpy as np
+
+    from .improper_search import ImproperSet
+
     hund, cfb = [np.empty((4, 0), np.int64)], [np.empty(0)]
     rows = 0  # data rows before the block
     with open(path, "rb") as f:
@@ -509,6 +537,8 @@ def _read_improper_csv(path) -> ImproperSet:
 
 def _parse_rows(lines):
     """Rows of numbers of byte lines as a 2-d float array, or None when they do not make one."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns when the lines hold no row
@@ -534,6 +564,11 @@ def _malformed_row(lines, row):
 
 
 def _cmd_screen_cf(args, cfg) -> int:
+    import numpy as np
+
+    from .counterfactual_screen import screen_improper_set
+    from .improper_search import HIST_BINS, HIST_RANGE
+
     found = _read_improper_csv(args.inp)
     res = screen_improper_set(found)
 
@@ -567,6 +602,8 @@ def _cmd_screen_cf(args, cfg) -> int:
 
 
 def _cmd_beta_mc(args, cfg) -> int:
+    from .improper_search import continuous_improper_eval
+
     est, se = continuous_improper_eval(
         args.alpha, args.beta, args.p.triple, args.q.triple, args.n, args.seed)
     _emit(None, cfg, [
@@ -578,9 +615,12 @@ def _cmd_beta_mc(args, cfg) -> int:
 
 
 def _cmd_rho_sweep(args, cfg) -> int:
+    from .cfb_engine import cfb_linear_gaussian
+    from .population_model import LinearGaussianPopulation
+
     lines = ["rho,cfb_star"]
     for rho in args.rho.values():
-        pop = LinearGaussianPopulation(0.0, 0.0, 0.0, args.beta_xt, args.sigma, float(rho))
+        pop = LinearGaussianPopulation(0.0, 0.0, 0.0, args.beta_xt, args.sigma, rho)
         res = cfb_linear_gaussian(pop)
         lines.append(f"{_fmt(rho)},{_fmt(res.value)}")
     _emit(args.out, cfg, lines)
@@ -588,6 +628,8 @@ def _cmd_rho_sweep(args, cfg) -> int:
 
 
 def _cmd_match_compare(args, cfg) -> int:
+    from .matched_pairs import matching_experiment
+
     result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
 
     r = result
@@ -619,6 +661,8 @@ def _cmd_match_compare(args, cfg) -> int:
 
 
 def _cmd_hist(args, cfg) -> int:
+    import numpy as np
+
     vals = _read_column(args.inp, args.col)
     vals = vals[~np.isnan(vals)]
     if not vals.size:
@@ -655,6 +699,34 @@ def _number(convert, need, ok=lambda v: True):
 
 _REAL = _number(float, "a number")  # the kernels check the values they take
 _COUNT = _number(int, "a positive integer", lambda n: n > 0)
+# both seeds are non-negative: match-compare's kernel would take a negative one mod 2**64
+_SEED = _number(int, "a non-negative integer", lambda n: n >= 0)
+
+
+def _match_seed(text):
+    """match-compare's --seed: below 2**64, as its counter draws take the seed mod 2**64."""
+    seed = _SEED(text)
+    if seed >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {seed}")
+    return seed
+
+
+def _grid_cells(step):
+    """Cells of matching_experiment's grid at step, (n - 1)(n - 2) / 2 for n = round(1 / step),
+    or 0 where step is no positive number with a finite 1 / step (its own checks name those)."""
+    if not (step > 0.0 and math.isfinite(1.0 / step)):
+        return 0
+    n = round(1.0 / step)
+    return (n - 1) * (n - 2) // 2
+
+
+_GRID_STEP = _number(float, f"a step giving at most {_MAX_MATCH_CELLS:,} grid cells",
+                     lambda step: _grid_cells(step) <= _MAX_MATCH_CELLS)
+# each cell's logistic argument is beta0 + betax*x + betat*t + betaxt*x*t with x <= 2, t <= 1,
+# so it is finite when 6 times the largest bound is; infinite bounds are left to the kernel
+_COEFF_BOUND = _number(
+    float, "a number whose linear predictor |beta0| + 2|betax| + |betat| + 2|betaxt| is finite",
+    lambda v: math.isfinite(6.0 * v) or not math.isfinite(v))
 
 
 class _Flag(NamedTuple):
@@ -686,8 +758,6 @@ class _Command(NamedTuple):
 
 _TRIPLE_FLAGS = (_Flag("p", _TripleArg, help="low-level benefit triple: minus,zero,plus"),
                  _Flag("q", _TripleArg, help="high-level benefit triple: minus,zero,plus"))
-# one parser for both seeds: match-compare's kernel would take a negative seed mod 2**64
-_SEED_FLAG = _Flag("seed", _number(int, "a non-negative integer", lambda n: n >= 0), "20230516")
 _RANGE_END = _number(float, "a finite number (need lo < hi for the histogram range)", math.isfinite)
 
 _COMMANDS = {
@@ -710,17 +780,17 @@ _COMMANDS = {
         _Flag("beta", _REAL),
         *_TRIPLE_FLAGS,
         _Flag("n", _COUNT, "1000000", help="sampled pairs"),
-        _SEED_FLAG)),
+        _Flag("seed", _SEED, "20230516"))),
     "rho-sweep": _Command("closed-form statistic over a response-correlation range", _cmd_rho_sweep, (
         _Flag("beta-xt", _REAL),
         _Flag("sigma", _REAL, "1"),
         _Flag("rho", _RhoRangeArg, "-1:1:0.1", help="start:stop:step"),
         _Flag("out", absent="-", help="CSV path (default stdout)"))),
     "match-compare": _Command("matching-factor comparison over the mass grid", _cmd_match_compare, (
-        _Flag("step", _REAL, "0.001"),
-        _Flag("coeff-min", _REAL, "-5"),
-        _Flag("coeff-max", _REAL, "5"),
-        _SEED_FLAG,
+        _Flag("step", _GRID_STEP, "0.001"),
+        _Flag("coeff-min", _COEFF_BOUND, "-5"),
+        _Flag("coeff-max", _COEFF_BOUND, "5"),
+        _Flag("seed", _match_seed, "20230516"),
         _Flag("out", default="match_diffs.csv"),
         _Flag("hist-out", default="fig2_hist.csv"))),
     "hist": _Command("histogram a column of an emitted CSV", _cmd_hist, (

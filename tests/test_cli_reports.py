@@ -4,10 +4,12 @@ Everything runs in process through cfb.run except one subprocess check
 that the console script is actually installed.
 """
 
+import argparse
 import os
 import shutil
 import stat
 import subprocess
+import sys
 import threading
 import warnings
 
@@ -812,6 +814,102 @@ def test_argv_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert captured.out == ""
     assert ".tmp" not in captured.err
     assert not list(work.rglob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# size caps and value limits checked before any work
+# ---------------------------------------------------------------------------
+
+# the largest bound whose linear predictor 6 * |bound| is finite
+COEFF_EDGE = 2.996155224770526e+307
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rho-sweep", "--beta-xt", "1", "--rho", "0:1:1e-300"], "--rho '0:1:1e-300' makes 1e+300 points"),
+    (["rho-sweep", "--beta-xt", "1", "--rho", "0:1:1e-9"], "more than 1,000,000"),
+    (["rho-sweep", "--beta-xt", "1", "--rho", "0:1:1e-6"], "--rho '0:1:1e-6' makes 1000001 points"),
+    (["match-compare", "--step", "1e-300"], "--step must be a step giving at most 10,000,000 grid cells"),
+    (["match-compare", "--step", "1e-9"], "--step must be a step giving at most 10,000,000 grid cells"),
+    (["match-compare", "--step", "0.0002"], "--step must be a step giving at most 10,000,000 grid cells"),
+    (["match-compare", "--step", "0.25", "--coeff-max", "1e308"], "--coeff-max must be a number whose linear"),
+    (["match-compare", "--step", "0.25", "--coeff-min", "-1e308"], "--coeff-min must be a number whose linear"),
+    (["match-compare", "--step", "0.25", f"--coeff-max={-COEFF_EDGE * (1 + 2 ** -52)!r}"], "--coeff-max"),
+    (["match-compare", "--step", "0.25", "--seed", str(2 ** 64)], f"--seed must be below 2**64, got {2 ** 64}"),
+    (["match-compare", "--step", "0.25", "--seed", str(10 ** 30)], "--seed must be below 2**64"),
+])
+def test_flag_limits_exit_two_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Warning" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rho_cap_is_checked_before_points_are_built(monkeypatch):
+    def no_values(self):
+        raise AssertionError("values built")
+
+    monkeypatch.setattr(_RhoRangeArg, "values", no_values)
+    assert _RhoRangeArg("0:999999:1").count == 1_000_000
+    with pytest.raises(argparse.ArgumentTypeError, match="makes 1000001 points"):
+        _RhoRangeArg("0:1000000:1")
+
+
+def test_grid_cells_are_the_kernels():
+    from cfb import matching_experiment
+
+    assert cli_reports._grid_cells(0.001) == 498_501
+    for step in (1 / 3, 0.25, 0.1, 0.05, 0.02):
+        assert cli_reports._grid_cells(step) == len(matching_experiment(step))
+    # the finest step that divides 1 within the cap, and the first beyond it
+    assert cli_reports._grid_cells(1 / 4473) == 9_997_156
+    assert cli_reports._grid_cells(1 / 4474) == 10_001_628
+    assert cli_reports._GRID_STEP(repr(1 / 4473)) == 1 / 4473
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli_reports._GRID_STEP(repr(1 / 4474))
+
+
+def test_match_compare_step_cap_leaves_numpy_out(tmp_path):
+    code = ("import sys; from cfb import run; "
+            "code = run(['match-compare', '--step', '1e-300']); "
+            "print(code, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path)
+    assert proc.stdout.splitlines()[-1] == "2 False"
+    assert "--step" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bounds", [
+    (-COEFF_EDGE, COEFF_EDGE),
+    (COEFF_EDGE / 2, COEFF_EDGE),
+    (-COEFF_EDGE, -COEFF_EDGE / 3),
+])
+def test_largest_coefficient_bounds_run_without_warnings(tmp_path, monkeypatch, capsys, bounds):
+    monkeypatch.chdir(tmp_path)
+    lo, hi = bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["match-compare", "--step", "0.05", f"--coeff-min={lo!r}", f"--coeff-max={hi!r}"]) == 0
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert f"cells,{18 * 19 // 2}" in captured.out
+
+
+def test_seed_limits(tmp_path, monkeypatch, capsys):
+    """match-compare takes seeds below 2**64; beta-mc gives larger seeds streams of their own."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["match-compare", "--step", "0.25", "--seed", str(2 ** 64 - 1)]) == 0
+    assert f"seed={2 ** 64 - 1} " in capsys.readouterr().out
+    estimates = []
+    for seed in (0, 2 ** 64):
+        assert run(BETA_ARGS + ["--n", "1000", "--seed", str(seed)]) == 0
+        estimates.append(capsys.readouterr().out.splitlines()[2])
+    assert estimates[0] != estimates[1]
 
 
 # ---------------------------------------------------------------------------
