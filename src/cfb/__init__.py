@@ -26,12 +26,10 @@ _EXPORTS = {
     "cfb_engine": (
         "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
         "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
-        "bivariate_normal_cdf", "cfb_linear_gaussian", "gini_mean_difference",
-        "empirical_cfb_oracle"),
+        "cfb_linear_gaussian", "gini_mean_difference"),
     "improper_search": (
         "GridTriple", "ImproperRecord", "ImproperSet", "SearchSummary", "GridSearchResult",
-        "mean_benefit_increasing", "cross_pair_reversal", "grid_search",
-        "continuous_improper_eval"),
+        "mean_benefit_increasing", "cross_pair_reversal", "grid_search"),
     "counterfactual_screen": (
         "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",
         "solve_outcome_probs", "screen_improper_set", "logistic_params_from_probs"),

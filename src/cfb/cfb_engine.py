@@ -12,10 +12,13 @@ conditioning; when that leaves nothing (Pr(B1 != B2) = 0) the statistic
 does not exist and UndefinedCfb is raised.
 
 Exact routes (closed form for two groups, the nine-cell pair table for
-any finite mixture), a Monte Carlo route for continuous populations,
-and the bivariate normal machinery for the linear-Gaussian closed form
-all live here.  Only the Monte Carlo route and gini_mean_difference use
-numpy, and they import it when called, so the exact routes run without it.
+any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
+and a Monte Carlo route for continuous populations all live here.  Only
+the Monte Carlo route and gini_mean_difference use numpy, and they
+import it when called, so the exact routes run without it.  The
+references the tests check these routes against, a quadrature of the
+bivariate normal cdf and a brute-force pair scorer, are in
+tests/oracles.py, not in the package.
 """
 
 from __future__ import annotations
@@ -44,16 +47,11 @@ __all__ = [
     "cfb_from_pair_table",
     "cfb_two_group",
     "cfb_monte_carlo",
-    "bivariate_normal_cdf",
     "cfb_linear_gaussian",
     "gini_mean_difference",
-    "empirical_cfb_oracle",
 ]
 
 _REL = {"<": 0, "=": 1, ">": 2}
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Pairs per Monte Carlo chunk.  Chunks get independent child seeds, so
 # results do not depend on how many threads consume them.
@@ -68,14 +66,6 @@ _JOHNK_RECHECK = 2.0 ** -48
 _JOHNK_MIN_SHAPE = 0.01
 _TINY = sys.float_info.min  # np.finfo(np.float64).tiny
 _ALL_PAIRS_MAX_UNITS = 10_000
-
-
-def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z) * _INV_SQRT_2PI
-
-
-def _Phi(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -575,59 +565,8 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
 
 
 # ---------------------------------------------------------------------------
-# bivariate normal and the linear-Gaussian closed form
+# the linear-Gaussian closed form
 # ---------------------------------------------------------------------------
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call so `import cfb` stays light."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-def bivariate_normal_cdf(h: float, k: float, r: float) -> float:
-    """Pr(Z1 <= h, Z2 <= k) for standard normals with correlation r.
-
-    Computed by one-dimensional quadrature of
-
-        phi(z) * Phi((k - r z) / sqrt(1 - r^2))   over z in (-inf, h),
-
-    split where the inner argument changes sign so the integrand stays
-    smooth on each piece.  |r| within 1e-13 of 1 falls back to the exact
-    degenerate limits (Z2 = Z1 resp. Z2 = -Z1).  Infinite h or k are
-    allowed and reduce to univariate values.
-    """
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {r!r}")
-    if math.isnan(h) or math.isnan(k):
-        raise ValueError("h and k must not be NaN")
-
-    if r >= 1.0 - 1e-13:
-        return _Phi(min(h, k))
-    if r <= -1.0 + 1e-13:
-        return max(0.0, _Phi(h) - _Phi(-k))
-    if h == -math.inf or k == -math.inf:
-        return 0.0
-    if k == math.inf:
-        return _Phi(h)
-    if h == math.inf:
-        return _Phi(k)
-    if r == 0.0:
-        return _Phi(h) * _Phi(k)
-
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-
-    def integrand(z):
-        return _phi(z) * _Phi((k - r * z) / s)
-
-    z_flip = k / r
-    if -math.inf < z_flip < h:
-        left, _ = quad(integrand, -math.inf, z_flip, epsabs=1e-11, epsrel=1e-11, limit=200)
-        right, _ = quad(integrand, z_flip, h, epsabs=1e-11, epsrel=1e-11, limit=200)
-        total = left + right
-    else:
-        total, _ = quad(integrand, -math.inf, h, epsabs=1e-11, epsrel=1e-11, limit=200)
-    return min(1.0, max(0.0, total))
 
 
 def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
@@ -640,9 +579,9 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
 
     and the statistic equals Pr(both differences share a sign), i.e.
     2 * Pr(D1 < 0, D2 < 0) = 0.5 + arcsin(r)/pi by Sheppard's (1899)
-    orthant formula.  The arcsine is evaluated here, so no scipy import
-    and no quadrature; `2 * bivariate_normal_cdf(0, 0, r)` is the
-    independent check the tests compare it with.
+    orthant formula.  The arcsine is evaluated here, so no quadrature;
+    `2 * bivariate_normal_cdf(0, 0, r)`, a quadrature in tests/oracles.py,
+    is the independent check the tests compare it with.
 
     Raises DegenerateCfb when betaxt is 0: the predictor is then the
     same for every unit and no ranking is expressed.
@@ -673,40 +612,3 @@ def gini_mean_difference(dist: MatchedBenefitDistribution) -> float:
     h = np.array(dist.h_values())
     w = np.array(dist.weights())
     return float(w @ np.abs(h[:, None] - h[None, :]) @ w)
-
-
-def empirical_cfb_oracle(atoms) -> CfbResult:
-    """Score every ordered pair of atoms directly.
-
-    atoms is an iterable of (b, h, weight) with nonnegative weights; the
-    weights need not be normalized because scale cancels in the ratio.
-    Written as the definition, one comparison at a time, precisely so it
-    shares no algebra with the closed-form routes it is used to check.
-    """
-    items = [(float(b), float(h), float(w)) for b, h, w in atoms]
-    if any(w < 0.0 for _, _, w in items):
-        raise ValueError("atom weights must be nonnegative")
-    conc = disc = tied = 0.0
-    for bi, hi, wi in items:
-        for bj, hj, wj in items:
-            if bi > bj:
-                w = wi * wj
-                if hi > hj:
-                    conc += w
-                elif hi < hj:
-                    disc += w
-                else:
-                    tied += w
-            elif bi < bj:
-                w = wi * wj
-                if hi < hj:
-                    conc += w
-                elif hi > hj:
-                    disc += w
-                else:
-                    tied += w
-    den = (conc + disc) + tied
-    if den == 0.0:
-        raise UndefinedCfb("no pair of atoms disagrees in realized benefit")
-    num = conc + 0.5 * tied
-    return CfbResult(num / den, num, den)

@@ -83,6 +83,12 @@ def _fmt(x) -> str:
     return "%.10g" % float(x)
 
 
+def _bin_lines(edges, counts):
+    """A histogram as `bin_left,bin_right,count` lines, header first."""
+    return ["bin_left,bin_right,count"] + [
+        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(n)}" for k, n in enumerate(counts)]
+
+
 def _emit(path, config, lines, columns=()):
     """Write the header, lines, then one line per row of columns.
 
@@ -470,11 +476,7 @@ def _cmd_search(args, cfg) -> int:
            found.cfb_star))
 
     s = result.summary
-    hist_lines = ["bin_left,bin_right,count"]
-    for k in range(len(s.hist_counts)):
-        hist_lines.append(
-            f"{_fmt(s.hist_edges[k])},{_fmt(s.hist_edges[k + 1])},{s.hist_counts[k]}")
-    _emit(args.hist_out, cfg, hist_lines)
+    _emit(args.hist_out, cfg, _bin_lines(s.hist_edges, s.hist_counts))
 
     lines = [f"count,{s.count}",
              f"cfb_min,{_fmt(s.cfb_min)}",
@@ -602,10 +604,17 @@ def _cmd_screen_cf(args, cfg) -> int:
 
 
 def _cmd_beta_mc(args, cfg) -> int:
-    from .improper_search import continuous_improper_eval
+    from .cfb_engine import cfb_monte_carlo
+    from .improper_search import cross_pair_reversal, mean_benefit_increasing
+    from .population_model import BetaXPopulation
 
-    est, se = continuous_improper_eval(
-        args.alpha, args.beta, args.p.triple, args.q.triple, args.n, args.seed)
+    p, q = args.p.triple, args.q.triple
+    # the endpoints must be a below-chance pair themselves, which catches typos in
+    # hand-copied triples: the question is whether the Beta mixture keeps the pathology
+    if not (mean_benefit_increasing(p, q) and cross_pair_reversal(p, q)):
+        raise ValueError("endpoint triples must satisfy both below-chance conditions "
+                         "(increasing mean benefit, cross-pair reversal)")
+    est, se = cfb_monte_carlo(BetaXPopulation(args.alpha, args.beta, p, q), args.n, args.seed)
     _emit(None, cfg, [
         f"estimate,{_fmt(est)}",
         f"std_error,{_fmt(se)}",
@@ -637,11 +646,7 @@ def _cmd_match_compare(args, cfg) -> int:
           (r.a, r.b, r.beta0, r.betax, r.betat, r.betaxt,
            r.cfb_covariate, r.cfb_prediction, r.abs_diff, r.undefined))
 
-    hist_lines = ["bin_left,bin_right,count"]
-    for k in range(len(result.hist_counts)):
-        hist_lines.append(
-            f"{_fmt(result.hist_edges[k])},{_fmt(result.hist_edges[k + 1])},{result.hist_counts[k]}")
-    _emit(args.hist_out, cfg, hist_lines)
+    _emit(args.hist_out, cfg, _bin_lines(result.hist_edges, result.hist_counts))
 
     defined = ~result.undefined
     n_def = int(defined.sum())
@@ -672,10 +677,7 @@ def _cmd_hist(args, cfg) -> int:
     if not lo < hi:
         raise ValueError("need lo < hi for the histogram range")
     counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
-    lines = ["bin_left,bin_right,count"]
-    for k in range(args.bins):
-        lines.append(f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}")
-    _emit(args.out, cfg, lines)
+    _emit(args.out, cfg, _bin_lines(edges, counts))
     return 0
 
 
@@ -699,12 +701,12 @@ def _number(convert, need, ok=lambda v: True):
 
 _REAL = _number(float, "a number")  # the kernels check the values they take
 _COUNT = _number(int, "a positive integer", lambda n: n > 0)
-# both seeds are non-negative: match-compare's kernel would take a negative one mod 2**64
+# both seeds are non-negative, checked here so the message names --seed
 _SEED = _number(int, "a non-negative integer", lambda n: n >= 0)
 
 
 def _match_seed(text):
-    """match-compare's --seed: below 2**64, as its counter draws take the seed mod 2**64."""
+    """match-compare's --seed: below 2**64, the seed range of its counter draws."""
     seed = _SEED(text)
     if seed >= 1 << 64:
         raise argparse.ArgumentTypeError(f"must be below 2**64, got {seed}")

@@ -41,8 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cfb_engine import _two_group_masses, _worker_count, cfb_monte_carlo
-from .population_model import BetaXPopulation, ProbTriple
+from .cfb_engine import _two_group_masses, _worker_count
+from .population_model import ProbTriple
 
 __all__ = [
     "GridTriple",
@@ -53,7 +53,6 @@ __all__ = [
     "mean_benefit_increasing",
     "cross_pair_reversal",
     "grid_search",
-    "continuous_improper_eval",
     "HIST_RANGE",
     "HIST_BINS",
 ]
@@ -356,26 +355,3 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
                                 tuple(float(e) for e in edges),
                                 tuple(int(n) for n in counts))
     return GridSearchResult(survivors, summary, step, c)
-
-
-def continuous_improper_eval(alpha, beta, triple_low, triple_high, n, seed):
-    """Monte Carlo statistic for a Beta-mixed version of a grid finding.
-
-    The covariate becomes X ~ Beta(alpha, beta) on [0, 1] with the
-    benefit triple interpolating between triple_low (at 0) and
-    triple_high (at 1), and the oracle predictor E[B | X] is scored on
-    n sampled pairs.  The endpoint pair must itself satisfy both
-    below-chance conditions; this guards against typos in hand-copied
-    triples, since the interesting question is whether the continuous
-    mixture keeps the discrete pathology.
-
-    Returns (estimate, standard_error).
-    """
-    if not (mean_benefit_increasing(triple_low, triple_high)
-            and cross_pair_reversal(triple_low, triple_high)):
-        raise ValueError(
-            "endpoint triples must satisfy both below-chance conditions "
-            "(increasing mean benefit, cross-pair reversal)"
-        )
-    pop = BetaXPopulation(alpha, beta, triple_low, triple_high)
-    return cfb_monte_carlo(pop, n, seed)

@@ -138,13 +138,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def _uniform_open01(seed: int, draw_index):
     """Uniform draws on the open interval (0, 1), one per counter value.
 
-    splitmix64 finalizer over seed + (index+1) * golden, top 53 bits
-    shifted into the mantissa with a half-ulp offset so 0 and 1 are both
-    excluded.
+    splitmix64 finalizer over seed + (index+1) * golden, for a seed in
+    [0, 2**64), top 53 bits shifted into the mantissa with a half-ulp
+    offset so 0 and 1 are both excluded.
     """
     idx = np.asarray(draw_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed % (1 << 64)) + (idx + np.uint64(1)) * _GOLD
+        z = np.uint64(seed) + (idx + np.uint64(1)) * _GOLD
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
@@ -271,6 +271,11 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     the module docstring, builds the three-level population, groups
     levels with predictor_h_quadratic, and evaluates the statistic
     matched on the covariate and matched on the predicted benefit.
+
+    Raises ValueError for a seed outside [0, 2**64), the counter's range,
+    and for coefficient bounds whose linear predictor can overflow: each
+    cell's beta0 + betax*x + betat*t + betaxt*x*t, with x <= 2 and t <= 1,
+    must stay finite, so 6 * max(|lo|, |hi|) must be.
     """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
@@ -284,6 +289,11 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
         raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")
     if not lo < hi:
         raise ValueError("coeff_range must be an increasing pair")
+    if not math.isfinite(6.0 * max(abs(lo), abs(hi))):
+        raise ValueError(f"coeff_range's linear predictor overflows: 6 * max(|lo|, |hi|) "
+                         f"must be finite, got {coeff_range!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
     i_vals = np.arange(1, inv - 1, dtype=np.int64)
     row_lens = inv - 1 - i_vals

@@ -21,19 +21,18 @@ from cfb import (
     ProbTriple,
     UndefinedCfb,
     benefit_triple_from_outcome_probs,
-    bivariate_normal_cdf,
     cfb_from_pair_table,
     cfb_linear_gaussian,
     cfb_monte_carlo,
     cfb_two_group,
     discriminant,
-    empirical_cfb_oracle,
     logistic_params_from_probs,
     matching_experiment,
     outcome_prob,
     pair_table,
     solve_outcome_probs,
 )
+from oracles import bivariate_normal_cdf, empirical_cfb_oracle
 
 SEED = 20230516
 

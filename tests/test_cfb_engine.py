@@ -1,4 +1,4 @@
-"""Exact concordance routes, the quadrature cdf, and the sampler.
+"""Exact concordance routes, the quadrature cdf of oracles.py, and the sampler.
 
 The load-bearing numbers here were frozen from tools/oracles, which
 recompute them by plain enumeration with Fraction arithmetic and share
@@ -26,17 +26,16 @@ from cfb import (
     PairTable,
     ProbTriple,
     UndefinedCfb,
-    bivariate_normal_cdf,
     cfb_from_pair_table,
     cfb_linear_gaussian,
     cfb_monte_carlo,
     cfb_two_group,
-    empirical_cfb_oracle,
     gini_mean_difference,
     pair_table,
 )
 from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples
 from cfb.matched_pairs import _two_group_cfb_arrays
+from oracles import bivariate_normal_cdf, empirical_cfb_oracle
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)

@@ -1,7 +1,7 @@
 """Command-line surface: argument handling, report files, exit codes.
 
-Everything runs in process through cfb.run except one subprocess check
-that the console script is actually installed.
+Everything runs in process through cfb.run except the subprocess checks
+of the entry points: the installed console script and `python -m cfb`.
 """
 
 import argparse
@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from cfb import RunConfig, cli_reports, run, screen_improper_set
+from cfb import BetaXPopulation, RunConfig, cfb_monte_carlo, cli_reports, run, screen_improper_set
 from cfb.cli_reports import (
     IMPROPER_COLUMNS,
     MATCH_COLUMNS,
     REALIZABLE_COLUMNS,
     _emit,
+    _fmt,
     _RhoRangeArg,
     _TripleArg,
     _read_improper_csv,
@@ -504,6 +505,17 @@ def test_beta_mc_reports_and_repeats(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_beta_mc_reports_the_sampler_on_the_beta_mixture(capsys):
+    """estimate and std_error are cfb_monte_carlo's on BetaXPopulation of the flags."""
+    argv = ["beta-mc", "--alpha", "0.5", "--beta", "0.5",
+            "--p", "0.08,0,0.92", "--q", "0,0.15,0.85", "--n", "50000", "--seed", "31"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pop = BetaXPopulation(0.5, 0.5, _TripleArg("0.08,0,0.92").triple, _TripleArg("0,0.15,0.85").triple)
+    est, se = cfb_monte_carlo(pop, 50_000, 31)
+    assert lines[2:] == [f"estimate,{_fmt(est)}", f"std_error,{_fmt(se)}", "pairs,50000"]
+
+
 def test_beta_mc_rejects_non_qualifying_pair(capsys):
     code = run(["beta-mc", "--alpha", "0.5", "--beta", "0.5",
                 "--p", "0.2,0.6,0.2", "--q", "0.2,0.6,0.2", "--n", "1000"])
@@ -925,3 +937,24 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_EVAL
+
+
+def test_python_m_cfb_runs_the_cli(capsys):
+    """Same bytes as run(), and numpy is never imported (-X importtime lists every import)."""
+    argv = ["eval-discrete", "--p", "0.25,0.01,0.74", "--q", "0.14,0.18,0.68"]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cfb", *argv],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()
+                if line.startswith("import time:")]
+    assert "cfb.cli_reports" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_python_m_cfb_without_arguments_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "cfb"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "required" in proc.stderr

@@ -6,13 +6,15 @@ directory.  Refactors of the writers, readers or result types must keep
 them.
 """
 
+import ast
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
-import pytest
+from cfb import cfb_engine, run
 
-from cfb import bivariate_normal_cdf, cfb_engine, run
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfb"
 
 CENSUS_GOLDEN = {
     "improper.csv": "5f95531cf6101d5824d52aaa1275bae36615995454f88a4d8310aba3ad7937d7",
@@ -114,17 +116,26 @@ def test_match_compare_leaves_scipy_out(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
-def test_engine_hooks_stay_module_level(monkeypatch):
-    """The thread pool class and quad are looked up on the module at call time,
-    so a caller can replace them (the traced benchmark counts quadratures so)."""
+def test_no_source_file_imports_scipy():
+    """Every import statement of the package, function bodies included: the
+    subprocess tests above see only the imports that a run reaches."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "cfb_engine.py" in sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_engine_hooks_stay_module_level():
+    """The thread pool class is looked up on the module at call time, so a
+    caller can replace it (the traced benchmark records the pool's workers so)."""
     assert isinstance(cfb_engine.ThreadPoolExecutor, type)
-    calls = []
-    original = cfb_engine.quad
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cfb_engine, "quad", counting)
-    assert bivariate_normal_cdf(0.3, -0.2, 0.5) == pytest.approx(0.33619843701551877, abs=1e-12)
-    assert calls

@@ -16,13 +16,10 @@ import pytest
 
 from cfb import improper_search
 from cfb import (
-    BetaXPopulation,
     GridTriple,
     ImproperRecord,
     ProbTriple,
-    cfb_monte_carlo,
     cfb_two_group,
-    continuous_improper_eval,
     cross_pair_reversal,
     grid_search,
     mean_benefit_increasing,
@@ -393,22 +390,3 @@ def test_binary_pairs_fail_in_exact_arithmetic():
                 else:
                     args = (0, i, 0, j)
                 assert not survives(*args), (support, i, j)
-
-
-# ---------------------------------------------------------------------------
-# continuous relaxation
-# ---------------------------------------------------------------------------
-
-
-def test_continuous_improper_eval_delegates_to_sampler():
-    p = ProbTriple(0.08, 0.0, 0.92)
-    q = ProbTriple(0.0, 0.15, 0.85)
-    got = continuous_improper_eval(0.5, 0.5, p, q, 50_000, 31)
-    want = cfb_monte_carlo(BetaXPopulation(0.5, 0.5, p, q), 50_000, 31)
-    assert got == want
-
-
-def test_continuous_improper_eval_rejects_non_qualifying_endpoints():
-    t = ProbTriple(0.2, 0.6, 0.2)
-    with pytest.raises(ValueError, match="below-chance"):
-        continuous_improper_eval(0.5, 0.5, t, t, 1_000, 1)

@@ -204,6 +204,24 @@ def test_matching_experiment_validation():
         matching_experiment(grid_step=0.0)
     with pytest.raises(ValueError, match="increasing"):
         matching_experiment(grid_step=0.1, coeff_range=(2.0, -2.0))
+    # what match-compare's flags check too: a seed below 2**64, which the
+    # counter does not reduce, and a linear predictor that stays finite
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            matching_experiment(grid_step=0.25, seed=seed)
+    for bounds in ((-1e308, 1e308), (0.0, 3e307), (-3e307, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="linear predictor overflows"):
+                matching_experiment(grid_step=0.25, coeff_range=bounds)
+    top = matching_experiment(grid_step=0.25, seed=2 ** 64 - 1)
+    assert top.seed == 2 ** 64 - 1
+    assert not np.array_equal(top.beta0, matching_experiment(grid_step=0.25, seed=0).beta0)
+    edge = 2.996155224770526e+307  # the largest bound whose 6 * bound is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = matching_experiment(grid_step=0.25, coeff_range=(-edge, edge))
+    assert len(wide) == 3 and wide.coeff_range == (-edge, edge)
 
 
 def test_logistic_is_scipy_expit_bit_for_bit():
