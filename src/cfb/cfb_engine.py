@@ -270,8 +270,7 @@ def cfb_two_group(c: float, triple_low: ProbTriple, triple_high: ProbTriple) -> 
 
 
 def _worker_count() -> int:
-    """Thread count for scoring Monte Carlo chunks and for grid_search's
-    scan blocks, controlled by CFB_THREADS.
+    """Thread count for scoring Monte Carlo chunks, controlled by CFB_THREADS.
 
     Unset or 0 picks a small default; 1 forces sequential work.  No
     result depends on this, only wall time does.

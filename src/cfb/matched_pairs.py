@@ -216,6 +216,9 @@ def _logistic(z):
 # cells per block of the sweep: the block's two dozen float64 and complex
 # temporaries stay in cache, where a whole-grid pass streams each through memory
 _CELLS_PER_BLOCK = 16_384
+# the most cells a grid may have, checked before anything is allocated:
+# 20x the default grid's 498,501
+_MAX_CELLS = 10_000_000
 
 
 def _sweep_block(a, b, beta0, betax, betat, betaxt):
@@ -272,8 +275,9 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     levels with predictor_h_quadratic, and evaluates the statistic
     matched on the covariate and matched on the predicted benefit.
 
-    Raises ValueError for a seed outside [0, 2**64), the counter's range,
-    and for coefficient bounds whose linear predictor can overflow: each
+    Raises ValueError for a grid_step giving more than _MAX_CELLS cells,
+    for a seed outside [0, 2**64), the counter's range, and for
+    coefficient bounds whose linear predictor can overflow: each
     cell's beta0 + betax*x + betat*t + betaxt*x*t, with x <= 2 and t <= 1,
     must stay finite, so 6 * max(|lo|, |hi|) must be.
     """
@@ -284,6 +288,8 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     inv = round(1.0 / grid_step)
     if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
         raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
+    if (inv - 1) * (inv - 2) // 2 > _MAX_CELLS:
+        raise ValueError(f"grid_step must give at most {_MAX_CELLS:,} grid cells, got {grid_step!r}")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")

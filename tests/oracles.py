@@ -8,6 +8,9 @@ gets another way, by a route that shares no algebra with it.
   arcsine in cfb_linear_gaussian (Sheppard's orthant formula).
 - empirical_cfb_oracle scores every ordered pair of weighted atoms one
   comparison at a time, the check on the closed forms.
+- full_grid_survivors runs the census's frozen float filter on every
+  ordered pair of grid triples, the check on grid_search's candidate
+  intervals.
 
 The module name has no test_ prefix, so pytest does not collect it;
 the test modules import it as `oracles`, from the tests directory that
@@ -16,9 +19,11 @@ pytest puts on sys.path.
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from cfb import CfbResult, UndefinedCfb
+from cfb.cfb_engine import _two_group_masses
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -112,3 +117,44 @@ def empirical_cfb_oracle(atoms) -> CfbResult:
         raise UndefinedCfb("no pair of atoms disagrees in realized benefit")
     num = conc + 0.5 * tied
     return CfbResult(num / den, num, den)
+
+
+def _scan_block(i0, i1, vm, v0, vp, c):
+    """Filter one block of low-level triples against every high-level one.
+
+    Returns (low_idx, high_idx, deviation) arrays for the survivors,
+    with the frozen expressions of the census filter.
+    """
+    pm = vm[i0:i1, None]
+    p0 = v0[i0:i1, None]
+    pp = vp[i0:i1, None]
+    qm = vm[None, :]
+    q0 = v0[None, :]
+    qp = vp[None, :]
+
+    chain = qp - qm + pm - pp + qm * pp - qp * pm
+    keep = ((qp - qm) > (pp - pm)) & (chain < 0)
+    bi, qi = np.nonzero(keep)
+    if bi.size == 0:
+        return bi, qi, np.empty(0)
+    pi = bi + i0
+
+    _, _, a = _two_group_masses(c, vm[pi], v0[pi], vp[pi], vm[qi], v0[qi], vp[qi])
+    dev = c * (1.0 - c) * chain[keep] / (2.0 * a)
+    return pi, qi, dev
+
+
+def full_grid_survivors(hund, c):
+    """The census of every ordered pair of triples with granularity hund
+    (in hundredths), 32 low triples at a time, as the six survivor columns
+    (p_minus, p_plus, q_minus, q_plus, cfb_star, deviation)."""
+    ints = [(m, p) for m in range(0, 101, hund) for p in range(0, 101 - m, hund)]
+    m_arr = np.array([t[0] for t in ints], dtype=np.int64)
+    p_arr = np.array([t[1] for t in ints], dtype=np.int64)
+    vm = m_arr * 0.01
+    vp = p_arr * 0.01
+    v0 = (1.0 - vm) - vp
+    n = len(ints)
+    parts = [_scan_block(i0, min(i0 + 32, n), vm, v0, vp, c) for i0 in range(0, n, 32)]
+    low_idx, high_idx, dev = map(np.concatenate, zip(*parts))
+    return (m_arr[low_idx], p_arr[low_idx], m_arr[high_idx], p_arr[high_idx], 0.5 + dev, dev)

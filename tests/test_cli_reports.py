@@ -410,14 +410,33 @@ def test_screen_cf_roots_are_the_first_realizability_roots(small_search, tmp_pat
 
 
 @pytest.mark.parametrize("value", ["two", "-1"])
-def test_search_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, value):
-    """CFB_THREADS sets the census scan's workers, so search checks it too."""
+def test_beta_mc_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, value):
+    """CFB_THREADS sets the Monte Carlo route's workers, so beta-mc checks it."""
     monkeypatch.setenv("CFB_THREADS", value)
     monkeypatch.chdir(tmp_path)
-    assert run(["search", "--step", "0.05"]) == 2
+    assert run(["beta-mc", "--alpha", "0.5", "--beta", "0.5",
+                "--p", "0.08,0,0.92", "--q", "0,0.15,0.85", "--n", "1000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "CFB_THREADS" in captured.err
     assert not list(tmp_path.iterdir())
+
+
+def test_search_does_not_read_the_thread_count(tmp_path, monkeypatch, capsys):
+    """The census scan runs in the calling thread: CFB_THREADS unset, 1 or 2 gives the same bytes."""
+    outputs = []
+    for value in (None, "1", "2"):
+        if value is None:
+            monkeypatch.delenv("CFB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CFB_THREADS", value)
+        run_dir = tmp_path / str(value)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert run(["search", "--step", "0.02"]) == 0
+        outputs.append((capsys.readouterr().out, (run_dir / "improper.csv").read_bytes(),
+                        (run_dir / "fig1_hist.csv").read_bytes()))
+    assert outputs[0][0].startswith("# cfb") and len(outputs[0][1]) > 10_000
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_emit_replaces_the_file_atomically(tmp_path):
@@ -873,7 +892,9 @@ def test_rho_cap_is_checked_before_points_are_built(monkeypatch):
 
 def test_grid_cells_are_the_kernels():
     from cfb import matching_experiment
+    from cfb.matched_pairs import _MAX_CELLS
 
+    assert cli_reports._MAX_MATCH_CELLS == _MAX_CELLS
     assert cli_reports._grid_cells(0.001) == 498_501
     for step in (1 / 3, 0.25, 0.1, 0.05, 0.02):
         assert cli_reports._grid_cells(step) == len(matching_experiment(step))

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfb import improper_search
+from oracles import full_grid_survivors
+
 from cfb import (
     GridTriple,
     ImproperRecord,
@@ -155,29 +156,53 @@ def test_grid_search_is_the_same_on_one_and_two_threads(monkeypatch, c):
     assert one.summary == two.summary
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_rebound_scan_block_sees_every_block(monkeypatch, threads):
-    """grid_search calls _scan_block through the module global, once per block, so a
-    wrapper bound there (the traced benchmark counts scanned pairs so) sees all of them."""
-    monkeypatch.setenv("CFB_THREADS", threads)
-    want = grid_search(0.05)
-    seen = []
-    original = improper_search._scan_block
+@pytest.mark.parametrize("c", [0.5, 0.3])
+@pytest.mark.parametrize("step", [0.01, 0.02, 0.04, 0.05, 0.1, 0.2, 0.25, 0.5, 1.0])
+def test_candidate_scan_is_the_full_scan(step, c):
+    """grid_search runs the frozen filter on candidate intervals only; its survivors
+    are those of the filter on every ordered pair, byte for byte and in order."""
+    want = full_grid_survivors(round(step * 100), c)
+    got = grid_search(step, c).survivors
+    for name, ref in zip(SURVIVOR_COLUMNS, want):
+        col = getattr(got, name)
+        assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), name
 
-    def recording(i0, i1, vm, v0, vp, c):
-        seen.append((i0, i1, len(vm)))
-        return original(i0, i1, vm, v0, vp, c)
 
-    monkeypatch.setattr(improper_search, "_scan_block", recording)
-    got = grid_search(0.05)
-    n = seen[0][2]
-    spans = sorted((i0, i1) for i0, i1, _ in seen)
-    assert len(spans) > 2
-    assert spans[0][0] == 0 and spans[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert sum((i1 - i0) * size for i0, i1, size in seen) == n * n
-    for name in SURVIVOR_COLUMNS:
-        assert getattr(got.survivors, name).tobytes() == getattr(want.survivors, name).tobytes()
+def test_exact_census_is_the_open_intervals(grid_result):
+    """In integers, the survivors of a low triple (pm, pp) and high minus level qm
+    are the qp with qp > qm + pp - pm and qp (100 - pm) < 100 (qm + pp - pm) - qm pp.
+    Those open intervals hold 262,492 cells, all float survivors; the other 21,031
+    float survivors sit on an exact zero: 20,360 of equal mean benefit, 671 of
+    zero chain."""
+    pm, pp = (np.array(v)[:, None] for v in zip(*((m, p) for m in range(101)
+                                                 for p in range(101 - m))))
+    qm = np.arange(101)
+    d = qm + pp - pm
+    lo = np.maximum(d + 1, 0)
+    top = np.where(pm < 100, (100 * d - qm * pp - 1) // np.maximum(100 - pm, 1), -1)
+    hi = np.minimum(100 - qm, top)
+    count = np.maximum(hi - lo + 1, 0)
+    assert count.sum() == 262492
+
+    def key(pm, pp, qm, qp):
+        return ((pm * 101 + pp) * 101 + qm) * 101 + qp
+
+    cells = [key(a, b, q, np.arange(l, h + 1))
+             for a, b, row_lo, row_hi in zip(pm[:, 0], pp[:, 0], lo, hi)
+             for q, l, h in zip(qm, row_lo, row_hi) if l <= h]
+    exact = np.concatenate(cells)
+    found = grid_result.survivors
+    survivors = key(found.p_minus, found.p_plus, found.q_minus, found.q_plus)
+    assert np.isin(exact, survivors).all()
+
+    only = ~np.isin(survivors, exact)
+    assert only.sum() == 21031
+    f_pm, f_pp, f_qm, f_qp = (col[only] for col in
+                              (found.p_minus, found.p_plus, found.q_minus, found.q_plus))
+    equal_mean = (f_qp - f_qm) == (f_pp - f_pm)
+    zero_chain = 100 * (f_qp - f_qm + f_pm - f_pp) + f_qm * f_pp - f_qp * f_pm == 0
+    assert equal_mean.sum() == 20360 and zero_chain.sum() == 671
+    assert (equal_mean != zero_chain).all()
 
 
 def test_quarter_step_matches_rational_enumeration():

@@ -224,6 +224,14 @@ def test_matching_experiment_validation():
     assert len(wide) == 3 and wide.coeff_range == (-edge, edge)
 
 
+
+@pytest.mark.parametrize("step", [1e-300, 1 / 4474])
+def test_matching_experiment_caps_its_grid(step):
+    """A step past 10,000,000 cells is refused by name, before numpy allocates the grid
+    (1e-300 would otherwise fail inside numpy with "Maximum allowed size exceeded")."""
+    with pytest.raises(ValueError, match="grid_step must give at most 10,000,000 grid cells"):
+        matching_experiment(grid_step=step)
+
 def test_logistic_is_scipy_expit_bit_for_bit():
     """The sweep's logistic must equal scipy.special.expit in every bit: on the
     default sweep's six linear predictors, on uniform z over [-750, 750], in the

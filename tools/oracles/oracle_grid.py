@@ -3,7 +3,9 @@
 Enumerates every ordered pair of hundredths triples, applies the two strict
 selection inequalities in the frozen floating-point form, attaches the
 two-group statistic through the deviation identity, and reports the summary
-numbers the test suite pins. Then filters the survivors by the exact integer
+numbers the test suite pins, with the exact census (the open integer
+intervals of the two inequalities) and the split of the float survivors
+that lie outside it. Then filters the survivors by the exact integer
 discriminant condition and reports the screened-subset statistics, plus the
 zero-survivor scan over binary-benefit triples.
 
@@ -72,6 +74,21 @@ def main():
     print("all deviations negative: %s" % bool(np.all(dev < 0)))
     hist, _ = np.histogram(cfb, bins=50, range=(0.41, 0.50))
     print("hist sum = %d, first/last bins = %d %d" % (hist.sum(), hist[0], hist[-1]))
+
+    # exact census: for a low triple and a high minus level, the qp of the open
+    # interval d < qp, qp (100 - pm) < 100 d - qm pp, with d = qm + pp - pm
+    pm, pp = IM[:, None], IP[:, None]
+    qm = np.arange(101)
+    d = qm + pp - pm
+    top = np.where(pm < 100, (100 * d - qm * pp - 1) // np.maximum(100 - pm, 1), -1)
+    exact = np.maximum(np.minimum(100 - qm, top) - np.maximum(d + 1, 0) + 1, 0).sum()
+    # the same two expressions, in integers, on each float survivor
+    d2 = (IP[kQ] - IM[kQ]) - (IP[kP] - IM[kP])
+    ch = 100 * d2 + IM[kQ] * IP[kP] - IP[kQ] * IM[kP]
+    strict = (d2 > 0) & (ch < 0)
+    print("exact census = %d, float survivors among them = %d" % (exact, int(strict.sum())))
+    print("float-only survivors = %d: equal mean benefit %d, zero chain %d"
+          % (int((~strict).sum()), int(np.count_nonzero(d2 == 0)), int(np.count_nonzero(ch == 0))))
 
     # exact integer discriminant (units of 1e-4): (m - 100 - p)^2 - 400 p
     dm, dp = t[:, 0], t[:, 2]
