@@ -15,10 +15,11 @@ Exact routes (closed form for two groups, the nine-cell pair table for
 any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for continuous populations all live here.  Only
 the Monte Carlo route and gini_mean_difference use numpy, and they
-import it when called, so the exact routes run without it.  The
-references the tests check these routes against, a quadrature of the
-bivariate normal cdf and a brute-force pair scorer, are in
-tests/oracles.py, not in the package.
+import it when called, so the exact routes run without it; the route's
+thread pool is imported on first use too.  The references the tests
+check these routes against, a quadrature of the bivariate normal cdf
+and a brute-force pair scorer, are in tests/oracles.py, not in the
+package.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DegenerateCfb, UndefinedCfb
@@ -267,6 +267,19 @@ def cfb_two_group(c: float, triple_low: ProbTriple, triple_high: ProbTriple) -> 
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 # ---------------------------------------------------------------------------
+
+
+def __getattr__(name):
+    """ThreadPoolExecutor, imported on first use (PEP 562): the exact routes start no pool.
+
+    It stays a module name, so a caller can replace it for the Monte Carlo route.
+    """
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    globals()[name] = ThreadPoolExecutor  # later lookups skip this function
+    return ThreadPoolExecutor
 
 
 def _worker_count() -> int:
@@ -546,7 +559,9 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
         children = np.random.SeedSequence(seed).spawn(n_chunks)
         workers = min(_worker_count(), n_chunks)
         if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            # the module's binding at call time, which a caller may have replaced
+            pool_class = sys.modules[__name__].ThreadPoolExecutor
+            with pool_class(max_workers=workers) as pool:
                 parts = list(pool.map(
                     lambda cm: _score_chunk(pop, cm[0], cm[1], predictor),
                     zip(children, sizes),

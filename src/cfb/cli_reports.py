@@ -23,6 +23,9 @@ the value checks and the `#` header all come from that table.
 Each handler imports the kernel module it runs, and numpy, when it is
 called: `import cfb.cli_reports` loads neither, and `eval-discrete` and
 `rho-sweep`, whose results are scalar arithmetic, run without numpy.
+The five array commands first ask glibc's malloc to keep the memory they
+free (_keep_freed_memory), so each block's buffers reuse the pages of
+the block before instead of being faulted in again.
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -60,6 +63,11 @@ _CHARS_PER_READ = 1 << 18
 _MAX_RHO_POINTS = 1_000_000  # rho-sweep --rho
 _MAX_MATCH_CELLS = 10_000_000  # match-compare --step: 20x the default grid's 498,501 cells
 
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_memory sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest: requests below it come from the heap
+_TRIM_THRESHOLD = 1 << 30  # free heap the process keeps before returning any to the kernel
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -73,6 +81,27 @@ class RunConfig:
         opts = " ".join(f"{k}={v}" for k, v in self.options)
         line = f"# {self.subcommand} {opts}" if opts else f"# {self.subcommand}"
         return [f"# cfb {__version__}", line]
+
+
+def _keep_freed_memory():
+    """Have glibc's malloc keep freed memory in the process for the rest of the command.
+
+    The array commands allocate and free buffers of 1-16 MB per block of
+    rows or Monte Carlo chunk.  glibc's default serves those with mmap
+    and trims the heap, returning the pages to the kernel on free, so
+    every block faults them in again.  Serving them from the heap and
+    never trimming it lets the next block reuse the same pages.  Does
+    nothing where there is no mallopt (a C library other than glibc).
+    """
+    try:
+        import ctypes  # numpy has imported it already
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _fmt(x) -> str:
@@ -93,20 +122,24 @@ def _emit(path, config, lines, columns=()):
     """Write the header, lines, then one line per row of columns.
 
     columns are equal-length arrays; their dtypes set the text (see
-    _RowText).  Rows are formatted a block at a time, so the whole text
-    is never held at once.  path None means stdout.
+    _RowText).  Rows are formatted and written a block at a time, as
+    bytes, so the whole text is never held at once.  path None means
+    stdout.
     """
-    def blocks():
-        yield "\n".join(config.header_lines() + lines) + "\n"
+    head = "\n".join(config.header_lines() + lines) + "\n"
+
+    def rows():
         if columns:
             text = _RowText()
             for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
                 yield text.rows([col[i:i + _ROWS_PER_WRITE] for col in columns])
+                yield b"\n"
 
     if path is None:
-        sys.stdout.writelines(blocks())
+        sys.stdout.write(head)
+        sys.stdout.writelines(block.decode("ascii") for block in rows())
     else:
-        _write_atomic(path, blocks())
+        _write_atomic(path, head, rows())
 
 
 class _RowText:
@@ -161,12 +194,13 @@ class _RowText:
         self._pow10 = np.array([float(10 ** k) for k in range(self._MAX_K + 2)])
 
     def rows(self, columns):
-        """Text of the rows of equal-length columns, each row ending in a newline."""
+        """ASCII bytes of the rows of equal-length columns, a newline between rows
+        and none after the last."""
         import numpy as np
 
         n = len(columns[0])
         if not n:
-            return ""
+            return b""
         cells = []
         for c, col in enumerate(columns):
             # each field starts with its separator; the first field's "\n" ends the previous row
@@ -187,7 +221,8 @@ class _RowText:
                 padded = b"".join(t.ljust(4 * width, b"\0") for t in texts)
                 matrix[row:row + width, slow] = np.frombuffer(padded, "<u4").reshape(-1, width).T
             row += width
-        return matrix.T.tobytes().translate(None, b"\0").decode("ascii")[1:] + "\n"
+        matrix[0, 0] &= 0xFFFFFF00  # the first row's separator: no newline before it
+        return matrix.T.tobytes().translate(None, b"\0")
 
     def _cell_words(self, col):
         """(word arrays of the cells, mask of the cells they format or None for all,
@@ -305,23 +340,28 @@ class _RowText:
         return words + frac_words, fast
 
 
-def _write_atomic(path, blocks):
-    """Write text blocks to a temporary file beside path, then rename it over path.
+def _write_atomic(path, head, blocks):
+    """Write the text head and then byte blocks to a temporary file beside path,
+    then rename it over path.
 
     An interrupted write leaves the previous file, or none, and removes
     the temporary one; a reader never sees a short file, and an OSError
     names path.  A path that exists but is no regular file (a device or
     pipe) is written in place.
     """
+    def write(name):
+        with open(name, "w", newline="") as f:
+            f.write(head)
+            f.flush()
+            f.buffer.writelines(blocks)
+
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(path, "w", newline="") as f:
-            f.writelines(blocks)
+        write(path)
         return
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as f:
-            f.writelines(blocks)
+        write(tmp)
         os.replace(tmp, target)
     except BaseException as e:
         if os.path.exists(tmp):
@@ -467,6 +507,7 @@ def _cmd_eval_discrete(args, cfg) -> int:
 def _cmd_search(args, cfg) -> int:
     from .improper_search import grid_search
 
+    _keep_freed_memory()
     result = grid_search(args.step, args.c)
 
     found = result.survivors
@@ -571,6 +612,7 @@ def _cmd_screen_cf(args, cfg) -> int:
     from .counterfactual_screen import screen_improper_set
     from .improper_search import HIST_BINS, HIST_RANGE
 
+    _keep_freed_memory()
     found = _read_improper_csv(args.inp)
     res = screen_improper_set(found)
 
@@ -608,6 +650,7 @@ def _cmd_beta_mc(args, cfg) -> int:
     from .improper_search import cross_pair_reversal, mean_benefit_increasing
     from .population_model import BetaXPopulation
 
+    _keep_freed_memory()
     p, q = args.p.triple, args.q.triple
     # the endpoints must be a below-chance pair themselves, which catches typos in
     # hand-copied triples: the question is whether the Beta mixture keeps the pathology
@@ -639,6 +682,7 @@ def _cmd_rho_sweep(args, cfg) -> int:
 def _cmd_match_compare(args, cfg) -> int:
     from .matched_pairs import matching_experiment
 
+    _keep_freed_memory()
     result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
 
     r = result
@@ -668,6 +712,7 @@ def _cmd_match_compare(args, cfg) -> int:
 def _cmd_hist(args, cfg) -> int:
     import numpy as np
 
+    _keep_freed_memory()
     vals = _read_column(args.inp, args.col)
     vals = vals[~np.isnan(vals)]
     if not vals.size:

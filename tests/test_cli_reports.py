@@ -469,6 +469,62 @@ def test_emit_writes_a_pipe_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def test_array_commands_keep_freed_memory(tmp_path, monkeypatch, capsys):
+    """The five array commands set glibc's mmap and trim thresholds; the scalar two leave
+    the allocator alone."""
+    import ctypes
+    import types
+
+    calls = []
+
+    def mallopt(param, value):  # a function takes argtypes and restype as a ctypes one does
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.chdir(tmp_path)
+    for argv, keeps in [
+        (EVAL_ARGS, False),
+        (["search", "--step", "0.05"], True),
+        (["screen-cf"], True),
+        (["beta-mc", "--alpha", "0.5", "--beta", "0.5",
+          "--p", "0.08,0,0.92", "--q", "0,0.15,0.85", "--n", "1000"], True),
+        (["rho-sweep", "--beta-xt", "1"], False),
+        (["match-compare", "--step", "0.05"], True),
+        (["hist", "--in", "match_diffs.csv", "--col", "abs_diff"], True),
+    ]:
+        calls.clear()
+        assert run(argv) == 0, argv
+        assert calls == ([(-3, 32 << 20), (-1, 1 << 30)] if keeps else []), argv
+    capsys.readouterr()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()], ids=["no-library", "no-mallopt"])
+def test_keep_freed_memory_is_a_noop_without_mallopt(tmp_path, monkeypatch, capsys, cdll):
+    """Where mallopt cannot be found the helper does nothing, and match-compare writes
+    the same bytes as where it can."""
+    import ctypes
+
+    argv = ["match-compare", "--step", "0.05"]
+    outputs = []
+    for patched in (False, True):
+        run_dir = tmp_path / str(patched)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if patched:
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            assert cli_reports._keep_freed_memory() is None
+        assert run(argv) == 0
+        outputs.append((capsys.readouterr().out, (run_dir / "match_diffs.csv").read_bytes(),
+                        (run_dir / "fig2_hist.csv").read_bytes()))
+    assert outputs[0][0].startswith("# cfb") and len(outputs[0][1]) > 10_000
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--step", "0.25"],
     ["rho-sweep", "--beta-xt", "1"],

@@ -31,8 +31,9 @@ def test_import_loads_no_kernel_and_no_numpy():
 
 
 def test_cli_import_loads_no_kernel_and_no_numpy():
+    """Nor ctypes, which only the array commands' allocator setting uses."""
     out = fresh("import sys, cfb.cli_reports; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cfb', 'numpy')))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cfb', 'numpy', 'ctypes')))")
     assert out.strip() == "['cfb', 'cfb.cli_reports', 'cfb.errors']"
 
 
@@ -42,8 +43,10 @@ def test_cli_import_loads_no_kernel_and_no_numpy():
     ["rho-sweep", "--beta-xt", "2", "--sigma", "0.5", "--rho", "-1:1:0.01", "--out", "sweep.csv"],
 ])
 def test_scalar_subcommands_leave_numpy_out(tmp_path, argv):
+    """And ctypes and concurrent.futures: they set no allocator option and start no pool."""
     out = fresh(f"import sys; from cfb import run; code = run({argv!r}); "
-                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))", cwd=tmp_path)
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('numpy', 'ctypes', 'concurrent')))", cwd=tmp_path)
     assert out.splitlines()[-1] == "0 []"
 
 

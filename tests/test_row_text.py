@@ -19,10 +19,15 @@ def old_rows(fmt, columns):
     return "".join([fmt % row for row in zip(*(col.tolist() for col in columns))])
 
 
+def new_rows(columns):
+    """The formatter's bytes of one block as the writer writes them: a newline follows."""
+    return _RowText().rows(columns) + b"\n"
+
+
 def g10(values):
-    """(formatter text, Python text) of one float64 column."""
+    """(formatter bytes, Python bytes) of one float64 column."""
     col = np.array(values, dtype=np.float64)
-    return _RowText().rows([col]), old_rows("%.10g\n", [col])
+    return new_rows([col]), old_rows("%.10g\n", [col]).encode()
 
 
 EDGE_FLOATS = [
@@ -83,23 +88,23 @@ def test_int_and_bool_columns_print_as_percent_d(values, data):
     flags = np.array(data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
     floats = np.array(data.draw(st.lists(st.floats(width=64), min_size=len(values), max_size=len(values))))
     columns = (flags, ints, floats, ints)
-    assert _RowText().rows(columns) == old_rows("%d,%d,%.10g,%d\n", columns)
+    assert new_rows(columns) == old_rows("%d,%d,%.10g,%d\n", columns).encode()
 
 
 def test_int_boundaries_print_as_percent_d():
     values = [0, 1, -1, 9, 10, 99, 100, 9999, 10 ** 4, 99999, 10 ** 6 - 1, 10 ** 6,
               10 ** 10 - 1, 10 ** 10, -(10 ** 10) + 1, -(10 ** 10), 2 ** 63 - 1, -(2 ** 63)]
     col = np.array(values, dtype=np.int64)
-    assert _RowText().rows([col]) == old_rows("%d\n", [col])
+    assert new_rows([col]) == old_rows("%d\n", [col]).encode()
     unsigned = np.array([0, 7, 2 ** 64 - 1, 10 ** 10], dtype=np.uint64)
-    assert _RowText().rows([unsigned]) == old_rows("%d\n", [unsigned])
+    assert new_rows([unsigned]) == old_rows("%d\n", [unsigned]).encode()
 
 
 def test_bytes_column_is_written_as_is():
     triples = np.array([b"0.33,0.34,0.33", b"0,1,0", b"1,0,0"])
     cfb = np.array([0.41, 0.5, 1e-7])
-    assert _RowText().rows([triples, triples, cfb]) == (
-        "0.33,0.34,0.33,0.33,0.34,0.33,0.41\n0,1,0,0,1,0,0.5\n1,0,0,1,0,0,1e-07\n")
+    assert new_rows([triples, triples, cfb]) == (
+        b"0.33,0.34,0.33,0.33,0.34,0.33,0.41\n0,1,0,0,1,0,0.5\n1,0,0,1,0,0,1e-07\n")
 
 
 def test_unsupported_dtype_raises_type_error():
@@ -133,4 +138,4 @@ def test_emit_equals_the_old_writer(tmp_path, n):
 
 def test_float32_column_prints_its_float64_value():
     col = np.array([0.1, 1 / 3, 3e38, 1e-45], dtype=np.float32)
-    assert _RowText().rows([col]) == old_rows("%.10g\n", [col])
+    assert new_rows([col]) == old_rows("%.10g\n", [col]).encode()

@@ -53,7 +53,8 @@ def main():
         S3 = pp * p0 + pp * pm + p0 * pm
         CL = pp * q0 + pp * qm + p0 * qm
         A = 0.25 * (S1 + CL) + (0.25 * S2 + 0.25 * S3)
-        dev = 0.25 * chain / (2.0 * A)
+        with np.errstate(invalid="ignore"):  # 0/0 where both triples sit on one benefit value; never kept
+            dev = 0.25 * chain / (2.0 * A)
 
         pi, qi = np.nonzero(keep)
         dev_list.append(dev[pi, qi])
