@@ -28,11 +28,11 @@ _EXPORTS = {
         "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
         "cfb_linear_gaussian", "gini_mean_difference"),
     "improper_search": (
-        "GridTriple", "ImproperRecord", "ImproperSet", "SearchSummary", "GridSearchResult",
-        "mean_benefit_increasing", "cross_pair_reversal", "grid_search"),
+        "ImproperSet", "SearchSummary", "GridSearchResult", "mean_benefit_increasing",
+        "cross_pair_reversal", "grid_search"),
     "counterfactual_screen": (
-        "RealizabilityResult", "ScreenSummary", "ScreenResult", "discriminant",
-        "solve_outcome_probs", "screen_improper_set", "logistic_params_from_probs"),
+        "ScreenSummary", "ScreenResult", "discriminant", "solve_outcome_probs",
+        "screen_improper_set", "logistic_params_from_probs"),
     "matched_pairs": (
         "MatchingFactor", "MatchingExperimentResult", "benefit_given_h",
         "predictor_h_quadratic", "matching_experiment"),

@@ -385,13 +385,40 @@ def _csv_header(f, path):
 
     f is a text or a binary file.
     """
-    while line := f.readline():
-        if isinstance(line, bytes):
-            line = line.decode()
-        line = line.rstrip("\r\n")
-        if line and line[0] != "#":
-            return line.split(",")
+    try:
+        while line := f.readline():
+            if isinstance(line, bytes):
+                line = line.decode()
+            line = line.rstrip("\r\n")
+            if line and line[0] != "#":
+                return line.split(",")
+    except UnicodeDecodeError as e:
+        raise ValueError(_undecodable(path, e)) from None
     raise ValueError(f"{path}: empty input")
+
+
+def _undecodable(path, error):
+    """Message naming path and the first line of path that error's codec cannot decode.
+
+    A data row, a line after the header that holds more than a `#`
+    comment, is named by its data row number, any other line by its line
+    number, each counted from 1.
+    """
+    row = None  # data rows read, None until the header
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            text = line.rstrip(b"\r\n")
+            data = line.partition(b"#")[0].rstrip(b"\r\n")
+            try:
+                line.decode(error.encoding)
+            except UnicodeDecodeError as e:
+                where = f"data row {row + 1}" if row is not None and data else f"line {n}"
+                return f"{path}: {where}: {e}"
+            if row is not None:
+                row += bool(data)
+            elif text and text[:1] != b"#":
+                row = 0
+    return f"{path}: {error}"  # every line decodes alone: the bad sequence spans a line end
 
 
 def _read_column(path, name):
@@ -411,10 +438,18 @@ def _read_column(path, name):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # numpy warns when no row follows the header
                 return np.loadtxt(f, delimiter=",", comments="#", usecols=header.index(name), ndmin=1)
+        except UnicodeDecodeError as e:
+            raise ValueError(_undecodable(path, e)) from None
         except ValueError as e:
+            # numpy counts the data rows after the header from 0; the last " at row"
+            # is numpy's own, the text before it may quote the field
+            where = re.fullmatch(r"(.*) at row (\d+).*", str(e), re.DOTALL)
+            if where is None:
+                raise ValueError(f"{path}: {e}") from None
+            row = int(where[2]) + 1
             if "column index" in str(e):
-                raise ValueError(f"{path}: a row has no {name!r} field") from None
-            raise ValueError(f"{path}: {e}") from None
+                raise ValueError(f"{path}: data row {row} has no {name!r} field") from None
+            raise ValueError(f"{path}: data row {row}: {where[1]}") from None
 
 
 class _TripleArg:
@@ -524,10 +559,9 @@ def _cmd_search(args, cfg) -> int:
              f"cfb_median,{_fmt(s.cfb_median)}",
              f"cfb_max,{_fmt(s.cfb_max)}"]
     if s.argmin is not None:
-        pd = s.argmin.triple_p.decimals()
-        qd = s.argmin.triple_q.decimals()
-        lines.append("argmin_p," + ",".join(_fmt(v) for v in pd))
-        lines.append("argmin_q," + ",".join(_fmt(v) for v in qd))
+        k = s.argmin
+        lines.append("argmin_p," + triples[found.p_minus[k], found.p_plus[k]].decode())
+        lines.append("argmin_q," + triples[found.q_minus[k], found.q_plus[k]].decode())
     _emit(None, cfg, lines)
     return 0
 

@@ -16,23 +16,20 @@ For triples on the hundredths grid the discriminant is a rational with
 denominator 10^4, so the screen itself runs in exact integer arithmetic
 and has no boundary ambiguity.  It works on the columns of an
 ImproperSet: the kept findings come back as columns too, and the roots
-are solved once per distinct kept triple.  ScreenResult.records and
-.realizability are per-finding views of those, built on first access.
+are solved once per distinct kept triple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .population_model import ProbTriple, logit
-from .improper_search import GridTriple, ImproperSet
+from .improper_search import ImproperSet
 
 __all__ = [
-    "RealizabilityResult",
     "ScreenSummary",
     "ScreenResult",
     "discriminant",
@@ -42,21 +39,6 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RealizabilityResult:
-    """Realizability verdict for the two triples of one grid finding.
-
-    roots_low and roots_high hold the recovered (y0, y1) pairs, ordered
-    by y1 ascending; empty when that triple is not realizable.
-    """
-
-    realizable: bool
-    roots_low: tuple
-    roots_high: tuple
-    disc_low: float
-    disc_high: float
 
 
 @dataclass(frozen=True)
@@ -73,26 +55,13 @@ class ScreenResult:
     """Kept findings as columns plus their realizability evidence.
 
     solutions maps the (minus, plus) hundredths of every kept triple to
-    its (roots, discriminant).  records and realizability are index
-    aligned tuples over the kept findings, built on first access.
+    its (roots, discriminant); roots holds the recovered (y0, y1) pairs,
+    ordered by y1 ascending.
     """
 
     kept: ImproperSet
     solutions: dict
     summary: ScreenSummary
-
-    @property
-    def records(self) -> tuple:
-        return self.kept.records
-
-    @cached_property
-    def realizability(self) -> tuple:
-        k = self.kept
-        pairs = zip(zip(k.p_minus.tolist(), k.p_plus.tolist()),
-                    zip(k.q_minus.tolist(), k.q_plus.tolist()))
-        sol = self.solutions
-        return tuple(RealizabilityResult(True, sol[low][0], sol[high][0], sol[low][1], sol[high][1])
-                     for low, high in pairs)
 
 
 def discriminant(triple: ProbTriple) -> float:
@@ -150,14 +119,11 @@ def _realizable_hundredths(minus, plus):
     return (minus - 100 - plus) ** 2 - 400 * plus >= 0
 
 
-def screen_improper_set(records) -> ScreenResult:
+def screen_improper_set(found: ImproperSet) -> ScreenResult:
     """Keep the findings whose triples are both realizable.
 
-    records is an ImproperSet or a sequence of ImproperRecord (grid
-    triples required; the exact integer screen depends on the hundredths
-    representation).  Kept records are the caller's own objects.
+    The screen is exact in integers on the hundredths columns of found.
     """
-    found = records if isinstance(records, ImproperSet) else ImproperSet.from_records(records)
     keep = (_realizable_hundredths(found.p_minus, found.p_plus)
             & _realizable_hundredths(found.q_minus, found.q_plus))
     kept = found.take(np.flatnonzero(keep))
@@ -165,7 +131,8 @@ def screen_improper_set(records) -> ScreenResult:
     solutions = {}
     for minus, plus in (set(zip(kept.p_minus.tolist(), kept.p_plus.tolist()))
                         | set(zip(kept.q_minus.tolist(), kept.q_plus.tolist()))):
-        triple = GridTriple(minus, 100 - minus - plus, plus).as_prob_triple()
+        m, p = minus * 0.01, plus * 0.01
+        triple = ProbTriple(m, (1.0 - m) - p, p)
         solutions[minus, plus] = (solve_outcome_probs(triple), discriminant(triple))
 
     if len(kept):

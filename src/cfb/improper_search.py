@@ -18,9 +18,7 @@ triple (pm, p0, pp) and high-level triple (qm, q0, qp):
 The search enumerates all pairs of triples on the hundredths simplex
 and keeps those satisfying both, recording the statistic for each.
 Survivors come back as columns (ImproperSet): the integer hundredths of
-both triples, the statistic and its deviation from 0.5.  The per-pair
-ImproperRecord objects are a view of those columns, built on first
-access to .records, so writing the census never creates them.
+both triples, the statistic and its deviation from 0.5.
 
 A note on arithmetic.  The survivor set is defined by double precision
 evaluation of the filter expressions exactly as grid_search writes them
@@ -54,8 +52,6 @@ from .cfb_engine import _two_group_masses
 from .population_model import ProbTriple
 
 __all__ = [
-    "GridTriple",
-    "ImproperRecord",
     "ImproperSet",
     "SearchSummary",
     "GridSearchResult",
@@ -76,125 +72,35 @@ HIST_BINS = 50
 _ROWS = 256
 
 
-@dataclass(frozen=True)
-class GridTriple:
-    """Benefit triple on the hundredths grid, stored as integer counts.
-
-    minus + zero + plus == 100.  values() applies the fixed mapping to
-    doubles that the whole search is defined against.
-    """
-
-    minus: int
-    zero: int
-    plus: int
-
-    def __post_init__(self):
-        for name in ("minus", "zero", "plus"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.minus + self.zero + self.plus != 100:
-            raise ValueError("hundredths must sum to 100")
-
-    def values(self) -> tuple:
-        """(p_minus, p_zero, p_plus) as the doubles the search uses."""
-        vm = self.minus * 0.01
-        vp = self.plus * 0.01
-        return (vm, (1.0 - vm) - vp, vp)
-
-    def as_prob_triple(self) -> ProbTriple:
-        return ProbTriple(*self.values())
-
-    def decimals(self) -> tuple:
-        """Exact decimal forms for reporting (minus/100 etc.)."""
-        return (self.minus / 100.0, self.zero / 100.0, self.plus / 100.0)
-
-
-@dataclass(frozen=True)
-class ImproperRecord:
-    """One surviving configuration.
-
-    cfb_star is the statistic under the oracle predictor, deviation the
-    raw signed distance from 0.5 before the final addition.  deviation
-    is strictly negative for every survivor, but 0.5 + deviation can
-    round back to exactly 0.5 when the deviation is below resolution,
-    so cfb_star < 0.5 is deliberately not enforced here.
-    """
-
-    triple_p: GridTriple
-    triple_q: GridTriple
-    cfb_star: float
-    deviation: float
-
-
 class ImproperSet:
     """Grid findings as columns, one entry per (low, high) triple pair.
 
     p_minus, p_plus and q_minus, q_plus are the integer hundredths of the
-    low and the high triple (the zero share is 100 minus the other two),
-    cfb_star and deviation are as in ImproperRecord.  len() counts the
-    findings; records, and iteration, give them as ImproperRecord
-    objects, built once on first use and shared between equal triples.
+    low and the high triple (the zero share is 100 minus the other two).
+    cfb_star is the statistic under the oracle predictor, deviation the
+    raw signed distance from 0.5 before the final addition.  deviation
+    is strictly negative for every survivor, but 0.5 + deviation can
+    round back to exactly 0.5 when the deviation is below resolution,
+    so cfb_star < 0.5 is deliberately not enforced.  len() counts the
+    findings.
     """
 
-    def __init__(self, p_minus, p_plus, q_minus, q_plus, cfb_star, deviation, records=None):
+    def __init__(self, p_minus, p_plus, q_minus, q_plus, cfb_star, deviation):
         self.p_minus = np.asarray(p_minus, dtype=np.int64)
         self.p_plus = np.asarray(p_plus, dtype=np.int64)
         self.q_minus = np.asarray(q_minus, dtype=np.int64)
         self.q_plus = np.asarray(q_plus, dtype=np.int64)
         self.cfb_star = np.asarray(cfb_star, dtype=np.float64)
         self.deviation = np.asarray(deviation, dtype=np.float64)
-        self._records = records
-
-    @classmethod
-    def from_records(cls, records) -> "ImproperSet":
-        """Columns of a sequence of ImproperRecord; records keeps the same objects."""
-        records = tuple(records)
-        if not all(isinstance(rec, ImproperRecord) for rec in records):
-            raise TypeError("expected ImproperRecord entries")
-        hund = np.array([(r.triple_p.minus, r.triple_p.plus, r.triple_q.minus, r.triple_q.plus)
-                         for r in records], dtype=np.int64).reshape(-1, 4)
-        return cls(*hund.T,
-                   [r.cfb_star for r in records], [r.deviation for r in records], records)
 
     def __len__(self):
         return len(self.cfb_star)
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def _columns(self):
-        return (self.p_minus, self.p_plus, self.q_minus, self.q_plus, self.cfb_star, self.deviation)
-
-    @property
-    def records(self) -> tuple:
-        if self._records is None:
-            triples = {}
-
-            def triple(minus, plus):
-                t = triples.get((minus, plus))
-                if t is None:
-                    t = triples[minus, plus] = GridTriple(minus, 100 - minus - plus, plus)
-                return t
-
-            self._records = tuple(
-                ImproperRecord(triple(pm, pp), triple(qm, qp), v, d)
-                for pm, pp, qm, qp, v, d in zip(*(col.tolist() for col in self._columns())))
-        return self._records
-
-    def record(self, k: int) -> ImproperRecord:
-        """The k-th finding, without building the others."""
-        pm, pp, qm, qp, v, d = (col[k].item() for col in self._columns())
-        return ImproperRecord(GridTriple(pm, 100 - pm - pp, pp), GridTriple(qm, 100 - qm - qp, qp), v, d)
-
     def take(self, idx) -> "ImproperSet":
         """The findings at the integer positions idx, in that order."""
         idx = np.asarray(idx, dtype=np.intp)
-        records = None if self._records is None else tuple(self._records[k] for k in idx.tolist())
-        return ImproperSet(*(col[idx] for col in self._columns()), records)
+        return ImproperSet(*(col[idx] for col in (self.p_minus, self.p_plus, self.q_minus,
+                                                  self.q_plus, self.cfb_star, self.deviation)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +109,7 @@ class SearchSummary:
     cfb_min: float
     cfb_max: float
     cfb_median: float
-    argmin: ImproperRecord | None
+    argmin: int | None  # the minimum's row in the survivors, None when there are none
     hist_edges: tuple
     hist_counts: tuple
 
@@ -214,11 +120,6 @@ class GridSearchResult:
     summary: SearchSummary
     step: float
     c: float
-
-    @property
-    def records(self) -> tuple:
-        """The survivors as ImproperRecord objects, built on first access."""
-        return self.survivors.records
 
 
 def mean_benefit_increasing(triple_low: ProbTriple, triple_high: ProbTriple) -> bool:
@@ -345,7 +246,7 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
             cfb_min=float(cfb[k]),
             cfb_max=float(cfb.max()),
             cfb_median=float(np.median(cfb)),
-            argmin=survivors.record(k),
+            argmin=k,
             hist_edges=tuple(float(e) for e in edges),
             hist_counts=tuple(int(n) for n in counts),
         )

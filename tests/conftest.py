@@ -36,4 +36,4 @@ def grid_result(grid_run):
 
 @pytest.fixture(scope="session")
 def screen_result(grid_result):
-    return screen_improper_set(grid_result.records)
+    return screen_improper_set(grid_result.survivors)

@@ -74,14 +74,16 @@ def test_criterion_02_grid_census(grid_run):
     s = result.summary
     assert s.count == 283523
     assert s.cfb_min == pytest.approx(0.4188, abs=5e-5)
-    am = s.argmin
-    assert (am.triple_p.minus, am.triple_p.zero, am.triple_p.plus) == (3, 0, 97)
-    assert (am.triple_q.minus, am.triple_q.zero, am.triple_q.plus) == (0, 6, 94)
+    found = result.survivors
+    pm, pp, qm, qp = (int(col[s.argmin]) for col in
+                      (found.p_minus, found.p_plus, found.q_minus, found.q_plus))
+    assert (pm, 100 - pm - pp, pp) == (3, 0, 97)
+    assert (qm, 100 - qm - qp, qp) == (0, 6, 94)
     assert s.cfb_median == pytest.approx(0.4916, abs=5e-4)
     # every survivor sits below chance; deviations at the resolution
     # limit of doubles can round the reported value onto 0.5 itself
-    assert all(r.deviation < 0.0 for r in result.records)
-    assert all(r.cfb_star <= 0.5 for r in result.records)
+    assert (found.deviation < 0.0).all()
+    assert (found.cfb_star <= 0.5).all()
     assert elapsed < 120.0, f"search took {elapsed:.1f} s"
     print(f"criterion 2: count={s.count}, min={s.cfb_min:.6f}, "
           f"median={s.cfb_median:.6f}, {elapsed:.2f} s")
@@ -90,11 +92,12 @@ def test_criterion_02_grid_census(grid_run):
 def test_criterion_03_binary_benefit_has_no_survivors(grid_result):
     """No surviving pair restricts the benefit to two values, and a
     direct exact-arithmetic scan of all binary pairs agrees."""
-    for r in grid_result.records:
-        p, q = r.triple_p, r.triple_q
-        assert not (p.plus == 0 and q.plus == 0)
-        assert not (p.zero == 0 and q.zero == 0)
-        assert not (p.minus == 0 and q.minus == 0)
+    found = grid_result.survivors
+    p_zero = 100 - found.p_minus - found.p_plus
+    q_zero = 100 - found.q_minus - found.q_plus
+    assert not ((found.p_plus == 0) & (found.q_plus == 0)).any()
+    assert not ((p_zero == 0) & (q_zero == 0)).any()
+    assert not ((found.p_minus == 0) & (found.q_minus == 0)).any()
 
     checked = 0
     for supports in ("mz", "mp", "zp"):
@@ -138,9 +141,13 @@ def test_criterion_05_realizability_screen(grid_result, screen_result):
     assert s.cfb_mean == pytest.approx(0.4961, abs=1e-3)
     assert s.cfb_median == pytest.approx(0.4969, abs=1e-3)
 
-    am = grid_result.summary.argmin
-    assert am not in screen_result.records
-    assert discriminant(am.triple_p.as_prob_triple()) == pytest.approx(-0.1164, abs=1e-6)
+    k = grid_result.summary.argmin
+    found, kept = grid_result.survivors, screen_result.kept
+    pm, pp, qm, qp = (col[k] for col in (found.p_minus, found.p_plus, found.q_minus, found.q_plus))
+    assert not ((kept.p_minus == pm) & (kept.p_plus == pp)
+                & (kept.q_minus == qm) & (kept.q_plus == qp)).any()
+    low = ProbTriple(pm * 0.01, (1.0 - pm * 0.01) - pp * 0.01, pp * 0.01)
+    assert discriminant(low) == pytest.approx(-0.1164, abs=1e-6)
     print(f"criterion 5: kept={s.count}, min={s.cfb_min:.4f}, "
           f"mean={s.cfb_mean:.4f}, median={s.cfb_median:.4f}")
 

@@ -271,10 +271,10 @@ def test_search_rerun_is_byte_identical(small_search):
 
 def test_read_improper_csv_round_trip(small_search):
     argv, out, _, stdout = small_search
-    records = _read_improper_csv(str(out))
+    found = _read_improper_csv(str(out))
     count = int(next(l for l in stdout.splitlines() if l.startswith("count,")).split(",")[1])
-    assert len(records) == count
-    assert all(r.deviation == r.cfb_star - 0.5 for r in records)
+    assert len(found) == count
+    assert (found.deviation == found.cfb_star - 0.5).all()
 
 
 def test_read_improper_csv_rejects_wrong_columns(tmp_path):
@@ -300,9 +300,11 @@ def test_read_improper_csv_accepts_other_spellings(tmp_path):
     other = tmp_path / "b.csv"
     other.write_text("# comment\n" + ",".join(IMPROPER_COLUMNS) + "\n\n"
                      "3e-2,0.0,0.970,0,0.0600000001,.94,0.4188255613\n")
-    want = _read_improper_csv(str(canonical)).records
-    assert _read_improper_csv(str(other)).records == want
-    assert (want[0].triple_p.minus, want[0].triple_q.zero) == (3, 6)
+    want = _read_improper_csv(str(canonical))
+    got = _read_improper_csv(str(other))
+    for name in ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert (want.p_minus[0], 100 - want.q_minus[0] - want.q_plus[0]) == (3, 6)
 
 
 def test_read_improper_csv_rejects_malformed_rows(tmp_path):
@@ -396,7 +398,8 @@ def test_screen_cf_rejects_a_bad_row_in_a_later_block(small_search, tmp_path, ca
 
 
 def test_screen_cf_roots_are_the_first_realizability_roots(small_search, tmp_path, capsys):
-    """The y columns of realizable.csv are roots_low[0] and roots_high[0] of each kept finding."""
+    """The y columns of realizable.csv are the first roots of each kept finding's low
+    and high triple."""
     _, out, _, _ = small_search
     real = tmp_path / "realizable.csv"
     assert run(["screen-cf", "--in", str(out), "--out", str(real),
@@ -404,9 +407,12 @@ def test_screen_cf_roots_are_the_first_realizability_roots(small_search, tmp_pat
     capsys.readouterr()
     res = screen_improper_set(_read_improper_csv(str(out)))
     _, _, rows = read_rows(real)
-    assert len(rows) == len(res.realizability) > 0
-    for row, ev in zip(rows, res.realizability):
-        assert row.split(",")[7:] == ["%.10g" % v for v in ev.roots_low[0] + ev.roots_high[0]]
+    kept = res.kept
+    assert len(rows) == len(kept) > 0
+    for row, pm, pp, qm, qp in zip(rows, kept.p_minus.tolist(), kept.p_plus.tolist(),
+                                   kept.q_minus.tolist(), kept.q_plus.tolist()):
+        roots_low, roots_high = res.solutions[pm, pp][0], res.solutions[qm, qp][0]
+        assert row.split(",")[7:] == ["%.10g" % v for v in roots_low[0] + roots_high[0]]
 
 
 @pytest.mark.parametrize("value", ["two", "-1"])
@@ -793,11 +799,53 @@ def hist_counts(src, capsys, *extra):
 
 
 def test_hist_rejects_a_non_numeric_field(tmp_path, capsys):
+    """The message names the file and the data row, counted from 1 past comments."""
     src = tmp_path / "vals.csv"
-    src.write_text("name,score\na,1\nb,one\n")
+    for text, row in (("name,score\nb,one\n", 1),
+                      ("name,score\na,1\nb,one\n", 2),
+                      ("# cfb 0.1.0\nname,score\na,1\n# note\n\nb,one\n", 2),
+                      ("name,score\na,1\nb,one at row 7\n", 2)):
+        src.write_text(text)
+        assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "one" in err
+        assert f"{src}: data row {row}: could not convert string 'one" in err
+        assert ", column" not in err
+
+
+def test_screen_cf_names_the_file_of_a_header_that_is_no_utf8(tmp_path, capsys):
+    src = tmp_path / "improper.csv"
+    src.write_bytes(b"# cfb 0.1.0\n" + ",".join(IMPROPER_COLUMNS).encode() + b"\xff\n"
+                    b"0.03,0,0.97,0,0.06,0.94,0.41\n")
+    real, fig6 = tmp_path / "real.csv", tmp_path / "fig6.csv"
+    assert run(["screen-cf", "--in", str(src), "--out", str(real), "--hist-out", str(fig6)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cfb: {src}: line 2: 'utf-8' codec can't decode byte 0xff")
+    assert not real.exists() and not fig6.exists()
+
+
+@pytest.mark.parametrize("rows_before, where", [
+    (0, "line 1"),  # the header
+    (1, "data row 1"),
+    (5000, "data row 5000"),  # past the text reader's first chunk
+    (-3, "line 6"),  # a comment after the header and three data rows
+])
+def test_hist_names_the_row_of_a_byte_that_is_no_utf8(tmp_path, capsys, rows_before, where):
+    lines = [b"# cfb 0.1.0", b"name,score"] + [b"a,%d" % k for k in range(abs(rows_before) + 2)]
+    if rows_before > 0:
+        lines[1 + rows_before] = b"a,\xff1"
+    elif rows_before < 0:
+        lines.insert(2 - rows_before, b"# \xff")
+    else:
+        lines[0] = b"name,score\xff"
+        del lines[1]
+    src = tmp_path / "vals.csv"
+    src.write_bytes(b"\n".join(lines) + b"\n")
     assert run(["hist", "--in", str(src), "--col", "score"]) == 2
-    err = capsys.readouterr().err
-    assert str(src) in err and "one" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cfb: {src}: {where}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_hist_skips_comment_lines_between_rows(tmp_path, capsys):

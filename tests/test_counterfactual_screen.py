@@ -3,10 +3,11 @@ potential responses, and what survives of the grid census."""
 
 import math
 
+import numpy as np
 import pytest
 
 from cfb import (
-    GridTriple,
+    ImproperSet,
     LogisticRctPopulation,
     ParameterUnbounded,
     ProbTriple,
@@ -17,6 +18,18 @@ from cfb import (
     screen_improper_set,
     solve_outcome_probs,
 )
+
+
+def grid_triple(minus, plus):
+    """The ProbTriple of integer hundredths as the screen solves it."""
+    m, p = minus * 0.01, plus * 0.01
+    return ProbTriple(m, (1.0 - m) - p, p)
+
+
+def hundredths(found):
+    """(p_minus, p_plus, q_minus, q_plus) of each finding; unique within the census."""
+    return list(zip(found.p_minus.tolist(), found.p_plus.tolist(),
+                    found.q_minus.tolist(), found.q_plus.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +51,7 @@ def test_discriminant_sign_matches_exact_decimal_rule():
     # hundredths triples, exact rule: (m - 100 - p)^2 - 400 p >= 0
     for m, p in ((81, 1), (25, 25), (3, 97), (0, 0), (100, 0), (0, 100), (40, 10)):
         exact = (m - 100 - p) ** 2 - 400 * p
-        fp = discriminant(GridTriple(m, 100 - m - p, p).as_prob_triple())
+        fp = discriminant(grid_triple(m, p))
         if exact > 0:
             assert fp > 0.0
         elif exact < 0:
@@ -105,60 +118,46 @@ def test_screen_summary_frozen_values(screen_result):
 
 
 def test_screen_drops_the_census_argmin(grid_result, screen_result):
-    am = grid_result.summary.argmin
-    assert am not in screen_result.records
-    d = discriminant(am.triple_p.as_prob_triple())
+    k = grid_result.summary.argmin
+    found = grid_result.survivors
+    assert hundredths(found.take([k]))[0] not in set(hundredths(screen_result.kept))
+    d = discriminant(grid_triple(int(found.p_minus[k]), int(found.p_plus[k])))
     assert d == pytest.approx(-0.1164, abs=1e-6)
 
 
 def test_screen_keeps_only_realizable_pairs(screen_result):
-    assert len(screen_result.records) == len(screen_result.realizability)
-    for ev in screen_result.realizability:
-        assert ev.realizable
-        assert ev.roots_low and ev.roots_high
-        assert ev.disc_low >= -1e-12 and ev.disc_high >= -1e-12
+    kept, sol = screen_result.kept, screen_result.solutions
+    assert len(kept) > 0
+    for pm, pp, qm, qp in hundredths(kept):
+        (roots_low, disc_low), (roots_high, disc_high) = sol[pm, pp], sol[qm, qp]
+        assert roots_low and roots_high
+        assert disc_low >= -1e-12 and disc_high >= -1e-12
 
 
 def test_screen_evidence_round_trips(screen_result):
     """Recovered response probabilities must regenerate both triples."""
-    step = max(1, len(screen_result.records) // 200)
-    for rec, ev in list(zip(screen_result.records, screen_result.realizability))[::step]:
-        for roots, grid in ((ev.roots_low, rec.triple_p), (ev.roots_high, rec.triple_q)):
-            y0, y1 = roots[0]
+    kept, sol = screen_result.kept, screen_result.solutions
+    step = max(1, len(kept) // 200)
+    for pm, pp, qm, qp in hundredths(kept)[::step]:
+        for minus, plus in ((pm, pp), (qm, qp)):
+            y0, y1 = sol[minus, plus][0][0]
             back = benefit_triple_from_outcome_probs(y0, y1)
-            want = grid.as_prob_triple()
+            want = grid_triple(minus, plus)
             for got_c, want_c in zip(back.as_tuple(), want.as_tuple()):
                 assert got_c == pytest.approx(want_c, abs=1e-9)
 
 
 def test_screen_agrees_with_exact_integer_rule(grid_result, screen_result):
-    kept = set(id(r) for r in screen_result.records)
-    for rec in grid_result.records[:5000]:
-        p, q = rec.triple_p, rec.triple_q
-        exact = ((p.minus - 100 - p.plus) ** 2 - 400 * p.plus >= 0
-                 and (q.minus - 100 - q.plus) ** 2 - 400 * q.plus >= 0)
-        assert (id(rec) in kept) == exact
-
-
-def test_screen_of_columns_matches_screen_of_records(grid_result, screen_result):
-    """The columnar census and its record view screen to the same findings."""
-    res = screen_improper_set(grid_result.survivors)
-    assert res.summary == screen_result.summary
-    for name in ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation"):
-        assert (getattr(res.kept, name) == getattr(screen_result.kept, name)).all(), name
-    step = max(1, len(res.records) // 300)
-    assert res.records[::step] == screen_result.records[::step]
-    assert res.realizability[::step] == screen_result.realizability[::step]
-
-
-def test_screen_rejects_foreign_records():
-    with pytest.raises(TypeError):
-        screen_improper_set([(GridTriple(0, 100, 0), GridTriple(0, 100, 0), 0.5, 0.0)])
+    kept = set(hundredths(screen_result.kept))
+    for pm, pp, qm, qp in hundredths(grid_result.survivors.take(np.arange(5000))):
+        exact = ((pm - 100 - pp) ** 2 - 400 * pp >= 0
+                 and (qm - 100 - qp) ** 2 - 400 * qp >= 0)
+        assert ((pm, pp, qm, qp) in kept) == exact
 
 
 def test_screen_of_nothing_is_empty():
-    res = screen_improper_set([])
-    assert res.records == () and res.realizability == ()
+    res = screen_improper_set(ImproperSet([], [], [], [], [], []))
+    assert len(res.kept) == 0 and res.solutions == {}
     assert res.summary.count == 0
     assert math.isnan(res.summary.cfb_min)
 

@@ -8,7 +8,6 @@ docstring of cfb.improper_search explains why the tests pin bitwise
 values rather than tolerances for it.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +16,6 @@ import pytest
 from oracles import full_grid_survivors
 
 from cfb import (
-    GridTriple,
-    ImproperRecord,
     ProbTriple,
     cfb_two_group,
     cross_pair_reversal,
@@ -31,50 +28,28 @@ HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
 HEADLINE_Q = ProbTriple(0.14, 0.18, 0.68)
 
 
-def exact_d2(rec):
-    """Mean-benefit gap in integer hundredths, exact."""
-    p, q = rec.triple_p, rec.triple_q
-    return (q.plus - q.minus) - (p.plus - p.minus)
+def exact_d2(found):
+    """Mean-benefit gap in integer hundredths, exact, per finding."""
+    return (found.q_plus - found.q_minus) - (found.p_plus - found.p_minus)
 
 
-def exact_chain(rec):
-    """The second selection expression scaled by 10^4, exact integer."""
-    p, q = rec.triple_p, rec.triple_q
-    return 100 * (q.plus - q.minus + p.minus - p.plus) + (
-        q.minus * p.plus - q.plus * p.minus
+def exact_chain(found):
+    """The second selection expression scaled by 10^4, exact integer, per finding."""
+    return 100 * (found.q_plus - found.q_minus + found.p_minus - found.p_plus) + (
+        found.q_minus * found.p_plus - found.q_plus * found.p_minus
     )
 
 
-# ---------------------------------------------------------------------------
-# grid triples
-# ---------------------------------------------------------------------------
+def grid_triple(minus, plus):
+    """The ProbTriple of integer hundredths as the search evaluates it."""
+    m, p = minus * 0.01, plus * 0.01
+    return ProbTriple(m, (1.0 - m) - p, p)
 
 
-def test_grid_triple_validation():
-    t = GridTriple(3, 0, 97)
-    assert t.values()[0] == pytest.approx(0.03, abs=1e-15)
-    assert t.decimals() == (0.03, 0.0, 0.97)
-    with pytest.raises(ValueError, match="sum"):
-        GridTriple(50, 50, 50)
-    with pytest.raises(ValueError):
-        GridTriple(-1, 51, 50)
-    with pytest.raises(TypeError):
-        GridTriple(0.5, 0.5, 99)
-    with pytest.raises(TypeError):
-        # bools are ints in Python; reject them anyway
-        GridTriple(True, 0, 99)
-
-
-def test_grid_triple_accepts_numpy_integers():
-    t = GridTriple(np.int64(25), np.int64(50), np.int64(25))
-    assert t.minus == 25 and isinstance(t.minus, int)
-
-
-def test_grid_triple_components_sum_to_one():
-    for m, z, p in ((0, 0, 100), (33, 34, 33), (97, 3, 0)):
-        vals = GridTriple(m, z, p).values()
-        assert sum(vals) == pytest.approx(1.0, abs=1e-15)
-        assert GridTriple(m, z, p).as_prob_triple().as_tuple() == vals
+def hundredths(found):
+    """(p_minus, p_plus, q_minus, q_plus) of each finding, as Python ints."""
+    return list(zip(found.p_minus.tolist(), found.p_plus.tolist(),
+                    found.q_minus.tolist(), found.q_plus.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +110,7 @@ def test_grid_search_step_validation():
 def test_grid_search_unit_step_has_no_survivors():
     res = grid_search(step=1.0)
     assert res.summary.count == 0
-    assert res.records == ()
+    assert len(res.survivors) == 0
     assert res.summary.argmin is None
     assert np.isnan(res.summary.cfb_min)
     assert sum(res.summary.hist_counts) == 0
@@ -246,8 +221,8 @@ def test_quarter_step_matches_rational_enumeration():
             expected[(pm_i, pp_i), (qm_i, qp_i)] = num / den
 
     got = {
-        ((r.triple_p.minus, r.triple_p.plus), (r.triple_q.minus, r.triple_q.plus)): r.cfb_star
-        for r in res.records
+        ((pm, pp), (qm, qp)): v
+        for (pm, pp, qm, qp), v in zip(hundredths(res.survivors), res.survivors.cfb_star.tolist())
     }
     assert set(got) == set(expected)
     for key, want in expected.items():
@@ -256,10 +231,7 @@ def test_quarter_step_matches_rational_enumeration():
 
 
 def test_records_are_in_canonical_order(grid_result):
-    keys = [
-        ((r.triple_p.minus, r.triple_p.plus), (r.triple_q.minus, r.triple_q.plus))
-        for r in grid_result.records
-    ]
+    keys = [((pm, pp), (qm, qp)) for pm, pp, qm, qp in hundredths(grid_result.survivors)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -271,21 +243,23 @@ def test_records_are_in_canonical_order(grid_result):
 
 def test_census_count(grid_result):
     assert grid_result.summary.count == 283523
-    assert len(grid_result.records) == 283523
+    assert len(grid_result.survivors) == 283523
 
 
 def test_census_columns_match_records(grid_result):
+    """Every column holds one entry per finding, and take picks whole findings
+    (one entry of each column) in the order asked."""
     found = grid_result.survivors
-    assert len(found) == len(grid_result.records)
-    for k in (0, 1, 4567, len(found) - 1):
-        r = grid_result.records[k]
-        assert found.record(k) == r
-        assert (found.p_minus[k], found.p_plus[k], found.q_minus[k], found.q_plus[k]) == (
-            r.triple_p.minus, r.triple_p.plus, r.triple_q.minus, r.triple_q.plus)
-        assert (found.cfb_star[k], found.deviation[k]) == (r.cfb_star, r.deviation)
+    columns = (found.p_minus, found.p_plus, found.q_minus, found.q_plus,
+               found.cfb_star, found.deviation)
+    assert all(len(col) == len(found) == grid_result.summary.count for col in columns)
+    assert all(col.dtype == np.int64 for col in columns[:4])
+    assert all(col.dtype == np.float64 for col in columns[4:])
     part = found.take([5, 2])
-    assert part.records == (grid_result.records[5], grid_result.records[2])
-    assert part.records[0] is grid_result.records[5]
+    assert len(part) == 2
+    for got, col in zip((part.p_minus, part.p_plus, part.q_minus, part.q_plus,
+                         part.cfb_star, part.deviation), columns):
+        assert got.tolist() == [col[5], col[2]]
 
 
 def test_census_extremes(grid_result):
@@ -296,13 +270,15 @@ def test_census_extremes(grid_result):
 
 
 def test_census_argmin(grid_result):
-    am = grid_result.summary.argmin
-    assert (am.triple_p.minus, am.triple_p.zero, am.triple_p.plus) == (3, 0, 97)
-    assert (am.triple_q.minus, am.triple_q.zero, am.triple_q.plus) == (0, 6, 94)
-    assert am.cfb_star == grid_result.summary.cfb_min
+    k = grid_result.summary.argmin
+    found = grid_result.survivors
+    [(pm, pp, qm, qp)] = hundredths(found.take([k]))
+    assert (pm, 100 - pm - pp, pp) == (3, 0, 97)
+    assert (qm, 100 - qm - qp, qp) == (0, 6, 94)
+    assert found.cfb_star[k] == grid_result.summary.cfb_min
     # the same configuration evaluated in exact arithmetic is 485/1158;
     # the convention value may differ from it only by accumulated rounding
-    assert abs(am.cfb_star - 485.0 / 1158.0) < 5e-16
+    assert abs(found.cfb_star[k] - 485.0 / 1158.0) < 5e-16
 
 
 def test_census_histogram(grid_result):
@@ -315,12 +291,12 @@ def test_census_histogram(grid_result):
 
 
 def test_every_record_sits_below_chance_in_convention_arithmetic(grid_result):
-    recs = grid_result.records
-    assert all(r.deviation < 0.0 for r in recs)
-    assert all(r.cfb_star == 0.5 + r.deviation for r in recs)
+    found = grid_result.survivors
+    assert (found.deviation < 0.0).all()
+    assert (found.cfb_star == 0.5 + found.deviation).all()
     # deviations at the resolution limit round back onto 0.5 exactly
-    assert sum(1 for r in recs if r.cfb_star == 0.5) == 569
-    assert all(r.cfb_star <= 0.5 for r in recs)
+    assert (found.cfb_star == 0.5).sum() == 569
+    assert (found.cfb_star <= 0.5).all()
 
 
 def test_census_values_agree_with_the_public_closed_form(grid_result):
@@ -328,15 +304,15 @@ def test_census_values_agree_with_the_public_closed_form(grid_result):
     differ from cfb_two_group in the last bits, but no further."""
     prob = {}
 
-    def closed(t):
-        if t not in prob:
-            prob[t] = t.as_prob_triple()
-        return prob[t]
+    def closed(minus, plus):
+        if (minus, plus) not in prob:
+            prob[minus, plus] = grid_triple(minus, plus)
+        return prob[minus, plus]
 
-    recs = grid_result.records
-    assert len(recs) == 283523
-    gap = max(abs(r.cfb_star - cfb_two_group(0.5, closed(r.triple_p), closed(r.triple_q)).value)
-              for r in recs)
+    found = grid_result.survivors
+    assert len(found) == 283523
+    gap = max(abs(v - cfb_two_group(0.5, closed(pm, pp), closed(qm, qp)).value)
+              for (pm, pp, qm, qp), v in zip(hundredths(found), found.cfb_star.tolist()))
     assert gap <= 1e-15
 
 
@@ -346,18 +322,12 @@ def test_census_decomposition_in_exact_arithmetic(grid_result):
     an exact expression sits exactly on its boundary can be admitted;
     what must never happen is admitting a cell that strictly violates
     either condition."""
-    core = d2_boundary = chain_boundary = violations = 0
-    for r in grid_result.records:
-        d2 = exact_d2(r)
-        ch = exact_chain(r)
-        if d2 > 0 and ch < 0:
-            core += 1
-        elif d2 == 0 and ch < 0:
-            d2_boundary += 1
-        elif d2 > 0 and ch == 0:
-            chain_boundary += 1
-        else:
-            violations += 1
+    d2 = exact_d2(grid_result.survivors)
+    ch = exact_chain(grid_result.survivors)
+    core = ((d2 > 0) & (ch < 0)).sum()
+    d2_boundary = ((d2 == 0) & (ch < 0)).sum()
+    chain_boundary = ((d2 > 0) & (ch == 0)).sum()
+    violations = len(d2) - core - d2_boundary - chain_boundary
     assert core == 262492
     assert d2_boundary == 20360
     assert chain_boundary == 671
@@ -367,22 +337,23 @@ def test_census_decomposition_in_exact_arithmetic(grid_result):
 def test_exact_predicates_hold_on_strict_cells(grid_result):
     """On cells that are strict in exact arithmetic the public predicate
     pair must agree with the filter; sampled, the Fraction path is slow."""
+    found = grid_result.survivors.take(np.arange(0, len(grid_result.survivors), 979))
+    strict = (exact_d2(found) > 0) & (exact_chain(found) < 0)
     sampled = 0
-    for r in itertools.islice(grid_result.records, 0, None, 979):
-        if exact_d2(r) > 0 and exact_chain(r) < 0:
-            p = r.triple_p.as_prob_triple()
-            q = r.triple_q.as_prob_triple()
-            assert mean_benefit_increasing(p, q)
-            assert cross_pair_reversal(p, q)
-            sampled += 1
+    for pm, pp, qm, qp in hundredths(found.take(np.flatnonzero(strict))):
+        p = grid_triple(pm, pp)
+        q = grid_triple(qm, qp)
+        assert mean_benefit_increasing(p, q)
+        assert cross_pair_reversal(p, q)
+        sampled += 1
     assert sampled > 200
 
 
 def test_first_condition_holds_on_every_record(grid_result):
     # it is the identical double comparison the filter made
-    for r in itertools.islice(grid_result.records, 0, None, 17):
-        assert mean_benefit_increasing(r.triple_p.as_prob_triple(),
-                                       r.triple_q.as_prob_triple())
+    found = grid_result.survivors.take(np.arange(0, len(grid_result.survivors), 17))
+    for pm, pp, qm, qp in hundredths(found):
+        assert mean_benefit_increasing(grid_triple(pm, pp), grid_triple(qm, qp))
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +362,12 @@ def test_first_condition_holds_on_every_record(grid_result):
 
 
 def test_no_survivor_has_binary_benefit_support(grid_result):
-    for r in grid_result.records:
-        p, q = r.triple_p, r.triple_q
-        assert not (p.plus == 0 and q.plus == 0)      # both on {-1, 0}
-        assert not (p.zero == 0 and q.zero == 0)      # both on {-1, +1}
-        assert not (p.minus == 0 and q.minus == 0)    # both on {0, +1}
+    found = grid_result.survivors
+    p_zero = 100 - found.p_minus - found.p_plus
+    q_zero = 100 - found.q_minus - found.q_plus
+    assert not ((found.p_plus == 0) & (found.q_plus == 0)).any()    # both on {-1, 0}
+    assert not ((p_zero == 0) & (q_zero == 0)).any()                # both on {-1, +1}
+    assert not ((found.p_minus == 0) & (found.q_minus == 0)).any()  # both on {0, +1}
 
 
 def test_binary_pairs_fail_in_exact_arithmetic():

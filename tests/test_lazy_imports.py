@@ -7,9 +7,13 @@ of the CLI they use (the `--rho` points, the number formatter) are pure
 Python and are pinned here to the numpy results they replace.
 """
 
+import math
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +67,7 @@ def test_every_public_name_resolves_to_its_module_object():
         "    if not owner.__name__.startswith('cfb') or getattr(owner, name) is not value:\n"
         "        bad.append(name)\n"
         "print(len(cfb.__all__), bad)\n")
-    assert out.strip() == "49 []"
+    assert out.strip() == "46 []"
 
 
 def test_submodules_import_from_the_package():
@@ -76,10 +80,12 @@ def test_submodules_import_from_the_package():
 def test_unknown_names_raise_attribute_error():
     import cfb
 
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        cfb.nope
-    with pytest.raises(ImportError):
-        exec("from cfb import nope", {})
+    # results are columns only: the per-record views stay out of the package
+    for name in ("nope", "GridTriple", "ImproperRecord", "RealizabilityResult"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(cfb, name)
+        with pytest.raises(ImportError):
+            exec(f"from cfb import {name}", {})
     assert set(cfb.__all__) <= set(dir(cfb))
 
 
@@ -145,3 +151,24 @@ def test_fmt_without_numpy():
     out = fresh("import sys; from cfb.cli_reports import _fmt; "
                 "print(_fmt(10 ** 12), _fmt(0.1), _fmt(True), _fmt(-0.0), 'numpy' in sys.modules)")
     assert out.strip() == "1000000000000 0.1 1 -0 False"
+
+
+def test_readme_library_example_runs():
+    """README's Library block imports only public names and gives the values its comments state."""
+    import cfb
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = re.search(r"^from cfb import (.+)$", block, re.MULTILINE)[1].split(", ")
+    assert set(imported) <= set(cfb.__all__)
+    names = {}
+    exec(block, names)
+    res = names["res"]
+    stated, num, den = re.search(r"^res\.value +# ([\d.]+), below chance \(exactly (\d+)/(\d+)\)$",
+                                 block, re.MULTILINE).groups()
+    assert res.value == float(stated) < 0.5
+    # the exact value's nearest double is one ulp above; rounding in the
+    # closed form's terms leaves it below two ulps
+    assert abs(res.value - Fraction(int(num), int(den))) < 2 * math.ulp(res.value)
+    assert res.value == pytest.approx(res.numerator / res.denominator, abs=1e-15)
+    assert 0.0 <= names["table"].entry(">", "<") <= 1.0
