@@ -18,11 +18,10 @@ from importlib import import_module as _import_module
 # when one of its names is first used (PEP 562), so `import cfb` loads
 # neither the kernels nor numpy, and each subcommand only what it runs
 _EXPORTS = {
-    "errors": ("CfbError", "DegenerateCfb", "ParameterUnbounded", "UndefinedCfb", "ZeroMassH"),
+    "errors": ("CfbError", "DegenerateCfb", "UndefinedCfb"),
     "population_model": (
-        "ProbTriple", "BinaryXPopulation", "BetaXPopulation", "LogisticRctPopulation",
-        "LinearGaussianPopulation", "BenefitPredictor", "best_predictor",
-        "outcome_prob", "benefit_triple_from_outcome_probs", "logit", "expit"),
+        "ProbTriple", "BinaryXPopulation", "BetaXPopulation",
+        "LinearGaussianPopulation", "BenefitPredictor", "best_predictor"),
     "cfb_engine": (
         "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
         "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",
@@ -32,10 +31,8 @@ _EXPORTS = {
         "cross_pair_reversal", "grid_search"),
     "counterfactual_screen": (
         "ScreenSummary", "ScreenResult", "discriminant", "solve_outcome_probs",
-        "screen_improper_set", "logistic_params_from_probs"),
-    "matched_pairs": (
-        "MatchingFactor", "MatchingExperimentResult", "benefit_given_h",
-        "predictor_h_quadratic", "matching_experiment"),
+        "screen_improper_set"),
+    "matched_pairs": ("MatchingExperimentResult", "matching_experiment"),
     "cli_reports": ("RunConfig", "run", "main"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

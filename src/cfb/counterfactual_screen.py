@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population_model import ProbTriple, logit
+from .population_model import ProbTriple
 from .improper_search import ImproperSet
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "discriminant",
     "solve_outcome_probs",
     "screen_improper_set",
-    "logistic_params_from_probs",
 ]
 
 _EDGE_TOL = 1e-12
@@ -154,23 +153,3 @@ def screen_improper_set(found: ImproperSet) -> ScreenResult:
         nan = float("nan")
         summary = ScreenSummary(0, nan, nan, nan, nan)
     return ScreenResult(kept, solutions, summary)
-
-
-def logistic_params_from_probs(y00: float, y01: float, y10: float, y11: float) -> tuple:
-    """Logistic coefficients reproducing four response probabilities.
-
-    y_tx is the favorable-response probability for arm t at covariate
-    level x, with x in {0, 1}.  Returns (beta0, betax, betat, betaxt)
-    such that expit(beta0 + betax*x + betat*t + betaxt*t*x) gives the
-    inputs back.  Probabilities of exactly 0 or 1 have no finite
-    parameterization and raise ParameterUnbounded.
-    """
-    l00 = logit(y00)
-    l01 = logit(y01)
-    l10 = logit(y10)
-    l11 = logit(y11)
-    beta0 = l00
-    betax = l01 - l00
-    betat = l10 - l00
-    betaxt = l11 - l01 - betat
-    return (beta0, betax, betat, betaxt)

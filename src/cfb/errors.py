@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CfbError", "UndefinedCfb", "DegenerateCfb"]
+
 
 class CfbError(Exception):
     """Base class for errors raised by this package."""
@@ -14,14 +16,3 @@ class DegenerateCfb(CfbError):
     """The predictor is constant over the population, so every pair is
     tied on the predicted scale and the statistic carries no ranking
     information."""
-
-
-class ParameterUnbounded(CfbError):
-    """A requested parameterization only exists in a limit, e.g. a
-    logistic coefficient that would have to be infinite to reproduce an
-    outcome probability of exactly 0 or 1."""
-
-
-class ZeroMassH(CfbError):
-    """A predictor level has zero covariate mass, so conditioning the
-    benefit distribution on that level is impossible."""

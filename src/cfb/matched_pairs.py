@@ -6,10 +6,9 @@ Matching on the covariate makes the pair difference at X=x exactly the
 benefit triple at x; matching on the predicted benefit only forces the
 two subjects into the same predictor level, so their covariates vary
 independently inside that level and the pair difference picks up extra
-spread.  benefit_given_h builds the per-level difference distribution
-for either factor; matching_experiment sweeps a dense grid of
-three-level populations with random logistic coefficients and compares
-the concordance statistic under the two factors cell by cell.  Each
+spread.  matching_experiment sweeps a dense grid of three-level
+populations with random logistic coefficients and compares the
+concordance statistic under the two factors cell by cell.  Each
 cell's statistic is the two-level closed form of cfb_two_group, on the
 same masses (cfb_engine._two_group_masses) evaluated over whole arrays.
 
@@ -25,27 +24,15 @@ logistic is the C library's exp reached through numpy's complex exp
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cfb_engine import MatchedBenefitDistribution, _two_group_masses
-from .errors import ZeroMassH
-from .population_model import (
-    BenefitPredictor,
-    LogisticRctPopulation,
-    ProbTriple,
-    benefit_triple_from_outcome_probs,
-    outcome_prob,
-)
+from .cfb_engine import _two_group_masses
 
 __all__ = [
-    "MatchingFactor",
     "MatchingExperimentResult",
-    "benefit_given_h",
-    "predictor_h_quadratic",
     "matching_experiment",
     "DIFF_HIST_RANGE",
     "DIFF_HIST_BINS",
@@ -53,77 +40,6 @@ __all__ = [
 
 DIFF_HIST_RANGE = (0.0, 0.25)
 DIFF_HIST_BINS = 50
-
-
-class MatchingFactor(enum.Enum):
-    """What the two members of a matched pair agree on."""
-
-    COVARIATE = "covariate"
-    PREDICTED_BENEFIT = "predicted_benefit"
-
-
-def benefit_given_h(pop, predictor, factor):
-    """Distribution of the matched-pair benefit at each predictor level.
-
-    pop is a LogisticRctPopulation, predictor assigns a score to each of
-    its covariate levels, factor picks what the pair was matched on.
-    Returns a MatchedBenefitDistribution whose row weights are the
-    predictor-level masses.  Written as the literal definition (mixture
-    over levels, double mixture for benefit matching); the vectorized
-    experiment uses an algebraically collapsed form and the two are
-    checked against each other in the test suite.
-
-    Raises ZeroMassH when some predictor level has no covariate mass.
-    """
-    if not isinstance(pop, LogisticRctPopulation):
-        raise TypeError("pop must be a LogisticRctPopulation")
-    if not isinstance(predictor, BenefitPredictor):
-        raise TypeError("predictor must be a BenefitPredictor")
-    if not isinstance(factor, MatchingFactor):
-        raise TypeError("factor must be a MatchingFactor")
-
-    masses = dict(zip((0, 1, 2), pop.covariate_masses()))
-    groups = {}
-    for x in (0, 1, 2):
-        groups.setdefault(predictor(x), []).append(x)
-
-    rows = []
-    for h in sorted(groups):
-        xs = groups[h]
-        w = math.fsum(masses[x] for x in xs)
-        if w <= 0.0:
-            raise ZeroMassH(f"predictor level h={h} has zero covariate mass")
-        share = {x: masses[x] / w for x in xs}
-        tm = tz = tp = 0.0
-        if factor is MatchingFactor.COVARIATE:
-            for x in xs:
-                t = benefit_triple_from_outcome_probs(
-                    outcome_prob(pop, 0, x), outcome_prob(pop, 1, x)
-                )
-                tm += share[x] * t.p_minus
-                tz += share[x] * t.p_zero
-                tp += share[x] * t.p_plus
-        else:
-            for x_treated in xs:
-                y1 = outcome_prob(pop, 1, x_treated)
-                for x_control in xs:
-                    y0 = outcome_prob(pop, 0, x_control)
-                    t = benefit_triple_from_outcome_probs(y0, y1)
-                    w2 = share[x_treated] * share[x_control]
-                    tm += w2 * t.p_minus
-                    tz += w2 * t.p_zero
-                    tp += w2 * t.p_plus
-        rows.append((h, w, ProbTriple(tm, tz, tp)))
-    return MatchedBenefitDistribution(tuple(rows))
-
-
-def predictor_h_quadratic() -> BenefitPredictor:
-    """The score x**2 - x - 1 on levels {0, 1, 2}.
-
-    Collapses levels 0 and 1 to the same score (-1) and separates level
-    2 (+1), the fixed grouping the matching experiment runs with.
-    """
-    return BenefitPredictor({0: -1.0, 1: -1.0, 2: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +187,10 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     i, j >= 1 with i + j <= 1/grid_step - 1, so every level keeps
     positive mass.  Each cell draws beta0, betax, betat, betaxt
     uniformly from coeff_range using the counter scheme described in
-    the module docstring, builds the three-level population, groups
-    levels with predictor_h_quadratic, and evaluates the statistic
-    matched on the covariate and matched on the predicted benefit.
+    the module docstring, builds the three-level population, groups its
+    levels by a predictor that gives levels 0 and 1 one score and level
+    2 another, and evaluates the statistic matched on the covariate and
+    matched on the predicted benefit.
 
     Raises ValueError for a grid_step giving more than _MAX_CELLS cells,
     for a seed outside [0, 2**64), the counter's range, and for

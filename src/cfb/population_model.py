@@ -10,9 +10,8 @@ happens only if untreated, 0 means treatment changes nothing for that
 subject).
 A population couples a distribution for X with, at each covariate
 level, a distribution for B.  Several concrete families are provided,
-plus the derived quantities the rest of the package needs: the oracle
-benefit predictor, logistic outcome probabilities, and the benefit
-triple implied by independent potential outcomes.
+plus the oracle benefit predictor h*(x) = E[B | X=x] that the census
+scores.
 """
 
 from __future__ import annotations
@@ -22,20 +21,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ParameterUnbounded
-
 __all__ = [
     "ProbTriple",
     "BinaryXPopulation",
     "BetaXPopulation",
-    "LogisticRctPopulation",
     "LinearGaussianPopulation",
     "BenefitPredictor",
     "best_predictor",
-    "outcome_prob",
-    "benefit_triple_from_outcome_probs",
-    "logit",
-    "expit",
 ]
 
 # Validation tolerances.  Inputs outside these bands are rejected, never
@@ -43,27 +35,6 @@ __all__ = [
 # hear about, not something to silently renormalize.
 _COMPONENT_TOL = 1e-12
 _SUM_TOL = 1e-12
-
-
-def expit(z: float) -> float:
-    """Numerically stable logistic function 1 / (1 + exp(-z))."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-def logit(y: float) -> float:
-    """Inverse of expit on the open interval (0, 1).
-
-    Raises ParameterUnbounded at 0 or 1 (the preimage is infinite) and
-    ValueError outside [0, 1].
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"logit argument must lie in [0, 1], got {y!r}")
-    if y == 0.0 or y == 1.0:
-        raise ParameterUnbounded(f"logit({y}) is infinite")
-    return math.log(y) - math.log1p(-y)
 
 
 @dataclass(frozen=True)
@@ -146,46 +117,6 @@ class BetaXPopulation:
 
 
 @dataclass(frozen=True)
-class LogisticRctPopulation:
-    """Three-level covariate with logistic response model under both arms.
-
-    X takes values 0, 1, 2 with masses a, b, 1-a-b.  The probability of
-    the favorable response for arm t at level x is
-
-        expit(beta0 + betax*x + betat*t + betaxt*t*x)
-
-    and the two potential responses are independent given X, which pins
-    down the benefit triple at each level (benefit_triple_from_outcome_probs).
-    Every response probability must be strictly inside (0, 1).
-    """
-
-    a: float
-    b: float
-    beta0: float
-    betax: float
-    betat: float
-    betaxt: float
-
-    def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("covariate masses must be nonnegative")
-        if self.a + self.b > 1.0 + _SUM_TOL:
-            raise ValueError("covariate masses exceed 1")
-        for t in (0, 1):
-            for x in (0, 1, 2):
-                y = outcome_prob(self, t, x)
-                if not 0.0 < y < 1.0:
-                    raise ValueError(
-                        f"outcome probability at t={t}, x={x} is {y}, "
-                        "must be strictly inside (0, 1)"
-                    )
-
-    def covariate_masses(self) -> tuple:
-        """Masses of levels 0, 1, 2 in that order."""
-        return (self.a, self.b, (1.0 - self.a) - self.b)
-
-
-@dataclass(frozen=True)
 class LinearGaussianPopulation:
     """Gaussian covariate with linear treatment effect and correlated noise.
 
@@ -257,36 +188,4 @@ def best_predictor(pop: BinaryXPopulation) -> BenefitPredictor:
     """Oracle predictor h*(x) = E[B | X=x] for a two-level population."""
     return BenefitPredictor(
         {0: pop.triple0.mean_benefit, 1: pop.triple1.mean_benefit}
-    )
-
-
-def outcome_prob(pop: LogisticRctPopulation, t: int, x: int) -> float:
-    """Pr(favorable response | arm t, covariate level x) under the logistic model."""
-    if t not in (0, 1):
-        raise ValueError(f"arm must be 0 or 1, got {t!r}")
-    if x not in (0, 1, 2):
-        raise ValueError(f"covariate level must be 0, 1 or 2, got {x!r}")
-    z = pop.beta0 + pop.betax * x + pop.betat * t + pop.betaxt * t * x
-    return expit(z)
-
-
-def benefit_triple_from_outcome_probs(y0: float, y1: float) -> ProbTriple:
-    """Benefit triple when the two potential responses are independent.
-
-    y0 and y1 are the favorable-response probabilities under control and
-    treatment.  With Y(0) ~ Bernoulli(y0) independent of Y(1) ~ Bernoulli(y1),
-
-        Pr(B=+1) = y1 * (1 - y0)      response only if treated
-        Pr(B=-1) = y0 * (1 - y1)      response only if untreated
-        Pr(B= 0) = y0*y1 + (1-y0)*(1-y1)
-
-    so that E[B] = y1 - y0, the usual risk difference.
-    """
-    for name, y in (("y0", y0), ("y1", y1)):
-        if not -_COMPONENT_TOL <= y <= 1.0 + _COMPONENT_TOL:
-            raise ValueError(f"{name}={y!r} outside [0, 1]")
-    return ProbTriple(
-        y0 * (1.0 - y1),
-        y0 * y1 + (1.0 - y0) * (1.0 - y1),
-        y1 * (1.0 - y0),
     )

@@ -1,7 +1,7 @@
 """Reference implementations the tests check the library against.
 
-Neither is part of the package: each recomputes a value the library
-gets another way, by a route that shares no algebra with it.
+None of them is part of the package: each recomputes a value the
+library gets another way, by a route that shares no algebra with it.
 
 - bivariate_normal_cdf integrates the bivariate normal by SciPy's
   quadrature; 2 * bivariate_normal_cdf(0, 0, r) is the check on the
@@ -11,19 +11,37 @@ gets another way, by a route that shares no algebra with it.
 - full_grid_survivors runs the census's frozen float filter on every
   ordered pair of grid triples, the check on grid_search's candidate
   intervals.
+- benefit_given_h builds a three-level logistic population's benefit
+  triples per predictor level as the literal mixture over covariate
+  levels (a double mixture when the pair is matched on the predicted
+  benefit), the check on matching_experiment's collapsed mixture.  It
+  comes with what it is written in: LogisticRctPopulation, its
+  outcome_prob, benefit_triple_from_outcome_probs for independent
+  potential responses, the scalar expit, MatchingFactor,
+  predictor_h_quadratic and ZeroMassH.
 
 The module name has no test_ prefix, so pytest does not collect it;
 the test modules import it as `oracles`, from the tests directory that
 pytest puts on sys.path.
 """
 
+import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from cfb import CfbResult, UndefinedCfb
+from cfb import (
+    BenefitPredictor,
+    CfbError,
+    CfbResult,
+    MatchedBenefitDistribution,
+    ProbTriple,
+    UndefinedCfb,
+)
 from cfb.cfb_engine import _two_group_masses
+from cfb.population_model import _COMPONENT_TOL, _SUM_TOL
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -158,3 +176,164 @@ def full_grid_survivors(hund, c):
     parts = [_scan_block(i0, min(i0 + 32, n), vm, v0, vp, c) for i0 in range(0, n, 32)]
     low_idx, high_idx, dev = map(np.concatenate, zip(*parts))
     return (m_arr[low_idx], p_arr[low_idx], m_arr[high_idx], p_arr[high_idx], 0.5 + dev, dev)
+
+
+# ---------------------------------------------------------------------------
+# the matched-pair reference
+# ---------------------------------------------------------------------------
+
+
+class ZeroMassH(CfbError):
+    """A predictor level has zero covariate mass, so conditioning the
+    benefit distribution on that level is impossible."""
+
+
+def expit(z: float) -> float:
+    """Numerically stable logistic function 1 / (1 + exp(-z))."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+@dataclass(frozen=True)
+class LogisticRctPopulation:
+    """Three-level covariate with logistic response model under both arms.
+
+    X takes values 0, 1, 2 with masses a, b, 1-a-b.  The probability of
+    the favorable response for arm t at level x is
+
+        expit(beta0 + betax*x + betat*t + betaxt*t*x)
+
+    and the two potential responses are independent given X, which pins
+    down the benefit triple at each level (benefit_triple_from_outcome_probs).
+    Every response probability must be strictly inside (0, 1).
+    """
+
+    a: float
+    b: float
+    beta0: float
+    betax: float
+    betat: float
+    betaxt: float
+
+    def __post_init__(self):
+        if self.a < 0.0 or self.b < 0.0:
+            raise ValueError("covariate masses must be nonnegative")
+        if self.a + self.b > 1.0 + _SUM_TOL:
+            raise ValueError("covariate masses exceed 1")
+        for t in (0, 1):
+            for x in (0, 1, 2):
+                y = outcome_prob(self, t, x)
+                if not 0.0 < y < 1.0:
+                    raise ValueError(
+                        f"outcome probability at t={t}, x={x} is {y}, "
+                        "must be strictly inside (0, 1)"
+                    )
+
+    def covariate_masses(self) -> tuple:
+        """Masses of levels 0, 1, 2 in that order."""
+        return (self.a, self.b, (1.0 - self.a) - self.b)
+
+
+def outcome_prob(pop: LogisticRctPopulation, t: int, x: int) -> float:
+    """Pr(favorable response | arm t, covariate level x) under the logistic model."""
+    if t not in (0, 1):
+        raise ValueError(f"arm must be 0 or 1, got {t!r}")
+    if x not in (0, 1, 2):
+        raise ValueError(f"covariate level must be 0, 1 or 2, got {x!r}")
+    z = pop.beta0 + pop.betax * x + pop.betat * t + pop.betaxt * t * x
+    return expit(z)
+
+
+def benefit_triple_from_outcome_probs(y0: float, y1: float) -> ProbTriple:
+    """Benefit triple when the two potential responses are independent.
+
+    y0 and y1 are the favorable-response probabilities under control and
+    treatment.  With Y(0) ~ Bernoulli(y0) independent of Y(1) ~ Bernoulli(y1),
+
+        Pr(B=+1) = y1 * (1 - y0)      response only if treated
+        Pr(B=-1) = y0 * (1 - y1)      response only if untreated
+        Pr(B= 0) = y0*y1 + (1-y0)*(1-y1)
+
+    so that E[B] = y1 - y0, the usual risk difference.
+    """
+    for name, y in (("y0", y0), ("y1", y1)):
+        if not -_COMPONENT_TOL <= y <= 1.0 + _COMPONENT_TOL:
+            raise ValueError(f"{name}={y!r} outside [0, 1]")
+    return ProbTriple(
+        y0 * (1.0 - y1),
+        y0 * y1 + (1.0 - y0) * (1.0 - y1),
+        y1 * (1.0 - y0),
+    )
+
+
+class MatchingFactor(enum.Enum):
+    """What the two members of a matched pair agree on."""
+
+    COVARIATE = "covariate"
+    PREDICTED_BENEFIT = "predicted_benefit"
+
+
+def benefit_given_h(pop, predictor, factor):
+    """Distribution of the matched-pair benefit at each predictor level.
+
+    pop is a LogisticRctPopulation, predictor assigns a score to each of
+    its covariate levels, factor picks what the pair was matched on.
+    Returns a MatchedBenefitDistribution whose row weights are the
+    predictor-level masses.  Written as the literal definition (mixture
+    over levels, double mixture for benefit matching); the vectorized
+    experiment uses an algebraically collapsed form and the two are
+    checked against each other in the test suite.
+
+    Raises ZeroMassH when some predictor level has no covariate mass.
+    """
+    if not isinstance(pop, LogisticRctPopulation):
+        raise TypeError("pop must be a LogisticRctPopulation")
+    if not isinstance(predictor, BenefitPredictor):
+        raise TypeError("predictor must be a BenefitPredictor")
+    if not isinstance(factor, MatchingFactor):
+        raise TypeError("factor must be a MatchingFactor")
+
+    masses = dict(zip((0, 1, 2), pop.covariate_masses()))
+    groups = {}
+    for x in (0, 1, 2):
+        groups.setdefault(predictor(x), []).append(x)
+
+    rows = []
+    for h in sorted(groups):
+        xs = groups[h]
+        w = math.fsum(masses[x] for x in xs)
+        if w <= 0.0:
+            raise ZeroMassH(f"predictor level h={h} has zero covariate mass")
+        share = {x: masses[x] / w for x in xs}
+        tm = tz = tp = 0.0
+        if factor is MatchingFactor.COVARIATE:
+            for x in xs:
+                t = benefit_triple_from_outcome_probs(
+                    outcome_prob(pop, 0, x), outcome_prob(pop, 1, x)
+                )
+                tm += share[x] * t.p_minus
+                tz += share[x] * t.p_zero
+                tp += share[x] * t.p_plus
+        else:
+            for x_treated in xs:
+                y1 = outcome_prob(pop, 1, x_treated)
+                for x_control in xs:
+                    y0 = outcome_prob(pop, 0, x_control)
+                    t = benefit_triple_from_outcome_probs(y0, y1)
+                    w2 = share[x_treated] * share[x_control]
+                    tm += w2 * t.p_minus
+                    tz += w2 * t.p_zero
+                    tp += w2 * t.p_plus
+        rows.append((h, w, ProbTriple(tm, tz, tp)))
+    return MatchedBenefitDistribution(tuple(rows))
+
+
+def predictor_h_quadratic() -> BenefitPredictor:
+    """The score x**2 - x - 1 on levels {0, 1, 2}.
+
+    Collapses levels 0 and 1 to the same score (-1) and separates level
+    2 (+1), the fixed grouping the matching experiment runs with.
+    """
+    return BenefitPredictor({0: -1.0, 1: -1.0, 2: 1.0})

@@ -5,6 +5,7 @@ of the entry points: the installed console script and `python -m cfb`.
 """
 
 import argparse
+import math
 import os
 import shutil
 import stat
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from oracles import benefit_triple_from_outcome_probs
 from cfb import BetaXPopulation, RunConfig, cfb_monte_carlo, cli_reports, run, screen_improper_set
 from cfb.cli_reports import (
     IMPROPER_COLUMNS,
@@ -413,6 +415,33 @@ def test_screen_cf_roots_are_the_first_realizability_roots(small_search, tmp_pat
                                    kept.q_minus.tolist(), kept.q_plus.tolist()):
         roots_low, roots_high = res.solutions[pm, pp][0], res.solutions[qm, qp][0]
         assert row.split(",")[7:] == ["%.10g" % v for v in roots_low[0] + roots_high[0]]
+
+
+def test_screen_cf_roots_are_the_smaller_roots(small_search, tmp_path, capsys):
+    """Each y1 column of realizable.csv holds the smaller root (pp + 1 - pm - sqrt(d)) / 2,
+    with d from the row's own hundredths, and each (y0, y1) maps forward to the row's
+    triple; computed from the CSV alone, not from the screen's solutions."""
+    _, out, _, _ = small_search
+    real = tmp_path / "realizable.csv"
+    assert run(["screen-cf", "--in", str(out), "--out", str(real),
+                "--hist-out", str(tmp_path / "fig6.csv")]) == 0
+    capsys.readouterr()
+    _, columns, rows = read_rows(real)
+    assert tuple(columns.split(",")) == REALIZABLE_COLUMNS
+    assert rows
+    distinct = 0
+    for row in rows:
+        v = [float(x) for x in row.split(",")]
+        for triple, (y0, y1) in ((v[0:3], v[7:9]), (v[3:6], v[9:11])):
+            minus, plus = round(triple[0] * 100), round(triple[2] * 100)
+            d = ((minus - 100 - plus) ** 2 - 400 * plus) / 10 ** 4
+            assert d >= 0, row
+            assert y1 == pytest.approx((plus * 0.01 + 1 - minus * 0.01 - math.sqrt(d)) / 2,
+                                       abs=1e-9), row
+            forward = benefit_triple_from_outcome_probs(y0, y1).as_tuple()
+            assert forward == pytest.approx(tuple(triple), abs=1e-9), row
+            distinct += d > 0
+    assert distinct > 0  # rows where the larger root differs, so the order shows
 
 
 @pytest.mark.parametrize("value", ["two", "-1"])

@@ -8,16 +8,12 @@ import pytest
 
 from cfb import (
     ImproperSet,
-    LogisticRctPopulation,
-    ParameterUnbounded,
     ProbTriple,
-    benefit_triple_from_outcome_probs,
     discriminant,
-    logistic_params_from_probs,
-    outcome_prob,
     screen_improper_set,
     solve_outcome_probs,
 )
+from oracles import benefit_triple_from_outcome_probs
 
 
 def grid_triple(minus, plus):
@@ -160,27 +156,3 @@ def test_screen_of_nothing_is_empty():
     assert len(res.kept) == 0 and res.solutions == {}
     assert res.summary.count == 0
     assert math.isnan(res.summary.cfb_min)
-
-
-# ---------------------------------------------------------------------------
-# logistic parameter recovery
-# ---------------------------------------------------------------------------
-
-
-def test_logistic_params_round_trip():
-    for coeffs in ((0.0, 2.0, 0.0, 2.0), (-1.3, 0.7, 2.2, -0.4), (0.1, 0.0, 0.0, 0.0)):
-        pop = LogisticRctPopulation(0.25, 0.25, *coeffs)
-        y00 = outcome_prob(pop, 0, 0)
-        y01 = outcome_prob(pop, 0, 1)
-        y10 = outcome_prob(pop, 1, 0)
-        y11 = outcome_prob(pop, 1, 1)
-        got = logistic_params_from_probs(y00, y01, y10, y11)
-        for g, w in zip(got, coeffs):
-            assert g == pytest.approx(w, abs=1e-12)
-
-
-def test_logistic_params_reject_degenerate_probabilities():
-    with pytest.raises(ParameterUnbounded):
-        logistic_params_from_probs(0.0, 0.5, 0.5, 0.5)
-    with pytest.raises(ParameterUnbounded):
-        logistic_params_from_probs(0.5, 0.5, 0.5, 1.0)

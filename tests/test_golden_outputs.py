@@ -8,10 +8,12 @@ them.
 
 import ast
 import hashlib
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
+import cfb
 from cfb import cfb_engine, run
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfb"
@@ -133,6 +135,20 @@ def test_no_source_file_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_every_module_all_names_what_it_defines():
+    """A name left in a module's __all__ after its definition moved out would
+    break `from cfb.<module> import *`; the package's table must name only
+    what each module exports."""
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = importlib.import_module("cfb" if path.stem == "__init__" else f"cfb.{path.stem}")
+        stale += [f"{path.name} {name}" for name in getattr(mod, "__all__", ())
+                  if not hasattr(mod, name)]
+    assert stale == []
+    for module, names in cfb._EXPORTS.items():
+        assert set(names) <= set(importlib.import_module(f"cfb.{module}").__all__), module
 
 
 def test_engine_hooks_stay_module_level():

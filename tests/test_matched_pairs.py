@@ -1,7 +1,9 @@
 """Matched-pair benefit distributions and the factor-comparison sweep.
 
 The worked fixture (masses 0.25/0.25/0.5, coefficients (0, 2, 0, 2),
-quadratic predictor) is frozen from tools/oracles/oracle_matched.py.
+quadratic predictor) is frozen from tools/oracles/oracle_matched.py.  It
+checks the scalar reference in tests/oracles.py, which the sweep is
+then checked against cell by cell.
 """
 
 import warnings
@@ -9,18 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cfb import (
-    BenefitPredictor,
+from cfb import BenefitPredictor, cfb_two_group, matched_pairs, matching_experiment
+from cfb.matched_pairs import _logistic, _uniform_open01
+from oracles import (
     LogisticRctPopulation,
     MatchingFactor,
     ZeroMassH,
     benefit_given_h,
-    cfb_two_group,
-    matched_pairs,
-    matching_experiment,
     predictor_h_quadratic,
 )
-from cfb.matched_pairs import _logistic, _uniform_open01
 
 FIXTURE_POP = LogisticRctPopulation(0.25, 0.25, 0.0, 2.0, 0.0, 2.0)
 
