@@ -285,12 +285,14 @@ def __getattr__(name):
 def _worker_count() -> int:
     """Thread count for scoring Monte Carlo chunks, controlled by CFB_THREADS.
 
-    Unset or 0 picks a small default; 1 forces sequential work.  No
-    result depends on this, only wall time does.
+    Unset or 0 picks the CPUs this process may run on, at most 4; 1
+    forces sequential work.  No result depends on this, only wall time
+    does.
     """
     raw = os.environ.get("CFB_THREADS", "").strip()
     if raw in ("", "0"):
-        return min(os.cpu_count() or 1, 4)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(usable or 1, 4)
     try:
         n = int(raw)
     except ValueError:

@@ -25,7 +25,8 @@ called: `import cfb.cli_reports` loads neither, and `eval-discrete` and
 `rho-sweep`, whose results are scalar arithmetic, run without numpy.
 The five array commands first ask glibc's malloc to keep the memory they
 free (_keep_freed_memory), so each block's buffers reuse the pages of
-the block before instead of being faulted in again.
+the block before instead of being faulted in again.  The process entry
+(main) loads OpenBLAS single-threaded, since no command calls BLAS.
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -942,4 +943,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    """Process entry of the `cfb` console script and `python -m cfb`: run sys.argv, exit with its code.
+
+    Unlike run(), this owns its process, so it sets OPENBLAS_NUM_THREADS=1
+    for it; run() and the library leave the environment alone.
+    """
+    # No command calls BLAS, so OpenBLAS's worker threads would only start
+    # and spin idle.  OpenBLAS reads the variable once, when numpy first
+    # loads, and every handler imports numpy after this point.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run(sys.argv[1:]))

@@ -7,6 +7,7 @@ no code with the library.
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from cfb import (
     gini_mean_difference,
     pair_table,
 )
-from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples
+from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples, _worker_count
 from cfb.matched_pairs import _two_group_cfb_arrays
 from oracles import bivariate_normal_cdf, empirical_cfb_oracle
 
@@ -483,6 +484,26 @@ def test_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
     monkeypatch.setenv("CFB_THREADS", "4")
     threaded = cfb_monte_carlo(BINARY_POP, 2_500_000, 7)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("affinity, cpus, expected", [
+    ({0}, 8, 1),  # pinned to one CPU of eight
+    ({0, 1}, 8, 2),
+    (set(range(6)), 8, 4),
+    (None, 3, 3),  # no sched_getaffinity: os.cpu_count()
+    (None, 16, 4),
+    (None, None, 1),
+])
+def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, cpus, expected):
+    monkeypatch.delenv("CFB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    assert _worker_count() == expected
+    monkeypatch.setenv("CFB_THREADS", "0")
+    assert _worker_count() == expected
 
 
 BETA_T0 = ProbTriple(0.08, 0.0, 0.92)

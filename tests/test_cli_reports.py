@@ -1107,6 +1107,49 @@ def test_python_m_cfb_runs_the_cli(capsys):
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
+HIST_CSV = "name,score\na,1\nb,2\nc,2.5\nd,9\n"
+HIST_ARGV = ["hist", "--in", "vals.csv", "--col", "score", "--bins", "2", "--lo", "0", "--hi", "10"]
+
+# runs cli_reports.main() for hist, then prints its exit code, whether numpy
+# loaded, the BLAS setting and the process's OS threads (or "-" without /proc)
+MAIN_THREADS = f"""\
+import os, sys
+from cfb.cli_reports import main
+sys.argv = ["cfb", *{HIST_ARGV!r}]
+try:
+    main()
+except SystemExit as e:
+    code = e.code
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "-"
+print(code, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"], tasks)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_main_runs_an_array_command_in_one_thread(tmp_path, preset):
+    """main() loads OpenBLAS single-threaded, whatever the caller's environment asked for."""
+    (tmp_path / "vals.csv").write_text(HIST_CSV)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", MAIN_THREADS], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, setting, tasks = proc.stdout.splitlines()[-1].split()
+    assert (code, numpy_loaded, setting) == ("0", "True", "1")
+    if tasks != "-":
+        assert tasks == "1"
+
+
+def test_run_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):
+    (tmp_path / "vals.csv").write_text(HIST_CSV)
+    monkeypatch.chdir(tmp_path)
+    before = dict(os.environ)
+    assert run(HIST_ARGV) == 0
+    capsys.readouterr()
+    assert dict(os.environ) == before
+
+
 def test_python_m_cfb_without_arguments_exits_2():
     proc = subprocess.run([sys.executable, "-m", "cfb"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2

@@ -76,6 +76,16 @@ def test_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(MATCH_GOLDEN)
 
 
+def test_python_m_cfb_match_compare_outputs_are_golden(tmp_path):
+    """The same bytes through the process entry, main(), that users and the benchmark run."""
+    proc = subprocess.run([sys.executable, "-m", "cfb", "match-compare", "--step", "0.01"],
+                          capture_output=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == MATCH_STDOUT_GOLDEN
+    for name, digest in MATCH_GOLDEN.items():
+        assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
 def test_full_size_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(["match-compare", "--step", "0.001"]) == 0
