@@ -382,18 +382,47 @@ def _johnk_pair(u, v, a, b):
     return math.exp(d - math.log1p(math.exp(d)))
 
 
-def _draw_columns(pop, rng, count, predictor):
-    """The random columns behind `count` units, drawn in stream order.
+class _StreamedUniforms:
+    """The column rng.random(count) would draw, drawn one slice at a time.
 
-    Each column holds one value per unit; _units maps any slice of them
-    to (B, H).  Raises for populations or predictors with no sampler.
+    Taking [lo:hi] draws those values from a copy of the generator's
+    state moved ahead by lo outputs.  Every float64 of Generator.random
+    takes exactly one 64-bit output, so the slice is rng.random(count)[lo:hi]
+    bit for bit, and the column is never held whole.  Making the column
+    moves rng past it, as drawing it would.
+    """
+
+    def __init__(self, rng, count):
+        self._state = rng.bit_generator.state
+        self._count = count
+        rng.bit_generator.advance(count)
+
+    def __getitem__(self, key):
+        import numpy as np
+
+        lo, hi, step = key.indices(self._count)
+        if step != 1:
+            raise IndexError("a streamed column is sliced with step 1 only")
+        bits = np.random.PCG64(0)  # seeded only to construct it; the state below replaces the seed
+        bits.state = self._state
+        return np.random.Generator(bits.advance(lo)).random(max(hi - lo, 0))
+
+
+def _draw_columns(pop, rng, count, predictor):
+    """The random columns behind `count` units, in stream order.
+
+    Each column holds one value per unit and is sliced [lo:hi]; _units
+    maps any slice of them to (B, H).  The uniform columns are streamed
+    (_StreamedUniforms); the Beta covariate and the Gaussian columns, whose
+    draws use a variable number of random bits, are arrays of `count`
+    values.  Raises for populations or predictors with no sampler.
     """
     if isinstance(pop, BinaryXPopulation):
-        return rng.random(count), rng.random(count)
+        return _StreamedUniforms(rng, count), _StreamedUniforms(rng, count)
     if isinstance(pop, BetaXPopulation):
         if predictor is not None:
             raise ValueError("custom predictors are only supported for discrete covariates")
-        return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
+        return _beta_draws(rng, pop.alpha, pop.beta, count), _StreamedUniforms(rng, count)
     if isinstance(pop, LinearGaussianPopulation):
         if predictor is not None:
             raise ValueError("custom predictors are only supported for discrete covariates")
@@ -480,8 +509,10 @@ def _score_chunk(pop, child_seed, m, predictor):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
-    The random columns are drawn whole, in stream order; units are built
-    and pairs scored one cache-sized block at a time.
+    Units are built and pairs scored one cache-sized block at a time.
+    The uniform columns are streamed, so a block draws only its own slice
+    of them; the Beta covariate column and the Gaussian columns are stored
+    whole, 2m values (16 MB at m = 10**6) each.
     """
     import numpy as np
 
@@ -519,7 +550,12 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
 
     Independent pairs come in chunks of 10**6, each from its own child of
     SeedSequence(seed) and scored one block at a time into exact integer
-    counts, so no result depends on CFB_THREADS.  Beta covariates with
+    counts, so no result depends on CFB_THREADS.  A chunk's uniform
+    columns are streamed, each block drawing its own slice from a copy of
+    the generator moved ahead to it; only the Beta covariate column and
+    the three Gaussian columns are stored, so a worker holds 16 MB of
+    draws for a Beta chunk, 48 MB for a linear-Gaussian one and none
+    beyond its blocks for a binary covariate.  Beta covariates with
     shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
     stream (_beta_draws): the counts are those of Generator.beta draws
     unless a draw that moved by a few ULP crosses a benefit threshold or
@@ -553,7 +589,7 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
         if n < 2:
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        b, h = _units(pop, _draw_columns(pop, rng, n, predictor), predictor)
+        b, h = _units(pop, [c[:n] for c in _draw_columns(pop, rng, n, predictor)], predictor)
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS

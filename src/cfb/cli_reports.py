@@ -232,7 +232,7 @@ class _RowText:
 
         kind = col.dtype.kind
         if kind == "f":
-            return (*self._float_words(col.astype(np.float64)), "%.10g")
+            return (*self._float_words(col.astype(np.float64, copy=False)), "%.10g")
         if kind in "biu":
             fast = (col > -10 ** 10) & (col < 10 ** 10)
             v = np.where(fast, col, 0).astype(np.int64)

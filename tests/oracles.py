@@ -8,6 +8,11 @@ library gets another way, by a route that shares no algebra with it.
   arcsine in cfb_linear_gaussian (Sheppard's orthant formula).
 - empirical_cfb_oracle scores every ordered pair of weighted atoms one
   comparison at a time, the check on the closed forms.
+- whole_column_score_chunk is the Monte Carlo chunk scorer as it was
+  before the uniform columns were streamed: every column of the chunk is
+  drawn whole with rng.random, rng.beta or rng.standard_normal, then
+  sliced block by block.  It is the check on _score_chunk's streamed
+  columns, which must give the same counts.
 - full_grid_survivors runs the census's frozen float filter on every
   ordered pair of grid triples, the check on grid_search's candidate
   intervals.
@@ -34,13 +39,16 @@ from scipy.integrate import quad
 
 from cfb import (
     BenefitPredictor,
+    BetaXPopulation,
+    BinaryXPopulation,
     CfbError,
     CfbResult,
+    LinearGaussianPopulation,
     MatchedBenefitDistribution,
     ProbTriple,
     UndefinedCfb,
 )
-from cfb.cfb_engine import _two_group_masses
+from cfb.cfb_engine import _BLOCK, _beta_draws, _two_group_masses, _units
 from cfb.population_model import _COMPONENT_TOL, _SUM_TOL
 
 _SQRT2 = math.sqrt(2.0)
@@ -135,6 +143,43 @@ def empirical_cfb_oracle(atoms) -> CfbResult:
         raise UndefinedCfb("no pair of atoms disagrees in realized benefit")
     num = conc + 0.5 * tied
     return CfbResult(num / den, num, den)
+
+
+def whole_columns(pop, rng, count, predictor):
+    """The random columns behind `count` units, each drawn whole, in stream order."""
+    if isinstance(pop, BinaryXPopulation):
+        return rng.random(count), rng.random(count)
+    if isinstance(pop, BetaXPopulation):
+        if predictor is not None:
+            raise ValueError("custom predictors are only supported for discrete covariates")
+        return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
+    if isinstance(pop, LinearGaussianPopulation):
+        if predictor is not None:
+            raise ValueError("custom predictors are only supported for discrete covariates")
+        return tuple(rng.standard_normal(count) for _ in range(3))
+    raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
+
+
+def whole_column_score_chunk(pop, child_seed, m, predictor):
+    """Exact (concordant, predictor-tied, benefit-differing) counts over the
+    pairs (i, i + m) of 2m units drawn from child_seed.
+
+    The random columns are drawn whole, in stream order; units are built
+    and pairs scored one cache-sized block at a time.
+    """
+    rng = np.random.default_rng(child_seed)
+    columns = whole_columns(pop, rng, 2 * m, predictor)
+    conc = tied = valid = 0
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        b1, h1 = _units(pop, [c[lo:hi] for c in columns], predictor)
+        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns], predictor)
+        differ = b1 != b2
+        conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
+                 + int(np.count_nonzero((b1 < b2) & (h1 < h2))))
+        tied += int(np.count_nonzero(differ & (h1 == h2)))
+        valid += int(np.count_nonzero(differ))
+    return conc, tied, valid
 
 
 def _scan_block(i0, i1, vm, v0, vp, c):

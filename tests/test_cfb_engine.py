@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +35,18 @@ from cfb import (
     gini_mean_difference,
     pair_table,
 )
-from cfb.cfb_engine import _BLOCK, _beta_draws, _pair_counts, _sample_b_from_triples, _worker_count
+from cfb import cfb_engine
+from cfb.cfb_engine import (
+    _BLOCK,
+    _beta_draws,
+    _pair_counts,
+    _sample_b_from_triples,
+    _score_chunk,
+    _StreamedUniforms,
+    _worker_count,
+)
 from cfb.matched_pairs import _two_group_cfb_arrays
-from oracles import bivariate_normal_cdf, empirical_cfb_oracle
+from oracles import bivariate_normal_cdf, empirical_cfb_oracle, whole_column_score_chunk, whole_columns
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
@@ -535,6 +545,86 @@ def test_beta_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
     threaded = cfb_monte_carlo(pop, 2_500_000, 7)
     assert serial == threaded
     assert repr(serial) == BETA_MC_PINS[(0.5, 0.5), 7]
+
+
+# repr(cfb_monte_carlo(pop, 2_500_000, seed, predictor)) on the binary and
+# linear-Gaussian routes, recorded while every chunk column was drawn whole
+MC_ROUTES = {
+    "binary": (BINARY_POP, None),
+    "binary-custom": (BINARY_POP, BenefitPredictor({0: 1.0, 1: -1.0})),
+    "linear-gaussian": (lg(1.0, 1.0, 0.0), None),
+}
+MC_ROUTE_PINS = {
+    ("binary", 20230516): "(0.4907486009209489, 0.00047206880828426376)",
+    ("binary", 7): "(0.49070383766590436, 0.00047167682295926863)",
+    ("binary", 11): "(0.4901907247719498, 0.000471825739742959)",
+    ("binary-custom", 20230516): "(0.509251399079051, 0.00047206880828426376)",
+    ("binary-custom", 7): "(0.5092961623340957, 0.0004716768229592686)",
+    ("binary-custom", 11): "(0.5098092752280502, 0.000471825739742959)",
+    ("linear-gaussian", 20230516): "(0.6959628, 0.0002909285692510517)",
+    ("linear-gaussian", 7): "(0.6958296, 0.00029096444302618144)",
+    ("linear-gaussian", 11): "(0.6959084, 0.0002909432238835887)",
+}
+
+
+@pytest.mark.parametrize("route, seed", list(MC_ROUTE_PINS), ids=str)
+def test_monte_carlo_route_estimates_are_pinned(route, seed):
+    pop, predictor = MC_ROUTES[route]
+    assert repr(cfb_monte_carlo(pop, 2_500_000, seed, predictor)) == MC_ROUTE_PINS[route, seed]
+
+
+# every population and predictor route, with Beta shapes inside Johnk's
+# range [0.01, 1] and outside it (Generator.beta)
+CHUNK_CASES = {
+    **MC_ROUTES,
+    **{f"beta{shape}": (BetaXPopulation(*shape, BETA_T0, BETA_T1), None)
+       for shape in [(0.5, 0.5), (0.3, 0.9), (2.0, 3.0), (0.005, 0.5)]},
+}
+
+
+@pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1_000_000])
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_streamed_chunk_counts_equal_whole_columns(case, m):
+    pop, predictor = CHUNK_CASES[case]
+    child = np.random.SeedSequence(20230516).spawn(2)[1]
+    assert _score_chunk(pop, child, m, predictor) == whole_column_score_chunk(pop, child, m, predictor)
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_all_pairs_streamed_columns_equal_whole_columns(case, monkeypatch):
+    pop, predictor = CHUNK_CASES[case]
+    streamed = cfb_monte_carlo(pop, 1500, 11, predictor, all_pairs=True)
+    monkeypatch.setattr(cfb_engine, "_draw_columns", whole_columns)
+    assert cfb_monte_carlo(pop, 1500, 11, predictor, all_pairs=True) == streamed
+
+
+def test_streamed_uniforms_are_slices_of_generator_random():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    column = _StreamedUniforms(rng, 1000)
+    want = ref.random(1000)
+    for lo, hi in [(None, None), (0, 0), (0, 1), (999, 1000), (17, 530), (900, 2000), (600, 500)]:
+        assert np.array_equal(column[lo:hi], want[lo:hi]), (lo, hi)
+    # the generator moved past the column, as drawing it would
+    assert np.array_equal(rng.random(10), ref.random(10))
+    with pytest.raises(IndexError):
+        column[::2]
+
+
+# numpy reports its buffers to tracemalloc; with every column drawn whole
+# one chunk peaked at 33.8 MiB (Beta) and 33.4 MiB (binary covariate)
+@pytest.mark.parametrize("pop, limit_mib", [
+    (BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1), 24),
+    (BINARY_POP, 8),
+], ids=["beta", "binary"])
+def test_chunk_peak_memory(pop, limit_mib):
+    child = np.random.SeedSequence(20230516).spawn(1)[0]
+    tracemalloc.start()
+    try:
+        _score_chunk(pop, child, 1_000_000, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_monte_carlo_agrees_with_closed_form():

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cfb
 from cfb import cfb_engine, run
 
@@ -48,6 +50,11 @@ WIDE_GOLDEN = {
     "fig2_hist.csv": "c5141abbdbd16192476a7f44a6e9d5a6736be56e1e48acc6ece1da22d48b0fea",
 }
 WIDE_STDOUT_GOLDEN = "65260ec390f825910fcc3191dfa3deeedd7baae23a112ad3125c8c5b7fd85c59"
+
+# beta-mc at the benchmark's size (bench/run.py GOLDEN "beta-mc.out"): 16 chunks of 10**6 pairs
+BETA_MC_FULL_ARGV = ["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92",
+                     "--q", "0,0.15,0.85", "--n", "16000000", "--seed", "20230516"]
+BETA_MC_FULL_GOLDEN = "f7a845f0e0f482ec8eed9eca1b09dd462d7b5cb7ec4b93fa151086bf794056ec"
 
 
 def sha256(data):
@@ -100,6 +107,12 @@ def test_wide_range_match_compare_outputs_are_golden(tmp_path, monkeypatch, caps
     assert sha256(run_stdout(argv, capsys)) == WIDE_STDOUT_GOLDEN
     for name, digest in WIDE_GOLDEN.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_full_size_beta_mc_stdout_is_golden(threads, monkeypatch, capsys):
+    monkeypatch.setenv("CFB_THREADS", threads)
+    assert sha256(run_stdout(BETA_MC_FULL_ARGV, capsys)) == BETA_MC_FULL_GOLDEN
 
 
 def test_import_leaves_scipy_out():
