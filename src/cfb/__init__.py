@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": ("CfbError", "DegenerateCfb", "UndefinedCfb"),
     "population_model": (
         "ProbTriple", "BinaryXPopulation", "BetaXPopulation",
-        "LinearGaussianPopulation", "BenefitPredictor", "best_predictor"),
+        "LinearGaussianPopulation"),
     "cfb_engine": (
         "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
         "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",

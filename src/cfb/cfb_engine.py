@@ -13,7 +13,9 @@ does not exist and UndefinedCfb is raised.
 
 Exact routes (closed form for two groups, the nine-cell pair table for
 any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
-and a Monte Carlo route for continuous populations all live here.  Only
+and a Monte Carlo route for the oracle predictor of the Beta-mixed
+population all live here; the route also samples the binary-covariate
+population, whose closed form checks it.  Only
 the Monte Carlo route and gini_mean_difference use numpy, and they
 import it when called, so the exact routes run without it; the route's
 thread pool is imported on first use too.  The references the tests
@@ -31,12 +33,10 @@ from dataclasses import dataclass
 
 from .errors import DegenerateCfb, UndefinedCfb
 from .population_model import (
-    BenefitPredictor,
     BetaXPopulation,
     BinaryXPopulation,
     LinearGaussianPopulation,
     ProbTriple,
-    best_predictor,
 )
 
 __all__ = [
@@ -408,55 +408,39 @@ class _StreamedUniforms:
         return np.random.Generator(bits.advance(lo)).random(max(hi - lo, 0))
 
 
-def _draw_columns(pop, rng, count, predictor):
+def _draw_columns(pop, rng, count):
     """The random columns behind `count` units, in stream order.
 
     Each column holds one value per unit and is sliced [lo:hi]; _units
     maps any slice of them to (B, H).  The uniform columns are streamed
-    (_StreamedUniforms); the Beta covariate and the Gaussian columns, whose
-    draws use a variable number of random bits, are arrays of `count`
-    values.  Raises for populations or predictors with no sampler.
+    (_StreamedUniforms); the Beta covariate, whose draws use a variable
+    number of random bits, is an array of `count` values.  Raises
+    TypeError for a population with no sampler.
     """
     if isinstance(pop, BinaryXPopulation):
         return _StreamedUniforms(rng, count), _StreamedUniforms(rng, count)
     if isinstance(pop, BetaXPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
         return _beta_draws(rng, pop.alpha, pop.beta, count), _StreamedUniforms(rng, count)
-    if isinstance(pop, LinearGaussianPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
-        return tuple(rng.standard_normal(count) for _ in range(3))
     raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
 
 
-def _units(pop, columns, predictor):
-    """(B, H) of the units whose random columns (see _draw_columns) are given."""
+def _units(pop, columns):
+    """(B, H) of the units whose random columns (see _draw_columns) are given,
+    H the oracle predictor E[B | X]."""
     import numpy as np
 
+    x, u = columns
+    t0, t1 = pop.triple0, pop.triple1
     if isinstance(pop, BinaryXPopulation):
-        h_table = predictor if predictor is not None else best_predictor(pop)
-        x_uniform, u = columns
-        x = x_uniform < pop.c
-        t0, t1 = pop.triple0, pop.triple1
+        x = x < pop.c  # the covariate: 1 with probability c
         tm = np.where(x, t1.p_minus, t0.p_minus)
         tz = np.where(x, t1.p_zero, t0.p_zero)
-        b = _sample_b_from_triples(u, tm, tz)
-        h = np.where(x, h_table(1), h_table(0))
-        return b, h
-    if isinstance(pop, BetaXPopulation):
-        x, u = columns
-        t0, t1 = pop.triple0, pop.triple1
-        tm = t0.p_minus + (t1.p_minus - t0.p_minus) * x
-        tz = t0.p_zero + (t1.p_zero - t0.p_zero) * x
-        b = _sample_b_from_triples(u, tm, tz)
-        tp = t0.p_plus + (t1.p_plus - t0.p_plus) * x
-        return b, tp - tm  # oracle predictor E[B | X]
-    x, z1, z2 = columns
-    eps0 = pop.sigma * z1
-    eps1 = pop.sigma * (pop.rho * z1 + math.sqrt(1.0 - pop.rho * pop.rho) * z2)
-    h = pop.betat + pop.betaxt * x
-    return h + (eps1 - eps0), h
+        return _sample_b_from_triples(u, tm, tz), np.where(x, t1.mean_benefit, t0.mean_benefit)
+    tm = t0.p_minus + (t1.p_minus - t0.p_minus) * x
+    tz = t0.p_zero + (t1.p_zero - t0.p_zero) * x
+    b = _sample_b_from_triples(u, tm, tz)
+    tp = t0.p_plus + (t1.p_plus - t0.p_plus) * x
+    return b, tp - tm
 
 
 def _pairs_within(counts):
@@ -505,24 +489,24 @@ def _pair_counts(b, h):
     return valid - tied - disc, tied, valid
 
 
-def _score_chunk(pop, child_seed, m, predictor):
+def _score_chunk(pop, child_seed, m):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
     Units are built and pairs scored one cache-sized block at a time.
     The uniform columns are streamed, so a block draws only its own slice
-    of them; the Beta covariate column and the Gaussian columns are stored
-    whole, 2m values (16 MB at m = 10**6) each.
+    of them; the Beta covariate column is stored whole, 2m values (16 MB
+    at m = 10**6).
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
-    columns = _draw_columns(pop, rng, 2 * m, predictor)
+    columns = _draw_columns(pop, rng, 2 * m)
     conc = tied = valid = 0
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        b1, h1 = _units(pop, [c[lo:hi] for c in columns], predictor)
-        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns], predictor)
+        b1, h1 = _units(pop, [c[lo:hi] for c in columns])
+        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns])
         differ = b1 != b2
         conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
                  + int(np.count_nonzero((b1 < b2) & (h1 < h2))))
@@ -531,12 +515,14 @@ def _score_chunk(pop, child_seed, m, predictor):
     return conc, tied, valid
 
 
-def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
-    """Monte Carlo estimate of the concordance statistic.
+def cfb_monte_carlo(pop, n, seed, all_pairs=False):
+    """Monte Carlo estimate of the statistic of the oracle predictor E[B | X].
 
     Parameters
     ----------
-    pop : BinaryXPopulation, BetaXPopulation or LinearGaussianPopulation
+    pop : BetaXPopulation or BinaryXPopulation
+        The Beta-mixed population is what the route is for; the binary
+        one has an exact value (cfb_two_group) to check the sampler by.
     n : int
         Number of independent pairs to score.  With all_pairs=True, n is
         instead the number of units and every one of the n(n-1)/2 pairs
@@ -544,17 +530,13 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
     seed : int
         Seed for the underlying bit generator.  Results are reproducible
         for a given (pop, n, seed, all_pairs), regardless of CFB_THREADS.
-    predictor : BenefitPredictor, optional
-        Alternative score table (discrete covariates only); default is
-        the oracle predictor.
 
     Independent pairs come in chunks of 10**6, each from its own child of
     SeedSequence(seed) and scored one block at a time into exact integer
     counts, so no result depends on CFB_THREADS.  A chunk's uniform
     columns are streamed, each block drawing its own slice from a copy of
-    the generator moved ahead to it; only the Beta covariate column and
-    the three Gaussian columns are stored, so a worker holds 16 MB of
-    draws for a Beta chunk, 48 MB for a linear-Gaussian one and none
+    the generator moved ahead to it; only the Beta covariate column is
+    stored, so a worker holds 16 MB of draws for a Beta chunk and none
     beyond its blocks for a binary covariate.  Beta covariates with
     shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
     stream (_beta_draws): the counts are those of Generator.beta draws
@@ -564,8 +546,7 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
     benefit order, counted by a vectorized merge (O(n log^2 n) time, O(n)
-    memory), and ties come from group sizes.  Ternary and continuous
-    benefits take the same path.
+    memory), and ties come from group sizes.
 
     Returns
     -------
@@ -579,8 +560,6 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if predictor is not None and not isinstance(predictor, BenefitPredictor):
-        raise TypeError("predictor must be a BenefitPredictor")
     import numpy as np
 
     if all_pairs:
@@ -589,7 +568,7 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
         if n < 2:
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        b, h = _units(pop, [c[:n] for c in _draw_columns(pop, rng, n, predictor)], predictor)
+        b, h = _units(pop, [c[:n] for c in _draw_columns(pop, rng, n)])
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
@@ -601,11 +580,11 @@ def cfb_monte_carlo(pop, n, seed, predictor=None, all_pairs=False):
             pool_class = sys.modules[__name__].ThreadPoolExecutor
             with pool_class(max_workers=workers) as pool:
                 parts = list(pool.map(
-                    lambda cm: _score_chunk(pop, cm[0], cm[1], predictor),
+                    lambda cm: _score_chunk(pop, cm[0], cm[1]),
                     zip(children, sizes),
                 ))
         else:
-            parts = [_score_chunk(pop, c, m, predictor) for c, m in zip(children, sizes)]
+            parts = [_score_chunk(pop, c, m) for c, m in zip(children, sizes)]
         conc, tied, valid = (sum(col) for col in zip(*parts))
 
     if valid == 0:

@@ -63,6 +63,8 @@ _CHARS_PER_READ = 1 << 18
 # the most values a flag may ask for, checked before anything is allocated
 _MAX_RHO_POINTS = 1_000_000  # rho-sweep --rho
 _MAX_MATCH_CELLS = 10_000_000  # match-compare --step: 20x the default grid's 498,501 cells
+_MAX_HIST_BINS = 1_000_000  # hist --bins: one output row per bin, as --rho has per point
+_MAX_MC_PAIRS = 10_000_000_000  # beta-mc --n: 10,000 chunks, far below 2**53 pairs
 
 # glibc's mallopt parameters (malloc.h) and the values _keep_freed_memory sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -442,15 +444,16 @@ def _read_column(path, name):
         except UnicodeDecodeError as e:
             raise ValueError(_undecodable(path, e)) from None
         except ValueError as e:
-            # numpy counts the data rows after the header from 0; the last " at row"
+            # numpy counts the data rows after the header from 1 for a missing
+            # column but from 0 for a field it cannot convert; the last " at row"
             # is numpy's own, the text before it may quote the field
             where = re.fullmatch(r"(.*) at row (\d+).*", str(e), re.DOTALL)
             if where is None:
                 raise ValueError(f"{path}: {e}") from None
-            row = int(where[2]) + 1
+            row = int(where[2])
             if "column index" in str(e):
                 raise ValueError(f"{path}: data row {row} has no {name!r} field") from None
-            raise ValueError(f"{path}: data row {row}: {where[1]}") from None
+            raise ValueError(f"{path}: data row {row + 1}: {where[1]}") from None
 
 
 class _TripleArg:
@@ -785,6 +788,16 @@ _COUNT = _number(int, "a positive integer", lambda n: n > 0)
 _SEED = _number(int, "a non-negative integer", lambda n: n >= 0)
 
 
+def _count_up_to(cap):
+    """Parser of a _COUNT flag that asks for at most cap values."""
+    def parse(text):
+        n = _COUNT(text)
+        if n > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap:,}, got {n}")
+        return n
+    return parse
+
+
 def _match_seed(text):
     """match-compare's --seed: below 2**64, the seed range of its counter draws."""
     seed = _SEED(text)
@@ -861,7 +874,7 @@ _COMMANDS = {
         _Flag("alpha", _REAL),
         _Flag("beta", _REAL),
         *_TRIPLE_FLAGS,
-        _Flag("n", _COUNT, "1000000", help="sampled pairs"),
+        _Flag("n", _count_up_to(_MAX_MC_PAIRS), "1000000", help="sampled pairs"),
         _Flag("seed", _SEED, "20230516"))),
     "rho-sweep": _Command("closed-form statistic over a response-correlation range", _cmd_rho_sweep, (
         _Flag("beta-xt", _REAL),
@@ -878,7 +891,7 @@ _COMMANDS = {
     "hist": _Command("histogram a column of an emitted CSV", _cmd_hist, (
         _Flag("in"),
         _Flag("col"),
-        _Flag("bins", _COUNT, "50"),
+        _Flag("bins", _count_up_to(_MAX_HIST_BINS), "50"),
         _Flag("lo", _RANGE_END, absent="auto", help="range start (default the column's minimum)"),
         _Flag("hi", _RANGE_END, absent="auto", help="range end (default the column's maximum)"),
         _Flag("out", absent="-", help="CSV path (default stdout)"))),

@@ -9,25 +9,22 @@ under treatment (1 = favorable), and the resulting ternary benefit
 happens only if untreated, 0 means treatment changes nothing for that
 subject).
 A population couples a distribution for X with, at each covariate
-level, a distribution for B.  Several concrete families are provided,
-plus the oracle benefit predictor h*(x) = E[B | X=x] that the census
-scores.
+level, a distribution for B.  Three concrete families are provided.
+The predictor every route scores is the oracle h*(x) = E[B | X=x],
+which for a discrete population is ProbTriple.mean_benefit of each
+covariate level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 __all__ = [
     "ProbTriple",
     "BinaryXPopulation",
     "BetaXPopulation",
     "LinearGaussianPopulation",
-    "BenefitPredictor",
-    "best_predictor",
 ]
 
 # Validation tolerances.  Inputs outside these bands are rejected, never
@@ -143,49 +140,3 @@ class LinearGaussianPopulation:
             raise ValueError("sigma must be positive")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
-
-
-@dataclass(frozen=True)
-class BenefitPredictor:
-    """Deterministic score h(x) over a discrete set of covariate levels.
-
-    Only the ordering of scores matters to the concordance statistic;
-    the table maps each covariate level to its score.
-    """
-
-    table: Mapping[int, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-        if not self.table:
-            raise ValueError("predictor table is empty")
-        # a nan score compares unequal to itself, so pairwise scoring, sorting
-        # and grouping by score would each read it differently
-        for x, score in self.table.items():
-            try:
-                finite = math.isfinite(score)
-            except TypeError:
-                raise ValueError(f"score for covariate level {x!r} is not a number: {score!r}") from None
-            if not finite:
-                raise ValueError(f"score for covariate level {x!r} is not finite: {score!r}")
-
-    def __call__(self, x: int) -> float:
-        try:
-            return self.table[x]
-        except KeyError:
-            raise ValueError(f"predictor has no score for covariate level {x!r}") from None
-
-    def levels(self) -> tuple:
-        return tuple(sorted(self.table))
-
-
-# ---------------------------------------------------------------------------
-# derived quantities
-# ---------------------------------------------------------------------------
-
-
-def best_predictor(pop: BinaryXPopulation) -> BenefitPredictor:
-    """Oracle predictor h*(x) = E[B | X=x] for a two-level population."""
-    return BenefitPredictor(
-        {0: pop.triple0.mean_benefit, 1: pop.triple1.mean_benefit}
-    )

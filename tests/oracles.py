@@ -6,12 +6,15 @@ library gets another way, by a route that shares no algebra with it.
 - bivariate_normal_cdf integrates the bivariate normal by SciPy's
   quadrature; 2 * bivariate_normal_cdf(0, 0, r) is the check on the
   arcsine in cfb_linear_gaussian (Sheppard's orthant formula).
+- sampled_linear_gaussian_cfb draws pairs of units from the
+  linear-Gaussian model's potential outcomes, the check on the pair
+  correlation that the arcsine of cfb_linear_gaussian is evaluated at.
 - empirical_cfb_oracle scores every ordered pair of weighted atoms one
   comparison at a time, the check on the closed forms.
 - whole_column_score_chunk is the Monte Carlo chunk scorer as it was
   before the uniform columns were streamed: every column of the chunk is
-  drawn whole with rng.random, rng.beta or rng.standard_normal, then
-  sliced block by block.  It is the check on _score_chunk's streamed
+  drawn whole with rng.random or the Beta sampler, then sliced block by
+  block.  It is the check on _score_chunk's streamed
   columns, which must give the same counts.
 - full_grid_survivors runs the census's frozen float filter on every
   ordered pair of grid triples, the check on grid_search's candidate
@@ -38,12 +41,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from cfb import (
-    BenefitPredictor,
     BetaXPopulation,
     BinaryXPopulation,
     CfbError,
     CfbResult,
-    LinearGaussianPopulation,
     MatchedBenefitDistribution,
     ProbTriple,
     UndefinedCfb,
@@ -108,6 +109,33 @@ def bivariate_normal_cdf(h: float, k: float, r: float) -> float:
     return min(1.0, max(0.0, total))
 
 
+def sampled_linear_gaussian_cfb(pop, pairs, seed, block=100_000):
+    """(estimate, standard_error) of the statistic over `pairs` independent
+    pairs of units drawn from the linear-Gaussian model's definition.
+
+    Each unit draws X ~ N(0, 1) and noise (eps0, eps1) with correlation
+    rho, forms both potential outcomes Y(0), Y(1), and takes the benefit
+    B = Y(1) - Y(0) and the predictor E[B | X] = betat + betaxt * X.  It
+    is the check on the pair correlation behind cfb_linear_gaussian's
+    arcsine, which the quadrature of bivariate_normal_cdf takes as given.
+    """
+    rng = np.random.default_rng(seed)
+    conc = tied = valid = 0
+    for lo in range(0, pairs, block):
+        x, z0, z1 = rng.standard_normal((3, 2, min(block, pairs - lo)))
+        eps0 = pop.sigma * z0
+        eps1 = pop.sigma * (pop.rho * z0 + math.sqrt(1.0 - pop.rho * pop.rho) * z1)
+        y0 = pop.beta0 + pop.betax * x + eps0
+        y1 = pop.beta0 + (pop.betax + pop.betaxt) * x + pop.betat + eps1
+        db = np.diff(y1 - y0, axis=0)[0]
+        dh = np.diff(pop.betat + pop.betaxt * x, axis=0)[0]
+        conc += int(np.count_nonzero(db * dh > 0.0))
+        tied += int(np.count_nonzero((dh == 0.0) & (db != 0.0)))
+        valid += int(np.count_nonzero(db != 0.0))
+    est = (conc + 0.5 * tied) / valid
+    return est, math.sqrt(est * (1.0 - est) / valid)
+
+
 def empirical_cfb_oracle(atoms) -> CfbResult:
     """Score every ordered pair of atoms directly.
 
@@ -145,22 +173,16 @@ def empirical_cfb_oracle(atoms) -> CfbResult:
     return CfbResult(num / den, num, den)
 
 
-def whole_columns(pop, rng, count, predictor):
+def whole_columns(pop, rng, count):
     """The random columns behind `count` units, each drawn whole, in stream order."""
     if isinstance(pop, BinaryXPopulation):
         return rng.random(count), rng.random(count)
     if isinstance(pop, BetaXPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
         return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
-    if isinstance(pop, LinearGaussianPopulation):
-        if predictor is not None:
-            raise ValueError("custom predictors are only supported for discrete covariates")
-        return tuple(rng.standard_normal(count) for _ in range(3))
     raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
 
 
-def whole_column_score_chunk(pop, child_seed, m, predictor):
+def whole_column_score_chunk(pop, child_seed, m):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
@@ -168,12 +190,12 @@ def whole_column_score_chunk(pop, child_seed, m, predictor):
     and pairs scored one cache-sized block at a time.
     """
     rng = np.random.default_rng(child_seed)
-    columns = whole_columns(pop, rng, 2 * m, predictor)
+    columns = whole_columns(pop, rng, 2 * m)
     conc = tied = valid = 0
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        b1, h1 = _units(pop, [c[lo:hi] for c in columns], predictor)
-        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns], predictor)
+        b1, h1 = _units(pop, [c[lo:hi] for c in columns])
+        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns])
         differ = b1 != b2
         conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
                  + int(np.count_nonzero((b1 < b2) & (h1 < h2))))
@@ -323,8 +345,9 @@ class MatchingFactor(enum.Enum):
 def benefit_given_h(pop, predictor, factor):
     """Distribution of the matched-pair benefit at each predictor level.
 
-    pop is a LogisticRctPopulation, predictor assigns a score to each of
-    its covariate levels, factor picks what the pair was matched on.
+    pop is a LogisticRctPopulation, predictor is a function from each of
+    its covariate levels to a score, factor picks what the pair was
+    matched on.
     Returns a MatchedBenefitDistribution whose row weights are the
     predictor-level masses.  Written as the literal definition (mixture
     over levels, double mixture for benefit matching); the vectorized
@@ -335,8 +358,8 @@ def benefit_given_h(pop, predictor, factor):
     """
     if not isinstance(pop, LogisticRctPopulation):
         raise TypeError("pop must be a LogisticRctPopulation")
-    if not isinstance(predictor, BenefitPredictor):
-        raise TypeError("predictor must be a BenefitPredictor")
+    if not callable(predictor):
+        raise TypeError("predictor must be a function of the covariate level")
     if not isinstance(factor, MatchingFactor):
         raise TypeError("factor must be a MatchingFactor")
 
@@ -375,10 +398,10 @@ def benefit_given_h(pop, predictor, factor):
     return MatchedBenefitDistribution(tuple(rows))
 
 
-def predictor_h_quadratic() -> BenefitPredictor:
+def predictor_h_quadratic():
     """The score x**2 - x - 1 on levels {0, 1, 2}.
 
     Collapses levels 0 and 1 to the same score (-1) and separates level
     2 (+1), the fixed grouping the matching experiment runs with.
     """
-    return BenefitPredictor({0: -1.0, 1: -1.0, 2: 1.0})
+    return lambda x: float(x * x - x - 1)

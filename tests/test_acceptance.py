@@ -28,7 +28,12 @@ from cfb import (
     pair_table,
     solve_outcome_probs,
 )
-from oracles import benefit_triple_from_outcome_probs, bivariate_normal_cdf, empirical_cfb_oracle
+from oracles import (
+    benefit_triple_from_outcome_probs,
+    bivariate_normal_cdf,
+    empirical_cfb_oracle,
+    sampled_linear_gaussian_cfb,
+)
 
 SEED = 20230516
 
@@ -178,7 +183,7 @@ def test_criterion_06_linear_gaussian_closed_form():
 
     pop = LinearGaussianPopulation(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
     closed = cfb_linear_gaussian(pop).value
-    est, se = cfb_monte_carlo(pop, 1_000_000, SEED)
+    est, se = sampled_linear_gaussian_cfb(pop, 1_000_000, SEED)
     assert abs(est - closed) < 3.0 * se
     assert closed == pytest.approx(0.69591, abs=1e-5)
     print(f"criterion 6: max |closed form - quad| = {worst:.2e}, "

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfb import (
-    BenefitPredictor,
     BetaXPopulation,
     BinaryXPopulation,
     CfbResult,
@@ -46,7 +45,13 @@ from cfb.cfb_engine import (
     _worker_count,
 )
 from cfb.matched_pairs import _two_group_cfb_arrays
-from oracles import bivariate_normal_cdf, empirical_cfb_oracle, whole_column_score_chunk, whole_columns
+from oracles import (
+    bivariate_normal_cdf,
+    empirical_cfb_oracle,
+    sampled_linear_gaussian_cfb,
+    whole_column_score_chunk,
+    whole_columns,
+)
 
 # the two-level configuration behind most frozen numbers below
 HEADLINE_P = ProbTriple(0.25, 0.01, 0.74)
@@ -476,6 +481,11 @@ def test_linear_gaussian_closed_form_matches_the_quadrature():
 # ---------------------------------------------------------------------------
 
 BINARY_POP = BinaryXPopulation(0.5, HEADLINE_P, HEADLINE_Q)
+# both levels have mean benefit exactly 0 but differ in benefit spread, so
+# the oracle predictor is one value for every unit of either population
+FLAT_T0 = ProbTriple(0.25, 0.5, 0.25)
+FLAT_T1 = ProbTriple(0.5, 0.0, 0.5)
+FLAT_POP = BinaryXPopulation(0.5, FLAT_T0, FLAT_T1)
 
 
 def test_monte_carlo_is_reproducible():
@@ -547,37 +557,26 @@ def test_beta_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
     assert repr(serial) == BETA_MC_PINS[(0.5, 0.5), 7]
 
 
-# repr(cfb_monte_carlo(pop, 2_500_000, seed, predictor)) on the binary and
-# linear-Gaussian routes, recorded while every chunk column was drawn whole
-MC_ROUTES = {
-    "binary": (BINARY_POP, None),
-    "binary-custom": (BINARY_POP, BenefitPredictor({0: 1.0, 1: -1.0})),
-    "linear-gaussian": (lg(1.0, 1.0, 0.0), None),
-}
+# repr(cfb_monte_carlo(BINARY_POP, 2_500_000, seed)), recorded while every
+# chunk column was drawn whole
+MC_ROUTES = {"binary": BINARY_POP}
 MC_ROUTE_PINS = {
     ("binary", 20230516): "(0.4907486009209489, 0.00047206880828426376)",
     ("binary", 7): "(0.49070383766590436, 0.00047167682295926863)",
     ("binary", 11): "(0.4901907247719498, 0.000471825739742959)",
-    ("binary-custom", 20230516): "(0.509251399079051, 0.00047206880828426376)",
-    ("binary-custom", 7): "(0.5092961623340957, 0.0004716768229592686)",
-    ("binary-custom", 11): "(0.5098092752280502, 0.000471825739742959)",
-    ("linear-gaussian", 20230516): "(0.6959628, 0.0002909285692510517)",
-    ("linear-gaussian", 7): "(0.6958296, 0.00029096444302618144)",
-    ("linear-gaussian", 11): "(0.6959084, 0.0002909432238835887)",
 }
 
 
 @pytest.mark.parametrize("route, seed", list(MC_ROUTE_PINS), ids=str)
 def test_monte_carlo_route_estimates_are_pinned(route, seed):
-    pop, predictor = MC_ROUTES[route]
-    assert repr(cfb_monte_carlo(pop, 2_500_000, seed, predictor)) == MC_ROUTE_PINS[route, seed]
+    assert repr(cfb_monte_carlo(MC_ROUTES[route], 2_500_000, seed)) == MC_ROUTE_PINS[route, seed]
 
 
-# every population and predictor route, with Beta shapes inside Johnk's
-# range [0.01, 1] and outside it (Generator.beta)
+# both populations, with Beta shapes inside Johnk's range [0.01, 1] and
+# outside it (Generator.beta)
 CHUNK_CASES = {
     **MC_ROUTES,
-    **{f"beta{shape}": (BetaXPopulation(*shape, BETA_T0, BETA_T1), None)
+    **{f"beta{shape}": BetaXPopulation(*shape, BETA_T0, BETA_T1)
        for shape in [(0.5, 0.5), (0.3, 0.9), (2.0, 3.0), (0.005, 0.5)]},
 }
 
@@ -585,17 +584,17 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1_000_000])
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_streamed_chunk_counts_equal_whole_columns(case, m):
-    pop, predictor = CHUNK_CASES[case]
+    pop = CHUNK_CASES[case]
     child = np.random.SeedSequence(20230516).spawn(2)[1]
-    assert _score_chunk(pop, child, m, predictor) == whole_column_score_chunk(pop, child, m, predictor)
+    assert _score_chunk(pop, child, m) == whole_column_score_chunk(pop, child, m)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_all_pairs_streamed_columns_equal_whole_columns(case, monkeypatch):
-    pop, predictor = CHUNK_CASES[case]
-    streamed = cfb_monte_carlo(pop, 1500, 11, predictor, all_pairs=True)
+    pop = CHUNK_CASES[case]
+    streamed = cfb_monte_carlo(pop, 1500, 11, all_pairs=True)
     monkeypatch.setattr(cfb_engine, "_draw_columns", whole_columns)
-    assert cfb_monte_carlo(pop, 1500, 11, predictor, all_pairs=True) == streamed
+    assert cfb_monte_carlo(pop, 1500, 11, all_pairs=True) == streamed
 
 
 def test_streamed_uniforms_are_slices_of_generator_random():
@@ -620,7 +619,7 @@ def test_chunk_peak_memory(pop, limit_mib):
     child = np.random.SeedSequence(20230516).spawn(1)[0]
     tracemalloc.start()
     try:
-        _score_chunk(pop, child, 1_000_000, None)
+        _score_chunk(pop, child, 1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,14 +634,15 @@ def test_monte_carlo_agrees_with_closed_form():
 
 
 def test_monte_carlo_linear_gaussian_agrees_with_quadrature():
-    pop = lg(1.0, 1.0, 0.0)
-    est, se = cfb_monte_carlo(pop, 400_000, 20230516)
-    assert abs(est - cfb_linear_gaussian(pop).value) < 4.0 * se
+    """Pairs drawn from the model's potential outcomes agree with the closed form,
+    also where beta0, betax and betat, which it does not depend on, are not 0."""
+    for pop in (lg(1.0, 1.0, 0.0), LinearGaussianPopulation(0.7, -1.3, 0.4, 2.0, 0.5, 0.5)):
+        est, se = sampled_linear_gaussian_cfb(pop, 400_000, 20230516)
+        assert abs(est - cfb_linear_gaussian(pop).value) < 4.0 * se
 
 
 def test_monte_carlo_constant_predictor_is_exactly_half():
-    flat = BenefitPredictor({0: 1.0, 1: 1.0})
-    est, se = cfb_monte_carlo(BINARY_POP, 10_000, 5, predictor=flat)
+    est, se = cfb_monte_carlo(FLAT_POP, 10_000, 5)
     assert est == 0.5
     assert se > 0.0
 
@@ -657,8 +657,7 @@ def test_monte_carlo_all_b_ties_is_undefined():
 def test_monte_carlo_all_pairs_mode():
     est, se = cfb_monte_carlo(BINARY_POP, 400, 17, all_pairs=True)
     assert 0.0 < est < 1.0 and se > 0.0
-    flat = BenefitPredictor({0: 1.0, 1: 1.0})
-    est, _ = cfb_monte_carlo(BINARY_POP, 400, 17, predictor=flat, all_pairs=True)
+    est, _ = cfb_monte_carlo(FLAT_POP, 400, 17, all_pairs=True)
     assert est == 0.5
 
 
@@ -708,13 +707,14 @@ def test_all_pairs_all_b_ties_is_undefined():
 
 
 def test_all_pairs_constant_continuous_predictor_is_exactly_half():
-    # betaxt = 0: continuous benefit, one predictor value for every unit
-    est, _ = cfb_monte_carlo(lg(0.0, 1.0, 0.0), 1000, 11, all_pairs=True)
+    # a continuous covariate whose interpolated p_plus and p_minus are the
+    # same expression, so E[B | X] is exactly 0 for every unit
+    est, _ = cfb_monte_carlo(BetaXPopulation(0.5, 0.5, FLAT_T0, FLAT_T1), 1000, 11, all_pairs=True)
     assert est == 0.5
 
 
 # The all-pairs population of the benchmark (README Beta example 1) at the
-# first three seeds derived from 20230516, and one linear-Gaussian run.
+# first three seeds derived from 20230516.
 # Recorded from the pair-by-pair loop that sorting replaced; the counts are
 # exact, so the floats must not move in the last bit.
 ALL_PAIRS_BETA_POP = BetaXPopulation(0.5, 0.5, ProbTriple(0.08, 0.0, 0.92), ProbTriple(0.0, 0.15, 0.85))
@@ -730,8 +730,6 @@ def test_all_pairs_estimates_are_pinned():
     for pin in ALL_PAIRS_BETA_PINS:
         seed = rng.randrange(2**32)
         assert repr(cfb_monte_carlo(ALL_PAIRS_BETA_POP, 2000, seed, all_pairs=True)) == pin
-    got = cfb_monte_carlo(lg(1.0, 1.0, 0.0), 2000, 7, all_pairs=True)
-    assert repr(got) == "(0.6990565282641321, 0.0003244084920475598)"
 
 
 def test_benefit_draw_matches_nested_where():
@@ -759,13 +757,12 @@ def test_monte_carlo_all_pairs_unit_cap():
 def test_monte_carlo_input_validation():
     with pytest.raises(ValueError):
         cfb_monte_carlo(BINARY_POP, 0, 1)
-    with pytest.raises(TypeError):
-        cfb_monte_carlo(object(), 100, 1)
-    with pytest.raises(TypeError):
-        cfb_monte_carlo(BINARY_POP, 100, 1, predictor=lambda x: x)
-    beta_pop = BetaXPopulation(0.5, 0.5, HEADLINE_P, HEADLINE_Q)
-    with pytest.raises(ValueError, match="discrete"):
-        cfb_monte_carlo(beta_pop, 100, 1, predictor=BenefitPredictor({0: 1.0}))
+    # the linear-Gaussian family has its closed form, and no sampler
+    for pop in (object(), lg(1.0, 1.0, 0.0)):
+        with pytest.raises(TypeError, match="no Monte Carlo sampler"):
+            cfb_monte_carlo(pop, 100, 1)
+        with pytest.raises(TypeError, match="no Monte Carlo sampler"):
+            cfb_monte_carlo(pop, 100, 1, all_pairs=True)
 
 
 # ---------------------------------------------------------------------------

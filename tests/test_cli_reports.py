@@ -504,6 +504,64 @@ def test_emit_writes_a_pipe_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def run_on_a_pipe(tmp_path, data, argv_of):
+    """Exit code of run(argv_of(pipe)) while another thread writes data into the pipe.
+
+    Both run in threads joined with a timeout, so a reader that opens the
+    pipe a second time, and waits for a writer that never comes, fails the
+    test instead of hanging it.
+    """
+    fifo = tmp_path / "in.pipe"
+    os.mkfifo(fifo)
+    codes = []
+    threads = [threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True),
+               threading.Thread(target=lambda: codes.append(run(argv_of(str(fifo)))), daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return codes[0]
+
+
+def data_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_hist_reads_a_pipe(tmp_path, capsys):
+    """Rows streamed through a pipe, several pipe buffers of them, give the file's histogram."""
+    text = "# comment\nname,score\n" + "".join(f"r{i},{i % 10}\n" for i in range(50_000))
+    src = tmp_path / "vals.csv"
+    src.write_text(text)
+
+    def argv(path):
+        return ["hist", "--in", path, "--col", "score", "--bins", "5", "--lo", "0", "--hi", "10"]
+
+    assert run(argv(str(src))) == 0
+    from_file = data_lines(capsys.readouterr().out)
+    assert [int(line.split(",")[2]) for line in from_file[1:]] == [10_000] * 5
+    assert run_on_a_pipe(tmp_path, text.encode(), argv) == 0
+    assert data_lines(capsys.readouterr().out) == from_file
+
+
+def test_screen_cf_reads_a_pipe(small_search, tmp_path, monkeypatch, capsys):
+    """improper.csv streamed through a pipe, in many small read blocks, screens as the file does."""
+    _, improper, _, _ = small_search
+    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 1000)
+
+    def argv(path, tag):
+        return ["screen-cf", "--in", path, "--out", str(tmp_path / f"{tag}.csv"),
+                "--hist-out", str(tmp_path / f"{tag}_hist.csv")]
+
+    assert run(argv(str(improper), "file")) == 0
+    stdout = data_lines(capsys.readouterr().out)
+    assert run_on_a_pipe(tmp_path, improper.read_bytes(), lambda path: argv(path, "pipe")) == 0
+    assert data_lines(capsys.readouterr().out) == stdout
+    for name in ("{}.csv", "{}_hist.csv"):
+        pipe, file = (data_lines((tmp_path / name.format(tag)).read_text()) for tag in ("pipe", "file"))
+        assert pipe == file and len(file) > 1
+
+
 def test_array_commands_keep_freed_memory(tmp_path, monkeypatch, capsys):
     """The five array commands set glibc's mmap and trim thresholds; the scalar two leave
     the allocator alone."""
@@ -807,10 +865,16 @@ def test_hist_missing_column(tmp_path, capsys):
 
 
 def test_hist_rejects_short_row(tmp_path, capsys):
+    """The message names the data row, counted from 1 past comments, as for a non-numeric field."""
     src = tmp_path / "vals.csv"
-    src.write_text("name,score\na,1\nb\n")
-    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
-    assert "no 'score' field" in capsys.readouterr().err
+    for text, row in (("name,score\nb\n", 1),
+                      ("name,score\na,1\nb\n", 2),
+                      ("# c\nname,score\na,1\n# x\n\nb\n", 2),
+                      ("name,score\n" + "a,1\n" * 4999 + "b\n", 5000),
+                      ("name,score\n" + "a,1\n" * 70_000 + "# x\nb\n", 70_001)):
+        src.write_text(text)
+        assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+        assert f"{src}: data row {row} has no 'score' field" in capsys.readouterr().err
 
 
 def test_hist_rejects_empty_range(tmp_path, capsys):
@@ -1000,6 +1064,9 @@ COEFF_EDGE = 2.996155224770526e+307
     (["match-compare", "--step", "0.25", f"--coeff-max={-COEFF_EDGE * (1 + 2 ** -52)!r}"], "--coeff-max"),
     (["match-compare", "--step", "0.25", "--seed", str(2 ** 64)], f"--seed must be below 2**64, got {2 ** 64}"),
     (["match-compare", "--step", "0.25", "--seed", str(10 ** 30)], "--seed must be below 2**64"),
+    (["hist", "--in", "col.csv", "--col", "x", "--bins", str(10 ** 12)],
+     "--bins must be at most 1,000,000, got 1000000000000"),
+    (BETA_ARGS + ["--n", str(10 ** 20)], f"--n must be at most 10,000,000,000, got {10 ** 20}"),
 ])
 def test_flag_limits_exit_two_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -1011,6 +1078,19 @@ def test_flag_limits_exit_two_before_any_work(tmp_path, monkeypatch, capsys, arg
     assert message in captured.err
     assert "Warning" not in captured.err
     assert not list(tmp_path.iterdir())
+
+
+def test_count_caps_are_inclusive_and_keep_the_sampler_small():
+    """--n stays where cfb_monte_carlo's pair counts are exact in a float and its chunk list is short."""
+    from cfb.cfb_engine import _CHUNK_PAIRS
+
+    assert cli_reports._MAX_MC_PAIRS <= 2 ** 53
+    assert cli_reports._MAX_MC_PAIRS // _CHUNK_PAIRS <= 10_000
+    flags = {f.name: f.parse for name in ("beta-mc", "hist") for f in cli_reports._COMMANDS[name].flags}
+    for flag, cap in (("n", cli_reports._MAX_MC_PAIRS), ("bins", cli_reports._MAX_HIST_BINS)):
+        assert flags[flag](str(cap)) == cap
+        with pytest.raises(argparse.ArgumentTypeError, match=f"must be at most {cap:,}, got {cap + 1}"):
+            flags[flag](str(cap + 1))
 
 
 def test_rho_cap_is_checked_before_points_are_built(monkeypatch):

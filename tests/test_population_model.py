@@ -10,12 +10,10 @@ import math
 import pytest
 
 from cfb import (
-    BenefitPredictor,
     BetaXPopulation,
     BinaryXPopulation,
     LinearGaussianPopulation,
     ProbTriple,
-    best_predictor,
 )
 from oracles import LogisticRctPopulation, benefit_triple_from_outcome_probs, expit, outcome_prob
 
@@ -146,43 +144,6 @@ def test_linear_gaussian_population_rejects_non_finite_fields(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         LinearGaussianPopulation(**fields)
-
-
-# ---------------------------------------------------------------------------
-# predictors
-# ---------------------------------------------------------------------------
-
-
-def test_benefit_predictor_lookup_and_levels():
-    h = BenefitPredictor({2: 1.0, 0: -1.0, 1: -1.0})
-    assert h(0) == -1.0 and h(2) == 1.0
-    assert h.levels() == (0, 1, 2)
-    with pytest.raises(ValueError, match="no score"):
-        h(7)
-
-
-def test_benefit_predictor_rejects_empty_table():
-    with pytest.raises(ValueError):
-        BenefitPredictor({})
-
-
-@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "1.0", None, 1j])
-def test_benefit_predictor_rejects_non_finite_scores(score):
-    with pytest.raises(ValueError, match="level 1"):
-        BenefitPredictor({0: 0.5, 1: score})
-
-
-def test_benefit_predictor_table_is_read_only():
-    h = BenefitPredictor({0: 0.5})
-    with pytest.raises(TypeError):
-        h.table[0] = 1.0
-
-
-def test_best_predictor_scores_are_mean_benefits():
-    pop = BinaryXPopulation(0.5, ProbTriple(0.25, 0.01, 0.74), ProbTriple(0.14, 0.18, 0.68))
-    h = best_predictor(pop)
-    assert h(0) == pop.triple0.mean_benefit
-    assert h(1) == pop.triple1.mean_benefit
 
 
 # ---------------------------------------------------------------------------

@@ -23,3 +23,25 @@ def test_rusage_tool_measures_eval_discrete_from_two_trees():
         assert measures["wall_s"] > 0 and measures["cpu_s"] > 0
         # a fresh interpreter with cfb's CLI loaded, without numpy
         assert 5 < measures["maxrss_mb"] < 60 and measures["minflt"] > 0
+
+
+def test_rusage_tool_measures_the_all_pairs_study_on_each_tree(tmp_path):
+    """allpairs runs bench/allpairs.py with the tree's src first on PYTHONPATH: a tree whose
+    cfb fails to import makes the tool exit naming that tree's work directory."""
+    argv = [sys.executable, str(ROOT / "tools" / "rusage.py"), "--parent", str(ROOT),
+            "--change", str(ROOT), "--passes", "1", "--commands", "allpairs"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)["commands"]["allpairs"]
+    assert row["argv"] == [str(ROOT / "bench" / "allpairs.py"), "--seed", "20230516"]
+    for side in ("parent", "change"):
+        # numpy is loaded, so more than the CLI's bare interpreter
+        assert row[side]["cpu_s"] > 0 and row[side]["maxrss_mb"] > 20
+
+    broken = tmp_path / "broken"
+    (broken / "src" / "cfb").mkdir(parents=True)
+    (broken / "src" / "cfb" / "__init__.py").write_text("raise ImportError('not this tree')\n")
+    argv[argv.index("--change") + 1] = str(broken)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    assert "allpairs exited 1 in " in proc.stderr and proc.stderr.rstrip().endswith("change")

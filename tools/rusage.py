@@ -1,11 +1,13 @@
-"""Child rusage of each README command, run from two source trees.
+"""Child rusage of each README command and the all-pairs study, run from two source trees.
 
     python3 tools/rusage.py --parent OLD_TREE --change NEW_TREE [--passes 9] [--commands beta-mc,...]
 
 Each tree is a checkout with the package under src/.  Every pass runs the
 README pipeline at the benchmark's sizes once per tree, each command as a
 fresh `python -c "from cfb.cli_reports import main; main()"` process with
-that tree's src on PYTHONPATH, and the trees take turns going first.  Each
+that tree's src on PYTHONPATH, and the trees take turns going first.  The
+label allpairs runs this repository's bench/allpairs.py, the one process
+that scores all pairs through cfb_monte_carlo, the same way.  Each
 tree writes into its own work directory, so a command that reads a CSV
 reads the one its own tree wrote.  CFB_THREADS is the number of usable
 CPUs, as in bench/run.py.
@@ -30,23 +32,25 @@ import tempfile
 import time
 from pathlib import Path
 
-LAUNCH = "from cfb.cli_reports import main; main()"
-# label: (argv, label of the command whose output it reads)
+CLI = ["-c", "from cfb.cli_reports import main; main()"]
+ALLPAIRS = str(Path(__file__).resolve().parents[1] / "bench" / "allpairs.py")
+# label: (interpreter arguments, label of the command whose output it reads)
 COMMANDS = {
-    "eval-discrete": (["eval-discrete", "--c", "0.5", "--p", "0.25,0.01,0.74",
+    "eval-discrete": ([*CLI, "eval-discrete", "--c", "0.5", "--p", "0.25,0.01,0.74",
                        "--q", "0.14,0.18,0.68"], None),
-    "search": (["search", "--step", "0.01", "--out", "improper.csv",
+    "search": ([*CLI, "search", "--step", "0.01", "--out", "improper.csv",
                 "--hist-out", "fig1_hist.csv"], None),
-    "screen-cf": (["screen-cf", "--in", "improper.csv", "--out", "realizable.csv",
+    "screen-cf": ([*CLI, "screen-cf", "--in", "improper.csv", "--out", "realizable.csv",
                    "--hist-out", "fig6_hist.csv"], "search"),
-    "hist(realizable)": (["hist", "--in", "realizable.csv", "--col", "cfb_star", "--bins", "50",
+    "hist(realizable)": ([*CLI, "hist", "--in", "realizable.csv", "--col", "cfb_star", "--bins", "50",
                           "--lo", "0.41", "--hi", "0.5"], "screen-cf"),
-    "beta-mc": (["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92",
+    "beta-mc": ([*CLI, "beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92",
                  "--q", "0,0.15,0.85", "--n", "16000000", "--seed", "20230516"], None),
-    "rho-sweep": (["rho-sweep", "--beta-xt", "1.0", "--sigma", "1.0", "--rho", "-1:1:0.01"], None),
-    "match-compare": (["match-compare", "--step", "0.001", "--out", "match_diffs.csv",
+    "allpairs": ([ALLPAIRS, "--seed", "20230516"], None),
+    "rho-sweep": ([*CLI, "rho-sweep", "--beta-xt", "1.0", "--sigma", "1.0", "--rho", "-1:1:0.01"], None),
+    "match-compare": ([*CLI, "match-compare", "--step", "0.001", "--out", "match_diffs.csv",
                        "--hist-out", "fig2_hist.csv"], None),
-    "hist(match)": (["hist", "--in", "match_diffs.csv", "--col", "abs_diff", "--bins", "50",
+    "hist(match)": ([*CLI, "hist", "--in", "match_diffs.csv", "--col", "abs_diff", "--bins", "50",
                      "--lo", "0", "--hi", "0.25"], "match-compare"),
 }
 SIDES = ("parent", "change")
@@ -68,7 +72,7 @@ def run_one(label, argv, workdir, env):
     """Run one command to its end; returns its measures, or exits if it failed."""
     with open(workdir / f"{label}.out", "wb") as out, open(workdir / f"{label}.err", "wb") as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-c", LAUNCH, *argv], cwd=workdir, env=env,
+        proc = subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env,
                                 stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
