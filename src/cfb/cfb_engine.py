@@ -16,8 +16,8 @@ any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
 population all live here; the route also samples the binary-covariate
 population, whose closed form checks it.  Only
-the Monte Carlo route and gini_mean_difference use numpy, and they
-import it when called, so the exact routes run without it; the route's
+the Monte Carlo route uses numpy, and it imports it when called, so the
+exact routes and gini_mean_difference run without it; the route's
 thread pool is imported on first use too.  The references the tests
 check these routes against, a quadrature of the bivariate normal cdf
 and a brute-force pair scorer, are in tests/oracles.py, not in the
@@ -638,8 +638,5 @@ def cfb_linear_gaussian(pop: LinearGaussianPopulation) -> CfbResult:
 
 def gini_mean_difference(dist: MatchedBenefitDistribution) -> float:
     """E|H1 - H2| for two independent draws of the predictor level."""
-    import numpy as np
-
-    h = np.array(dist.h_values())
-    w = np.array(dist.weights())
-    return float(w @ np.abs(h[:, None] - h[None, :]) @ w)
+    levels = tuple(zip(dist.h_values(), dist.weights()))
+    return math.fsum(wi * wj * abs(hi - hj) for hi, wi in levels for hj, wj in levels)

@@ -9,12 +9,14 @@ one formatter (_RowText) turns a block of rows into text with numpy,
 byte for byte as Python's `"%.10g" % x` and `"%d" % n` would; a float
 whose 10th digit it cannot round exactly (scaled fraction within 1e-5
 of one half), a non-finite value, a zero and a three-digit exponent are
-formatted by Python's `%` instead.  Both readers parse with numpy's text
-reader after one shared header scan (_csv_header): `hist` reads its
-column in one call, `screen-cf` reads `improper.csv` a block of lines at
-a time (_CHARS_PER_READ), so its memory stays flat, and checks each
-block's hundredths and triple sums on arrays.  In both, `#` starts a
-comment anywhere in a line.
+formatted by Python's `%` instead.  `hist` and `screen-cf` read CSV
+through one reader (_csv_blocks).  It opens `--in` once, in binary, so a
+pipe reads as a file does, and hands numpy's text reader a block of
+whole lines at a time (_CHARS_PER_READ): `hist` joins its column's
+blocks, and `screen-cf` checks each block's hundredths and triple sums
+on arrays, so its memory stays flat.  Every line must be UTF-8, a
+comment too, and `#` starts a comment anywhere in a line.  A bad byte or
+row is named by its line or data row from the counts the reader keeps.
 
 Each subcommand's flags are declared once, in _COMMANDS: name, parser,
 default and the header text of an unset value.  The argument parser,
@@ -383,77 +385,105 @@ def _triple_table():
                       for p in range(101)] for m in range(101)])
 
 
-def _csv_header(f, path):
-    """Column names on the first line of f that is neither empty nor a `#` comment.
+def _csv_blocks(path, pick):
+    """The data rows of the CSV at path, parsed by numpy's text reader a block of lines at a time.
 
-    f is a text or a binary file.
-    """
-    try:
-        while line := f.readline():
-            if isinstance(line, bytes):
-                line = line.decode()
-            line = line.rstrip("\r\n")
-            if line and line[0] != "#":
-                return line.split(",")
-    except UnicodeDecodeError as e:
-        raise ValueError(_undecodable(path, e)) from None
-    raise ValueError(f"{path}: empty input")
+    The header is the first line that is neither empty nor a `#` comment;
+    each later line that holds anything before its first `#` is a data
+    row.  pick(names) gets the header's column names and returns the
+    indices of the columns to read, or None for all of them, or raises
+    ValueError.  Yields, for each block of whole lines (_CHARS_PER_READ
+    bytes, or the rest of the file) that holds a data row, a 2-d float
+    array with a row per data row and a column per column read.
 
-
-def _undecodable(path, error):
-    """Message naming path and the first line of path that error's codec cannot decode.
-
-    A data row, a line after the header that holds more than a `#`
-    comment, is named by its data row number, any other line by its line
-    number, each counted from 1.
-    """
-    row = None  # data rows read, None until the header
-    with open(path, "rb") as f:
-        for n, line in enumerate(f, 1):
-            text = line.rstrip(b"\r\n")
-            data = line.partition(b"#")[0].rstrip(b"\r\n")
-            try:
-                line.decode(error.encoding)
-            except UnicodeDecodeError as e:
-                where = f"data row {row + 1}" if row is not None and data else f"line {n}"
-                return f"{path}: {where}: {e}"
-            if row is not None:
-                row += bool(data)
-            elif text and text[:1] != b"#":
-                row = 0
-    return f"{path}: {error}"  # every line decodes alone: the bad sequence spans a line end
-
-
-def _read_column(path, name):
-    """The values of one column of a CSV, parsed by numpy's text reader.
-
-    Lines after the header are data rows; `#` starts a comment and empty
-    lines are skipped.  A row that lacks the column, or a field that is
-    no number, raises ValueError naming the file.
+    path is opened once and read once, in binary, so a pipe reads as a
+    file does.  Every line must be UTF-8, a comment too, and a data row
+    must hold a number in each column read: with all columns read, one
+    number per column of the header.  Otherwise ValueError names path and
+    the first line at fault, a data row by its data row number and any
+    other line by its line number, each counted from 1.
     """
     import numpy as np
 
-    with open(path) as f:
-        header = _csv_header(f, path)
+    def parse(lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns when the lines hold no row
+            return np.loadtxt(lines, delimiter=",", comments="#", usecols=usecols, ndmin=2)
+
+    def undecodable(line, text):
+        try:
+            line.decode()
+        except UnicodeDecodeError as e:
+            return f": {e}"
+
+    def malformed(line, text):
+        try:
+            if not text or parse([line]).shape[1] == width:
+                return None
+        except ValueError:
+            pass
+        fields = text.decode().split(",")
+        if usecols is None:
+            return f": malformed row {fields!r}"
+        if len(fields) <= usecols[0]:
+            return f" has no {header[usecols[0]]!r} field"
+        return f": could not convert string {fields[usecols[0]]!r} to float64"
+
+    def check(lines, fault):
+        """Raise ValueError naming the first of lines, which follow the seen lines, that
+        fault(line, text) returns a message for; text is what a data row holds before its
+        comment and line end, and b"" for any other line."""
+        line_no, row = seen, rows
+        for line in lines:
+            line_no += 1
+            text = b""
+            if row is not None:  # one line end, as numpy's reader ends a line
+                text = line.partition(b"#")[0].removesuffix(b"\n").removesuffix(b"\r")
+                row += bool(text)
+            message = fault(line, text)
+            if message is not None:
+                raise ValueError(f"{path}: {f'data row {row}' if text else f'line {line_no}'}{message}")
+
+    seen, rows = 0, None  # lines and data rows read; rows is None until the header
+    with open(path, "rb") as f:
+        while line := f.readline():
+            check([line], undecodable)
+            seen += 1
+            names = line.decode().rstrip("\r\n")
+            if names and names[0] != "#":
+                break
+        else:
+            raise ValueError(f"{path}: empty input")
+        header = names.split(",")
+        usecols = pick(header)
+        width = len(header) if usecols is None else len(usecols)
+        rows = 0
+        while lines := f.readlines(_CHARS_PER_READ):
+            if not b"".join(lines).isascii():
+                check(lines, undecodable)
+            try:
+                block = parse(lines)
+            except ValueError:
+                block = None
+            if block is None or len(block) and block.shape[1] != width:
+                check(lines, malformed)
+                raise ValueError(f"{path}: malformed rows after data row {rows}")  # every line parses alone
+            seen += len(lines)
+            rows += len(block)
+            if len(block):
+                yield block
+
+
+def _read_column(path, name):
+    """The values of column name of the CSV at path (_csv_blocks)."""
+    import numpy as np
+
+    def pick(header):
         if name not in header:
             raise ValueError(f"{path}: no column named {name!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # numpy warns when no row follows the header
-                return np.loadtxt(f, delimiter=",", comments="#", usecols=header.index(name), ndmin=1)
-        except UnicodeDecodeError as e:
-            raise ValueError(_undecodable(path, e)) from None
-        except ValueError as e:
-            # numpy counts the data rows after the header from 1 for a missing
-            # column but from 0 for a field it cannot convert; the last " at row"
-            # is numpy's own, the text before it may quote the field
-            where = re.fullmatch(r"(.*) at row (\d+).*", str(e), re.DOTALL)
-            if where is None:
-                raise ValueError(f"{path}: {e}") from None
-            row = int(where[2])
-            if "column index" in str(e):
-                raise ValueError(f"{path}: data row {row} has no {name!r} field") from None
-            raise ValueError(f"{path}: data row {row + 1}: {where[1]}") from None
+        return (header.index(name),)
+
+    return np.concatenate([np.empty(0)] + [block[:, 0] for block in _csv_blocks(path, pick)])
 
 
 class _TripleArg:
@@ -571,77 +601,44 @@ def _cmd_search(args, cfg) -> int:
 
 
 def _read_improper_csv(path):
-    """The findings of a `search` CSV, parsed by numpy's text reader a block of lines at a time.
+    """The findings of a `search` CSV, read by _csv_blocks and checked a block at a time.
 
-    Lines after the header are data rows; `#` starts a comment and empty
-    lines are skipped.  A row must hold seven numbers, the first six
-    hundredths between 0 and 1 (within 1e-6) making two triples that
-    each sum to 1; any other row raises ValueError naming the file.
-    Returns an improper_search.ImproperSet.
+    A row must hold seven numbers, the first six hundredths between 0 and
+    1 (within 1e-6) making two triples that each sum to 1; any other row
+    raises ValueError naming the file and the data row.  Returns an
+    improper_search.ImproperSet.
     """
     import numpy as np
 
     from .improper_search import ImproperSet
 
-    hund, cfb = [np.empty((4, 0), np.int64)], [np.empty(0)]
-    rows = 0  # data rows before the block
-    with open(path, "rb") as f:
-        header = _csv_header(f, path)
+    def pick(header):
         if tuple(header) != IMPROPER_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header!r}")
-        while lines := f.readlines(_CHARS_PER_READ):
-            block = _parse_rows(lines)
-            if block is not None and not len(block):
-                continue  # comments and empty lines only
-            if block is None or block.shape[1] != len(IMPROPER_COLUMNS):
-                raise ValueError(f"{path}: {_malformed_row(lines, rows)}")
-            triples = block[:, :6]
-            scaled = triples * 100
-            k = np.rint(scaled)
-            with np.errstate(invalid="ignore"):  # inf - inf; the range test rejects inf and nan
-                off = ~((triples >= 0) & (triples <= 1)) | (np.abs(scaled - k) > 1e-6)
-            if off.any():
-                r, j = np.argwhere(off)[0].tolist()
-                raise ValueError(f"{path}: data row {rows + r + 1}: {triples[r, j].item()!r} "
-                                 "is not a hundredth between 0 and 1")
-            k = k.astype(np.int64)
-            bad = (k[:, :3].sum(axis=1) != 100) | (k[:, 3:].sum(axis=1) != 100)
-            if bad.any():
-                raise ValueError(f"{path}: data row {rows + int(np.argmax(bad)) + 1} does not hold two "
-                                 "triples summing to 1")
-            hund.append(k[:, [0, 2, 3, 5]].T)
-            cfb.append(block[:, 6].copy())  # a view would keep the whole block alive
-            rows += len(block)
-    cfb = np.concatenate(cfb)
-    return ImproperSet(*np.concatenate(hund, axis=1), cfb, cfb - 0.5)
-
-
-def _parse_rows(lines):
-    """Rows of numbers of byte lines as a 2-d float array, or None when they do not make one."""
-    import numpy as np
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns when the lines hold no row
-            return np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    except ValueError:
         return None
 
-
-def _malformed_row(lines, row):
-    """Message naming the first of lines that is no row of seven numbers.
-
-    row counts the data rows before lines.
-    """
-    for line in lines:
-        text = line.partition(b"#")[0].rstrip(b"\r\n")
-        if not text:
-            continue
-        row += 1
-        parsed = _parse_rows([line])
-        if parsed is None or parsed.shape[1] != len(IMPROPER_COLUMNS):
-            return f"malformed row {text.decode(errors='replace').split(',')!r} (data row {row})"
-    return "malformed rows"  # not reached: loadtxt rejects lines together only if it rejects one
+    hund, cfb = [np.empty((4, 0), np.int64)], [np.empty(0)]
+    rows = 0  # data rows before the block
+    for block in _csv_blocks(path, pick):
+        triples = block[:, :6]
+        scaled = triples * 100
+        k = np.rint(scaled)
+        with np.errstate(invalid="ignore"):  # inf - inf; the range test rejects inf and nan
+            off = ~((triples >= 0) & (triples <= 1)) | (np.abs(scaled - k) > 1e-6)
+        if off.any():
+            r, j = np.argwhere(off)[0].tolist()
+            raise ValueError(f"{path}: data row {rows + r + 1}: {triples[r, j].item()!r} "
+                             "is not a hundredth between 0 and 1")
+        k = k.astype(np.int64)
+        bad = (k[:, :3].sum(axis=1) != 100) | (k[:, 3:].sum(axis=1) != 100)
+        if bad.any():
+            raise ValueError(f"{path}: data row {rows + int(np.argmax(bad)) + 1} does not hold two "
+                             "triples summing to 1")
+        hund.append(k[:, [0, 2, 3, 5]].T)
+        cfb.append(block[:, 6].copy())  # a view would keep the whole block alive
+        rows += len(block)
+    cfb = np.concatenate(cfb)
+    return ImproperSet(*np.concatenate(hund, axis=1), cfb, cfb - 0.5)
 
 
 def _cmd_screen_cf(args, cfg) -> int:

@@ -5,6 +5,7 @@ of the entry points: the installed console script and `python -m cfb`.
 """
 
 import argparse
+import builtins
 import math
 import os
 import shutil
@@ -939,6 +940,69 @@ def test_hist_names_the_row_of_a_byte_that_is_no_utf8(tmp_path, capsys, rows_bef
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cfb: {src}: {where}: 'utf-8' codec can't decode byte 0xff")
+
+
+IMPROPER_HEADER = ",".join(IMPROPER_COLUMNS).encode()
+IMPROPER_ROW = b"0.03,0,0.97,0,0.06,0.94,0.41"
+
+
+def reader_argv(command, path, out_dir):
+    """argv of hist or screen-cf reading an improper.csv at path and writing into out_dir."""
+    if command == "hist":
+        return ["hist", "--in", path, "--col", "cfb_star", "--out", str(out_dir / "hist.csv")]
+    return ["screen-cf", "--in", path, "--out", str(out_dir / "real.csv"),
+            "--hist-out", str(out_dir / "fig6.csv")]
+
+
+@pytest.mark.parametrize("command", ["hist", "screen-cf"])
+@pytest.mark.parametrize("bad, where", [
+    (b"# \xff note", "line 39"),  # a comment line after 30 data rows and 6 other lines
+    (b"0.03,0,0.97,0,0.06,0.94,0.4\xff1", "data row 31"),
+])
+def test_both_readers_name_a_byte_that_is_no_utf8_blocks_in(tmp_path, monkeypatch, capsys, command,
+                                                           bad, where):
+    """One rule for both commands: a byte that is no UTF-8 anywhere, in a comment too,
+    exits 2 naming its line or data row, however many read blocks come before it."""
+    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 100)
+    lines = [b"# cfb 0.1.0", IMPROPER_HEADER] + ([IMPROPER_ROW] * 10 + [b"# note", b""]) * 3
+    lines += [bad] + [IMPROPER_ROW] * 5
+    src = tmp_path / "in.csv"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run(reader_argv(command, str(src), out_dir)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cfb: {src}: {where}: 'utf-8' codec can't decode byte 0xff")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["hist", "screen-cf"])
+def test_a_bad_byte_in_a_pipe_names_its_data_row(tmp_path, capsys, command):
+    """The writer has finished before the bad byte is read, so a reader that opened the
+    pipe a second time to find the row would wait for a writer forever."""
+    data = b"\n".join([IMPROPER_HEADER, IMPROPER_ROW, b"0.03,0,0.97,0,0.06,0.94,0.4\xff1", IMPROPER_ROW])
+    assert run_on_a_pipe(tmp_path, data + b"\n", lambda path: reader_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfb: {tmp_path / 'in.pipe'}: data row 2: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_hist_opens_its_input_once(tmp_path, monkeypatch, capsys):
+    """Naming the row of a bad byte takes no second open of --in."""
+    src = tmp_path / "vals.csv"
+    src.write_bytes(b"name,score\n" + b"a,1\n" * 4999 + b"b,\xff2\n")
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(src):
+            opens.append(args)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    assert f"{src}: data row 5000: 'utf-8' codec" in capsys.readouterr().err
+    assert len(opens) == 1
 
 
 def test_hist_skips_comment_lines_between_rows(tmp_path, capsys):

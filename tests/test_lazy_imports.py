@@ -95,16 +95,19 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_exact_routes_run_without_numpy():
-    """The exact two-group and linear-Gaussian routes import numpy nowhere."""
+    """The exact two-group and linear-Gaussian routes and the predictor's dispersion
+    import numpy nowhere."""
     out = fresh(
         "import sys; from cfb import (LinearGaussianPopulation, MatchedBenefitDistribution, "
-        "ProbTriple, cfb_from_pair_table, cfb_linear_gaussian, cfb_two_group, pair_table)\n"
+        "ProbTriple, cfb_from_pair_table, cfb_linear_gaussian, cfb_two_group, gini_mean_difference, "
+        "pair_table)\n"
         "p, q = ProbTriple(0.25, 0.01, 0.74), ProbTriple(0.14, 0.18, 0.68)\n"
         "a = cfb_two_group(0.5, p, q).value\n"
         "b = cfb_from_pair_table(pair_table(MatchedBenefitDistribution(((0, 0.5, p), (1, 0.5, q))))).value\n"
         "c = cfb_linear_gaussian(LinearGaussianPopulation(0, 0, 0, 1.0, 1.0, 0.0)).value\n"
-        "print('%.10g %.10g %.10g' % (a, b, c), 'numpy' in sys.modules)\n")
-    assert out.strip() == "0.4908655453 0.4908655453 0.695913276 False"
+        "d = gini_mean_difference(MatchedBenefitDistribution(((-1.0, 0.25, p), (0.0, 0.5, p), (1.0, 0.25, p))))\n"
+        "print('%.10g %.10g %.10g %.10g' % (a, b, c, d), 'numpy' in sys.modules)\n")
+    assert out.strip() == "0.4908655453 0.4908655453 0.695913276 0.75 False"
 
 
 def _ranges():
