@@ -56,10 +56,12 @@ _REL = {"<": 0, "=": 1, ">": 2}
 # Pairs per Monte Carlo chunk.  Chunks get independent child seeds, so
 # results do not depend on how many threads consume them.
 _CHUNK_PAIRS = 1_000_000
-# Pairs per block of the Beta sampler and of scoring inside a chunk: small
-# enough that the block's temporaries stay in cache, large enough that two
-# pool threads seldom wait for the GIL between numpy calls.
-_BLOCK = 65_536
+# Pairs per block of the Beta sampler and of scoring inside a chunk, and so
+# the size of a chunk's scratch set (_Scratch, 1.4 MiB at 2**15): small
+# enough that the block's buffers stay in cache, large enough that two pool
+# threads seldom wait for the GIL between numpy calls, which they did at
+# 2**14.
+_BLOCK = 32_768
 # Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
@@ -302,30 +304,64 @@ def _worker_count() -> int:
     return n
 
 
-def _sample_b_from_triples(u, t_minus, t_zero):
+class _Scratch:
+    """Work buffers for blocks of up to `size` pairs, allocated once per chunk.
+
+    _beta_draws runs its Johnk loop in them (X in t_minus, Y in t_zero,
+    X + Y in u, the accept and recheck masks in mask) before any block is
+    scored.  The scorer then draws each block's covariate uniforms into
+    t_minus, which a binary covariate reads before the threshold goes
+    there, and its benefit uniforms into u; it builds the two benefit
+    thresholds in t_minus and t_zero, the B and H of both halves of the
+    block in b and h, and compares the halves in mask.  Each buffer is one
+    contiguous row, so its [:k] is too.
+    """
+
+    def __init__(self, size):
+        import numpy as np
+
+        self.size = size
+        rows = np.empty((5, size))
+        self.u, self.t_minus, self.t_zero = rows[:3]
+        self.h = rows[3:]
+        self.b = np.empty((2, size), np.int8)
+        self.mask = np.empty((2, size), bool)
+
+
+def _sample_b_from_triples(u, t_minus, t_zero, b=None, above=None):
     """Map uniforms to benefit values given per-unit triple components.
 
     -1 below t_minus, 0 below t_minus + t_zero, else 1.  Counting the two
     thresholds u clears gives the same values, because t_zero >= 0 keeps
-    t_minus <= t_minus + t_zero in floating point too.
+    t_minus <= t_minus + t_zero in floating point too.  Given b (int8) and
+    above (bool) buffers of len(u), it writes the values into b, uses
+    above for the second count and overwrites t_zero with the upper
+    threshold; without them it allocates and leaves its arguments alone.
     """
     import numpy as np
 
-    b = (u >= t_minus).view(np.int8)
-    b += (u >= t_minus + t_zero).view(np.int8)
+    if b is None:
+        b, above, t_zero = np.empty(len(u), np.int8), np.empty(len(u), bool), t_zero.copy()
+    np.greater_equal(u, t_minus, out=b.view(np.bool_))
+    np.add(t_minus, t_zero, out=t_zero)
+    np.greater_equal(u, t_zero, out=above)
+    b += above.view(np.int8)
     b -= 1
     return b
 
 
-def _beta_draws(rng, a, b, count):
+def _beta_draws(rng, a, b, count, scratch=None):
     """`count` Beta(a, b) draws that leave rng where rng.beta(a, b, count) does.
 
     For a, b <= 1 numpy's C loop is Johnk's: draw U, V; X = U**(1/a),
     Y = V**(1/b); accept when X + Y <= 1 and U + V > 0; return X/(X+Y),
     computed from logarithms when X or Y underflows to 0.  Here the same
-    loop runs on blocks of k pairs from rng.random(2k).  k never exceeds
-    the draws still needed, so every pair a block accepts is used and the
-    stream ends where numpy's loop ends it.  Pairs whose X + Y lies within
+    loop runs on blocks of k pairs from rng.random(2k), in the buffers of
+    scratch (a _Scratch, made here when not given), and each block's
+    accepted values go straight into the returned column.  k never
+    exceeds the draws still needed, so every pair a block accepts is used
+    and the stream ends where numpy's loop ends it, whatever the block
+    size.  Pairs whose X + Y lies within
     2**-48 of 1, or whose X or Y is below the normal range, are redone one
     by one in libm arithmetic, as numpy's loop does them, so every accept
     decision agrees with it.  Other values may differ from rng.beta's in
@@ -339,30 +375,38 @@ def _beta_draws(rng, a, b, count):
         return rng.beta(a, b, count)
     import numpy as np
 
+    if scratch is None:
+        scratch = _Scratch(min(count, _BLOCK))
     ea, eb = 1.0 / a, 1.0 / b
     out = np.empty(count)
     filled = 0
     while filled < count:
-        k = min(_BLOCK, count - filled)
+        k = min(scratch.size, count - filled)
         uv = rng.random(2 * k)
         u, v = uv[0::2], uv[1::2]
-        x = u * u if ea == 2.0 else np.power(u, ea)
-        y = v * v if eb == 2.0 else np.power(v, eb)
-        s = x + y
-        accept = s <= 1.0
-        with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
-            value = x / s
-        redo = np.abs(s - 1.0) <= _JOHNK_RECHECK
+        x, y, s = scratch.t_minus[:k], scratch.t_zero[:k], scratch.u[:k]
+        accept, redo = scratch.mask[0, :k], scratch.mask[1, :k]
+        np.multiply(u, u, out=x) if ea == 2.0 else np.power(u, ea, out=x)
+        np.multiply(v, v, out=y) if eb == 2.0 else np.power(v, eb, out=y)
+        np.add(x, y, out=s)
+        np.less_equal(s, 1.0, out=accept)
+        tiny = None
         if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
-            redo |= (x < _TINY) | (y < _TINY)
+            tiny = (x < _TINY) | (y < _TINY)
+        with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
+            np.divide(x, s, out=x)
+        np.subtract(s, 1.0, out=s)
+        np.less_equal(np.abs(s, out=s), _JOHNK_RECHECK, out=redo)
+        if tiny is not None:
+            redo |= tiny
         for i in np.flatnonzero(redo).tolist():
             got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
             accept[i] = got is not None
             if got is not None:
-                value[i] = got
-        value = np.extract(accept, value)
-        out[filled:filled + len(value)] = value
-        filled += len(value)
+                x[i] = got
+        kept = int(np.count_nonzero(accept))
+        np.compress(accept, x, out=out[filled:filled + kept])
+        filled += kept
     return out
 
 
@@ -385,17 +429,27 @@ def _johnk_pair(u, v, a, b):
 class _StreamedUniforms:
     """The column rng.random(count) would draw, drawn one slice at a time.
 
-    Taking [lo:hi] draws those values from a copy of the generator's
-    state moved ahead by lo outputs.  Every float64 of Generator.random
-    takes exactly one 64-bit output, so the slice is rng.random(count)[lo:hi]
-    bit for bit, and the column is never held whole.  Making the column
-    moves rng past it, as drawing it would.
+    Taking [lo:hi], or draw(lo, out), draws those values from a copy of
+    the generator's state moved ahead by lo outputs.  Every float64 of
+    Generator.random takes exactly one 64-bit output, so the slice is
+    rng.random(count)[lo:hi] bit for bit, and the column is never held
+    whole.  Making the column moves rng past it, as drawing it would.
     """
 
     def __init__(self, rng, count):
+        import numpy as np
+
         self._state = rng.bit_generator.state
         self._count = count
+        self._bits = np.random.PCG64(0)  # seeded only to construct it; draw sets its state
         rng.bit_generator.advance(count)
+
+    def draw(self, lo, out):
+        """Fill out with the column's values from lo on, self[lo:lo + len(out)]; returns out."""
+        import numpy as np
+
+        self._bits.state = self._state
+        return np.random.Generator(self._bits.advance(lo)).random(out=out)
 
     def __getitem__(self, key):
         import numpy as np
@@ -403,44 +457,65 @@ class _StreamedUniforms:
         lo, hi, step = key.indices(self._count)
         if step != 1:
             raise IndexError("a streamed column is sliced with step 1 only")
-        bits = np.random.PCG64(0)  # seeded only to construct it; the state below replaces the seed
-        bits.state = self._state
-        return np.random.Generator(bits.advance(lo)).random(max(hi - lo, 0))
+        return self.draw(lo, np.empty(max(hi - lo, 0)))
 
 
-def _draw_columns(pop, rng, count):
+def _draw_columns(pop, rng, count, scratch=None):
     """The random columns behind `count` units, in stream order.
 
     Each column holds one value per unit and is sliced [lo:hi]; _units
     maps any slice of them to (B, H).  The uniform columns are streamed
     (_StreamedUniforms); the Beta covariate, whose draws use a variable
-    number of random bits, is an array of `count` values.  Raises
-    TypeError for a population with no sampler.
+    number of random bits, is an array of `count` values, drawn in
+    scratch's buffers when given.  Raises TypeError for a population with
+    no sampler.
     """
     if isinstance(pop, BinaryXPopulation):
         return _StreamedUniforms(rng, count), _StreamedUniforms(rng, count)
     if isinstance(pop, BetaXPopulation):
-        return _beta_draws(rng, pop.alpha, pop.beta, count), _StreamedUniforms(rng, count)
+        return _beta_draws(rng, pop.alpha, pop.beta, count, scratch), _StreamedUniforms(rng, count)
     raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
 
 
-def _units(pop, columns):
+def _units(pop, columns, scratch=None, half=0):
     """(B, H) of the units whose random columns (see _draw_columns) are given,
-    H the oracle predictor E[B | X]."""
+    H the oracle predictor E[B | X].
+
+    B and H are written into row `half` (0 or 1) of scratch's b and h, and
+    the thresholds and masks use its shared buffers; without a scratch set
+    one is made for these units.
+    """
     import numpy as np
 
     x, u = columns
+    k = len(u)
+    if scratch is None:
+        scratch = _Scratch(k)
+    t_minus, t_zero = scratch.t_minus[:k], scratch.t_zero[:k]
+    b, h = scratch.b[half, :k], scratch.h[half, :k]
     t0, t1 = pop.triple0, pop.triple1
     if isinstance(pop, BinaryXPopulation):
-        x = x < pop.c  # the covariate: 1 with probability c
-        tm = np.where(x, t1.p_minus, t0.p_minus)
-        tz = np.where(x, t1.p_zero, t0.p_zero)
-        return _sample_b_from_triples(u, tm, tz), np.where(x, t1.mean_benefit, t0.mean_benefit)
-    tm = t0.p_minus + (t1.p_minus - t0.p_minus) * x
-    tz = t0.p_zero + (t1.p_zero - t0.p_zero) * x
-    b = _sample_b_from_triples(u, tm, tz)
-    tp = t0.p_plus + (t1.p_plus - t0.p_plus) * x
-    return b, tp - tm
+        level = np.less(x, pop.c, out=scratch.mask[0, :k])  # the covariate: 1 with probability c
+        for out, v0, v1 in ((t_minus, t0.p_minus, t1.p_minus), (t_zero, t0.p_zero, t1.p_zero),
+                            (h, t0.mean_benefit, t1.mean_benefit)):
+            out.fill(v0)
+            np.copyto(out, v1, where=level)
+    else:
+        # t0 + (t1 - t0) * x per component, H = p_plus - p_minus
+        np.multiply(x, t1.p_minus - t0.p_minus, out=t_minus)
+        t_minus += t0.p_minus
+        np.multiply(x, t1.p_zero - t0.p_zero, out=t_zero)
+        t_zero += t0.p_zero
+        np.multiply(x, t1.p_plus - t0.p_plus, out=h)
+        h += t0.p_plus
+        h -= t_minus
+    return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
+
+
+def _block_columns(columns, lo, hi, scratch):
+    """columns[lo:hi]: a streamed column is drawn into scratch's t_minus or u, a stored one viewed."""
+    return [c.draw(lo, out[:hi - lo]) if isinstance(c, _StreamedUniforms) else c[lo:hi]
+            for c, out in zip(columns, (scratch.t_minus, scratch.u))]
 
 
 def _pairs_within(counts):
@@ -493,25 +568,35 @@ def _score_chunk(pop, child_seed, m):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
-    Units are built and pairs scored one cache-sized block at a time.
-    The uniform columns are streamed, so a block draws only its own slice
-    of them; the Beta covariate column is stored whole, 2m values (16 MB
-    at m = 10**6).
+    Units are built and pairs scored one block of up to _BLOCK pairs at a
+    time, in one scratch set (_Scratch) made for the chunk, which the Beta
+    sampler uses first.  The uniform columns are streamed, so a block
+    draws only its own slice of them into that set; the Beta covariate
+    column is stored whole, 2m values (16 MB at m = 10**6).  So a chunk
+    holds that column and 1.4 MiB of block buffers, and allocates nothing
+    per block but the Johnk loop's uniforms and np.compress's buffers.
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
-    columns = _draw_columns(pop, rng, 2 * m)
+    scratch = _Scratch(min(m, _BLOCK))
+    columns = _draw_columns(pop, rng, 2 * m, scratch)
     conc = tied = valid = 0
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        b1, h1 = _units(pop, [c[lo:hi] for c in columns])
-        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns])
-        differ = b1 != b2
-        conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
-                 + int(np.count_nonzero((b1 < b2) & (h1 < h2))))
-        tied += int(np.count_nonzero(differ & (h1 == h2)))
-        valid += int(np.count_nonzero(differ))
+        b1, h1 = _units(pop, _block_columns(columns, lo, hi, scratch), scratch, 0)
+        b2, h2 = _units(pop, _block_columns(columns, m + lo, m + hi, scratch), scratch, 1)
+        b_rel, h_rel = scratch.mask[0, :hi - lo], scratch.mask[1, :hi - lo]
+        np.not_equal(b1, b2, out=b_rel)
+        valid += int(np.count_nonzero(b_rel))
+        np.equal(h1, h2, out=h_rel)
+        h_rel &= b_rel
+        tied += int(np.count_nonzero(h_rel))
+        for order in (np.greater, np.less):
+            order(b1, b2, out=b_rel)
+            order(h1, h2, out=h_rel)
+            h_rel &= b_rel
+            conc += int(np.count_nonzero(h_rel))
     return conc, tied, valid
 
 
@@ -536,8 +621,10 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     counts, so no result depends on CFB_THREADS.  A chunk's uniform
     columns are streamed, each block drawing its own slice from a copy of
     the generator moved ahead to it; only the Beta covariate column is
-    stored, so a worker holds 16 MB of draws for a Beta chunk and none
-    beyond its blocks for a binary covariate.  Beta covariates with
+    stored.  So a worker holds one covariate column (16 MB for a Beta
+    chunk, none for a binary covariate) and one scratch set of 2**15-pair
+    block buffers (1.4 MiB), allocated once per chunk, in which the Beta
+    sampler and the block scorer do all their work.  Beta covariates with
     shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
     stream (_beta_draws): the counts are those of Generator.beta draws
     unless a draw that moved by a few ULP crosses a benefit threshold or

@@ -405,10 +405,10 @@ def _csv_blocks(path, pick):
     """
     import numpy as np
 
-    def parse(lines):
+    def parse(lines, columns):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns when the lines hold no row
-            return np.loadtxt(lines, delimiter=",", comments="#", usecols=usecols, ndmin=2)
+            return np.loadtxt(lines, delimiter=",", comments="#", usecols=columns, ndmin=2)
 
     def undecodable(line, text):
         try:
@@ -418,16 +418,23 @@ def _csv_blocks(path, pick):
 
     def malformed(line, text):
         try:
-            if not text or parse([line]).shape[1] == width:
+            if not text or parse([line], usecols).shape[1] == width:
                 return None
         except ValueError:
             pass
         fields = text.decode().split(",")
-        if usecols is None:
-            return f": malformed row {fields!r}"
-        if len(fields) <= usecols[0]:
+        if usecols is not None and len(fields) <= usecols[0]:
             return f" has no {header[usecols[0]]!r} field"
-        return f": could not convert string {fields[usecols[0]]!r} to float64"
+        if usecols is not None and not number(fields[usecols[0]]):
+            return f": could not convert string {fields[usecols[0]]!r} to float64"
+        return f": malformed row {fields!r}"  # the row is at fault, not (only) the column read
+
+    def number(field):
+        """Whether numpy's reader takes field alone as one number."""
+        try:
+            return parse([field], None).size == 1
+        except ValueError:
+            return False
 
     def check(lines, fault):
         """Raise ValueError naming the first of lines, which follow the seen lines, that
@@ -462,7 +469,7 @@ def _csv_blocks(path, pick):
             if not b"".join(lines).isascii():
                 check(lines, undecodable)
             try:
-                block = parse(lines)
+                block = parse(lines, usecols)
             except ValueError:
                 block = None
             if block is None or len(block) and block.shape[1] != width:

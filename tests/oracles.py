@@ -16,6 +16,11 @@ library gets another way, by a route that shares no algebra with it.
   drawn whole with rng.random or the Beta sampler, then sliced block by
   block.  It is the check on _score_chunk's streamed
   columns, which must give the same counts.
+- beta_mixture_cfb is the exact statistic of the oracle predictor of a
+  Beta-mixed population (ROADMAP item 7): the binary two-group closed
+  form shrunk toward 0.5 by the covariate's relative Gini mean
+  difference, from math.lgamma alone.  It is the truth that the Monte
+  Carlo route's estimates are checked against.
 - full_grid_survivors runs the census's frozen float filter on every
   ordered pair of grid triples, the check on grid_search's candidate
   intervals.
@@ -45,9 +50,11 @@ from cfb import (
     BinaryXPopulation,
     CfbError,
     CfbResult,
+    DegenerateCfb,
     MatchedBenefitDistribution,
     ProbTriple,
     UndefinedCfb,
+    cfb_two_group,
 )
 from cfb.cfb_engine import _BLOCK, _beta_draws, _two_group_masses, _units
 from cfb.population_model import _COMPONENT_TOL, _SUM_TOL
@@ -202,6 +209,41 @@ def whole_column_score_chunk(pop, child_seed, m):
         tied += int(np.count_nonzero(differ & (h1 == h2)))
         valid += int(np.count_nonzero(differ))
     return conc, tied, valid
+
+
+def _log_beta(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def beta_mixture_cfb(pop):
+    """Exact statistic of the oracle predictor E[B | X] of a BetaXPopulation.
+
+    The triples are linear in x, so for a fixed mean mu = alpha/(alpha + beta)
+    the statistic is affine in E|X1 - X2|: a point mass gives 0.5 and
+    Bernoulli(mu) the two-group closed form at c = mu.  Hence
+
+        0.5 + (cfb_two_group(mu, lower, higher) - 0.5) * E|X1 - X2| / (2 mu (1 - mu))
+
+    with lower and higher the x = 0 and x = 1 triples in order of mean
+    benefit (when x = 1 has the lower mean, its mass mu is the low level's,
+    so c = 1 - mu), and for X ~ Beta(alpha, beta)
+
+        E|X1 - X2| = 4 B(alpha + beta, alpha + beta) / ((alpha + beta) B(alpha, alpha) B(beta, beta)).
+
+    Raises DegenerateCfb when both triples have the same mean benefit: the
+    predictor is then one value for every unit.
+    """
+    a, b = pop.alpha, pop.beta
+    mu = a / (a + b)
+    t0, t1 = pop.triple0, pop.triple1
+    if t0.mean_benefit == t1.mean_benefit:
+        raise DegenerateCfb("both triples have the same mean benefit, the predictor is constant")
+    if t1.mean_benefit > t0.mean_benefit:
+        binary = cfb_two_group(mu, t0, t1).value
+    else:
+        binary = cfb_two_group(1.0 - mu, t1, t0).value
+    gini = 4.0 * math.exp(_log_beta(a + b, a + b) - math.log(a + b) - _log_beta(a, a) - _log_beta(b, b))
+    return 0.5 + (binary - 0.5) * gini / (2.0 * mu * (1.0 - mu))
 
 
 def _scan_block(i0, i1, vm, v0, vp, c):

@@ -5,6 +5,7 @@ recompute them by plain enumeration with Fraction arithmetic and share
 no code with the library.
 """
 
+import ast
 import itertools
 import math
 import os
@@ -38,6 +39,7 @@ from cfb import cfb_engine
 from cfb.cfb_engine import (
     _BLOCK,
     _beta_draws,
+    _Scratch,
     _pair_counts,
     _sample_b_from_triples,
     _score_chunk,
@@ -46,6 +48,7 @@ from cfb.cfb_engine import (
 )
 from cfb.matched_pairs import _two_group_cfb_arrays
 from oracles import (
+    beta_mixture_cfb,
     bivariate_normal_cdf,
     empirical_cfb_oracle,
     sampled_linear_gaussian_cfb,
@@ -557,6 +560,81 @@ def test_beta_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
     assert repr(serial) == BETA_MC_PINS[(0.5, 0.5), 7]
 
 
+def _direct_beta_mixture_cfb(pop):
+    """The statistic from its definition, with no shrink identity.
+
+    H is monotone in X and X is continuous, so the statistic is
+    2 Pr(H1 > H2, B1 > B2) / Pr(B1 != B2).  Given X1, X2 both pair
+    probabilities are bilinear in (X1, X2), since the triples are linear in
+    x; their averages need E[X] and E[max(X1, X2)] = int_0^1 1 - F(x)^2 dx,
+    here a SciPy quadrature of the Beta cdf.
+    """
+    from scipy.integrate import quad
+    from scipy.special import betainc
+
+    a, b = pop.alpha, pop.beta
+    mu = a / (a + b)
+    e_max = quad(lambda x: 1.0 - betainc(a, b, x) ** 2, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+    e_min = 2.0 * mu - e_max
+    t = (pop.triple0, pop.triple1)
+
+    def gt(ta, tb):
+        return ta.p_plus * (tb.p_zero + tb.p_minus) + ta.p_zero * tb.p_minus
+
+    def eq(ta, tb):
+        return ta.p_minus * tb.p_minus + ta.p_zero * tb.p_zero + ta.p_plus * tb.p_plus
+
+    # E[X1^i (1 - X1)^(1 - i) X2^j (1 - X2)^(1 - j) ; X1 > X2]
+    above = {(1, 1): mu * mu / 2, (1, 0): (e_max - mu * mu) / 2, (0, 1): (e_min - mu * mu) / 2}
+    above[0, 0] = 0.5 - above[1, 0] - above[0, 1] - above[1, 1]
+    rising = pop.triple1.mean_benefit > pop.triple0.mean_benefit
+    # H1 > H2 is X1 > X2 when H rises with x, else X1 < X2 (swap the units)
+    num = sum(w * (gt(t[i], t[j]) if rising else gt(t[j], t[i])) for (i, j), w in above.items())
+    mass = (1.0 - mu, mu)
+    ties = sum(mass[i] * mass[j] * eq(t[i], t[j]) for i in (0, 1) for j in (0, 1))
+    return 2.0 * num / (1.0 - ties)
+
+
+@pytest.mark.parametrize("pop", [
+    BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1),
+    BetaXPopulation(2.0, 3.0, HEADLINE_P, HEADLINE_Q),
+    BetaXPopulation(0.3, 0.9, HEADLINE_Q, HEADLINE_P),  # H falls with x
+    BetaXPopulation(1.7, 0.4, ProbTriple(0.2, 0.3, 0.5), ProbTriple(0.6, 0.1, 0.3)),
+    BetaXPopulation(0.05, 20.0, ProbTriple(0.1, 0.8, 0.1), ProbTriple(0.0, 0.5, 0.5)),
+], ids=lambda pop: f"beta({pop.alpha}, {pop.beta})")
+def test_beta_mixture_identity_matches_the_quadrature(pop):
+    assert beta_mixture_cfb(pop) == pytest.approx(_direct_beta_mixture_cfb(pop), abs=1e-10)
+
+
+def test_beta_mixture_of_the_readme_example():
+    # binary limit 0.4308041040 shrunk by 8/pi^2, the arcsine law's factor
+    pop = BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1)
+    assert cfb_two_group(0.5, BETA_T0, BETA_T1).value == pytest.approx(0.4308041040, abs=1e-10)
+    assert beta_mixture_cfb(pop) == pytest.approx(0.5 - (0.5 - 0.4308041040) * 8 / math.pi**2, abs=1e-10)
+    assert beta_mixture_cfb(pop) == pytest.approx(0.4439119193, abs=1e-10)
+    # uniform covariate: E|X1 - X2| = 1/3
+    uniform = BetaXPopulation(1.0, 1.0, BETA_T0, BETA_T1)
+    assert beta_mixture_cfb(uniform) == pytest.approx(0.5 - (0.5 - 0.4308041040) * 2 / 3, abs=1e-10)
+    with pytest.raises(DegenerateCfb):
+        beta_mixture_cfb(BetaXPopulation(0.5, 0.5, FLAT_T0, FLAT_T1))
+
+
+@pytest.mark.parametrize("shape, seed", list(BETA_MC_PINS), ids=str)
+def test_beta_monte_carlo_pins_lie_within_4_se_of_the_exact_value(shape, seed):
+    est, se = ast.literal_eval(BETA_MC_PINS[shape, seed])
+    assert abs(est - beta_mixture_cfb(BetaXPopulation(*shape, BETA_T0, BETA_T1))) < 4.0 * se
+
+
+# Generator.beta draws the covariate above shape 1 and below 0.01; the
+# pins above are inside Johnk's range, so together they cover every
+# branch of _beta_draws
+@pytest.mark.parametrize("shape", [(2.0, 3.0), (0.005, 0.5)], ids=str)
+def test_beta_monte_carlo_lies_within_4_se_of_the_exact_value(shape):
+    pop = BetaXPopulation(*shape, BETA_T0, BETA_T1)
+    est, se = cfb_monte_carlo(pop, 2_500_000, 20230516)
+    assert abs(est - beta_mixture_cfb(pop)) < 4.0 * se
+
+
 # repr(cfb_monte_carlo(BINARY_POP, 2_500_000, seed)), recorded while every
 # chunk column was drawn whole
 MC_ROUTES = {"binary": BINARY_POP}
@@ -581,7 +659,8 @@ CHUNK_CASES = {
 }
 
 
-@pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1_000_000])
+@pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 1_000_000])
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_streamed_chunk_counts_equal_whole_columns(case, m):
     pop = CHUNK_CASES[case]
@@ -609,10 +688,29 @@ def test_streamed_uniforms_are_slices_of_generator_random():
         column[::2]
 
 
-# numpy reports its buffers to tracemalloc; with every column drawn whole
-# one chunk peaked at 33.8 MiB (Beta) and 33.4 MiB (binary covariate)
+# block sizes that divide m = 200,000 into whole blocks, into blocks with
+# a short last one, and into one block of 1000 pairs at a time
+BLOCK_SIZES = [1000, 2**15, 2**16, 3 * 2**15 + 7]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_chunk_counts_do_not_depend_on_the_block_size(block, monkeypatch):
+    child = np.random.SeedSequence(20230516).spawn(2)[1]
+    want = {case: whole_column_score_chunk(pop, child, 200_000) for case, pop in CHUNK_CASES.items()}
+    monkeypatch.setattr(cfb_engine, "_BLOCK", block)
+    assert {case: _score_chunk(pop, child, 200_000) for case, pop in CHUNK_CASES.items()} == want
+
+
+# numpy reports its buffers to tracemalloc.  With every column drawn whole
+# one chunk peaked at 33.8 MiB (Beta) and 33.4 MiB (binary covariate);
+# with the uniform columns streamed and per-block temporaries, 19.4 MiB
+# (Beta).  Now a Beta chunk holds its covariate column, 2 * 10**6 * 8 B =
+# 15.26 MiB, and one scratch set of 2**15 pairs, 2**15 * (5 * 8 + 2 + 2) B =
+# 1.38 MiB, and while the column is drawn one Johnk block's uniforms,
+# 2 * 2**15 * 8 B = 0.5 MiB, and np.compress's index and output buffers,
+# at most 0.5 MiB more: 17.6 MiB, below 18.
 @pytest.mark.parametrize("pop, limit_mib", [
-    (BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1), 24),
+    (BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1), 18),
     (BINARY_POP, 8),
 ], ids=["beta", "binary"])
 def test_chunk_peak_memory(pop, limit_mib):
@@ -800,9 +898,30 @@ def test_beta_draws_follow_generator_beta(a, b):
     assert np.array_equal(got == 1.0, want == 1.0)
 
 
-@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2_000_000])
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 2_000_000])
 def test_beta_draws_end_where_generator_beta_ends(count):
     _assert_matches_generator_beta(0.5, 0.5, count)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 0.9)])
+def test_beta_draws_do_not_depend_on_the_block_size(a, b, block, monkeypatch):
+    """Every pair a block accepts is used, so blocks of any size give the
+    same values and leave the stream at the same place."""
+    counts = [1, block - 1, block, block + 1, 2 * block + 1]
+    want = {}
+    for count in counts:
+        rng = np.random.default_rng(5)
+        want[count] = _beta_draws(rng, a, b, count).tobytes(), rng.random()
+    monkeypatch.setattr(cfb_engine, "_BLOCK", block)
+    for count in counts:
+        rng = np.random.default_rng(5)
+        assert (_beta_draws(rng, a, b, count).tobytes(), rng.random()) == want[count], count
+    # a scratch set smaller than the block, as a chunk of few pairs makes
+    rng = np.random.default_rng(5)
+    got = _beta_draws(rng, a, b, 2 * block + 1, _Scratch(7))
+    assert (got.tobytes(), rng.random()) == want[2 * block + 1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -907,6 +907,17 @@ def test_hist_rejects_a_non_numeric_field(tmp_path, capsys):
         assert ", column" not in err
 
 
+def test_hist_blames_the_row_when_its_column_is_a_number(tmp_path, capsys):
+    """numpy refuses a carriage return inside a line, here outside the column read:
+    the column's field alone is a number, so the row is named malformed."""
+    src = tmp_path / "vals.csv"
+    src.write_bytes(b"name,score\nb,2\na\rx,1\n")
+    assert run(["hist", "--in", str(src), "--col", "score"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cfb: {src}: data row 2: malformed row ['a\\rx', '1']\n"
+
+
 def test_screen_cf_names_the_file_of_a_header_that_is_no_utf8(tmp_path, capsys):
     src = tmp_path / "improper.csv"
     src.write_bytes(b"# cfb 0.1.0\n" + ",".join(IMPROPER_COLUMNS).encode() + b"\xff\n"

@@ -17,12 +17,29 @@ def test_rusage_tool_measures_eval_discrete_from_two_trees():
     assert list(table) == ["eval-discrete"]
     row = table["eval-discrete"]
     assert row["passes"] == 2 and 0 <= row["change_cpu_wins"] <= 2
+    assert 0 <= row["change_rss_wins"] <= 2
     for side in ("parent", "change"):
         measures = row[side]
         assert sorted(measures) == ["cpu_s", "maxrss_mb", "minflt", "nivcsw", "wall_s"]
         assert measures["wall_s"] > 0 and measures["cpu_s"] > 0
         # a fresh interpreter with cfb's CLI loaded, without numpy
         assert 5 < measures["maxrss_mb"] < 60 and measures["minflt"] > 0
+        # with two passes the inclusive quartiles lie on either side of the median
+        spread = row["quartiles"][side]
+        assert sorted(spread) == ["cpu_s", "maxrss_mb", "wall_s"]
+        for key, (q1, q3) in spread.items():
+            assert 0 < q1 <= measures[key] <= q3, key
+
+
+def test_rusage_quartiles_are_inclusive():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import rusage
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    assert rusage.quartiles([3.0]) == [3.0, 3.0]
+    assert rusage.quartiles([1.0, 2.0]) == [1.25, 1.75]
+    assert rusage.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == [2.0, 4.0]
 
 
 def test_rusage_tool_measures_the_all_pairs_study_on_each_tree(tmp_path):

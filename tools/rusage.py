@@ -14,7 +14,10 @@ CPUs, as in bench/run.py.
 
 Prints one JSON object: for each command, the medians over passes of wall
 time, user + system CPU, ru_maxrss (MB), ru_minflt and ru_nivcsw from
-os.wait4 for each tree, and the passes in which the change used less CPU.
+os.wait4 for each tree, the inclusive quartiles [q1, q3] of wall time,
+CPU and ru_maxrss for each tree, and the passes in which the change used
+less CPU and less memory.  A ru_maxrss move smaller than the spread of
+either side's quartiles is not a move the tool can tell from noise.
 The runner imports only the standard library and never reads what the
 commands write, so a child's ru_maxrss, which counts the memory it was
 forked from, is the command's own and not the runner's.
@@ -54,6 +57,8 @@ COMMANDS = {
                      "--lo", "0", "--hi", "0.25"], "match-compare"),
 }
 SIDES = ("parent", "change")
+# the measures whose spread is reported next to their medians
+SPREAD = ("wall_s", "cpu_s", "maxrss_mb")
 
 
 def selected(names):
@@ -106,13 +111,25 @@ def measure(trees, labels, passes):
     return runs
 
 
+def quartiles(values):
+    """[q1, q3], inclusive (statistics.quantiles' method), of one or more values."""
+    if len(values) == 1:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summary(runs, passes):
     table = {}
     for label, sides in runs.items():
         row = {"argv": COMMANDS[label][0]}
         for side in SIDES:
             row[side] = {key: statistics.median(m[key] for m in sides[side]) for key in sides[side][0]}
-        row["change_cpu_wins"] = sum(c["cpu_s"] < p["cpu_s"] for p, c in zip(sides["parent"], sides["change"]))
+        row["quartiles"] = {side: {key: quartiles([m[key] for m in sides[side]]) for key in SPREAD}
+                            for side in SIDES}
+        pairs = list(zip(sides["parent"], sides["change"]))
+        row["change_cpu_wins"] = sum(c["cpu_s"] < p["cpu_s"] for p, c in pairs)
+        row["change_rss_wins"] = sum(c["maxrss_mb"] < p["maxrss_mb"] for p, c in pairs)
         row["passes"] = passes
         table[label] = row
     return table
