@@ -20,8 +20,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": ("CfbError", "DegenerateCfb", "UndefinedCfb"),
     "population_model": (
-        "ProbTriple", "BinaryXPopulation", "BetaXPopulation",
-        "LinearGaussianPopulation"),
+        "ProbTriple", "BetaXPopulation", "LinearGaussianPopulation"),
     "cfb_engine": (
         "PairTable", "MatchedBenefitDistribution", "CfbResult", "pair_table",
         "cfb_from_pair_table", "cfb_two_group", "cfb_monte_carlo",

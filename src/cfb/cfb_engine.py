@@ -14,14 +14,12 @@ does not exist and UndefinedCfb is raised.
 Exact routes (closed form for two groups, the nine-cell pair table for
 any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
-population all live here; the route also samples the binary-covariate
-population, whose closed form checks it.  Only
-the Monte Carlo route uses numpy, and it imports it when called, so the
-exact routes and gini_mean_difference run without it; the route's
-thread pool is imported on first use too.  The references the tests
-check these routes against, a quadrature of the bivariate normal cdf
-and a brute-force pair scorer, are in tests/oracles.py, not in the
-package.
+population all live here.  Only the Monte Carlo route uses numpy, and it
+imports it when called, so the exact routes and gini_mean_difference run
+without it; the route's thread pool is imported on first use too.  The
+references the tests check these routes against, a quadrature of the
+bivariate normal cdf and a brute-force pair scorer, are in
+tests/oracles.py, not in the package.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateCfb, UndefinedCfb
-from .population_model import (
-    BetaXPopulation,
-    BinaryXPopulation,
-    LinearGaussianPopulation,
-    ProbTriple,
-)
+from .population_model import BetaXPopulation, LinearGaussianPopulation, ProbTriple
 
 __all__ = [
     "PairTable",
@@ -309,11 +302,10 @@ class _Scratch:
 
     _beta_draws runs its Johnk loop in them (X in t_minus, Y in t_zero,
     X + Y in u, the accept and recheck masks in mask) before any block is
-    scored.  The scorer then draws each block's covariate uniforms into
-    t_minus, which a binary covariate reads before the threshold goes
-    there, and its benefit uniforms into u; it builds the two benefit
-    thresholds in t_minus and t_zero, the B and H of both halves of the
-    block in b and h, and compares the halves in mask.  Each buffer is one
+    scored.  The scorer then draws each block's benefit uniforms into u;
+    it builds the two benefit thresholds in t_minus and t_zero, the B and
+    H of both halves of the block in b and h, and compares the halves in
+    mask.  Each buffer is one
     contiguous row, so its [:k] is too.
     """
 
@@ -328,20 +320,17 @@ class _Scratch:
         self.mask = np.empty((2, size), bool)
 
 
-def _sample_b_from_triples(u, t_minus, t_zero, b=None, above=None):
+def _sample_b_from_triples(u, t_minus, t_zero, b, above):
     """Map uniforms to benefit values given per-unit triple components.
 
     -1 below t_minus, 0 below t_minus + t_zero, else 1.  Counting the two
     thresholds u clears gives the same values, because t_zero >= 0 keeps
-    t_minus <= t_minus + t_zero in floating point too.  Given b (int8) and
-    above (bool) buffers of len(u), it writes the values into b, uses
-    above for the second count and overwrites t_zero with the upper
-    threshold; without them it allocates and leaves its arguments alone.
+    t_minus <= t_minus + t_zero in floating point too.  It writes the
+    values into b (int8, len(u)), uses above (bool, len(u)) for the second
+    count and overwrites t_zero with the upper threshold.
     """
     import numpy as np
 
-    if b is None:
-        b, above, t_zero = np.empty(len(u), np.int8), np.empty(len(u), bool), t_zero.copy()
     np.greater_equal(u, t_minus, out=b.view(np.bool_))
     np.add(t_minus, t_zero, out=t_zero)
     np.greater_equal(u, t_zero, out=above)
@@ -429,93 +418,68 @@ def _johnk_pair(u, v, a, b):
 class _StreamedUniforms:
     """The column rng.random(count) would draw, drawn one slice at a time.
 
-    Taking [lo:hi], or draw(lo, out), draws those values from a copy of
-    the generator's state moved ahead by lo outputs.  Every float64 of
-    Generator.random takes exactly one 64-bit output, so the slice is
-    rng.random(count)[lo:hi] bit for bit, and the column is never held
-    whole.  Making the column moves rng past it, as drawing it would.
+    draw(lo, out) draws len(out) values from a copy of the generator's
+    state moved ahead by lo outputs.  Every float64 of Generator.random
+    takes exactly one 64-bit output, so they are
+    rng.random(count)[lo:lo + len(out)] bit for bit, and the column is
+    never held whole.  Making the column moves rng past it, as drawing it
+    would.
     """
 
     def __init__(self, rng, count):
         import numpy as np
 
         self._state = rng.bit_generator.state
-        self._count = count
         self._bits = np.random.PCG64(0)  # seeded only to construct it; draw sets its state
         rng.bit_generator.advance(count)
 
     def draw(self, lo, out):
-        """Fill out with the column's values from lo on, self[lo:lo + len(out)]; returns out."""
+        """Fill out with the column's values from lo on; returns out."""
         import numpy as np
 
         self._bits.state = self._state
         return np.random.Generator(self._bits.advance(lo)).random(out=out)
 
-    def __getitem__(self, key):
-        import numpy as np
 
-        lo, hi, step = key.indices(self._count)
-        if step != 1:
-            raise IndexError("a streamed column is sliced with step 1 only")
-        return self.draw(lo, np.empty(max(hi - lo, 0)))
+def _draw_columns(pop, rng, count, scratch):
+    """The random columns behind `count` units of a BetaXPopulation, in stream order.
 
-
-def _draw_columns(pop, rng, count, scratch=None):
-    """The random columns behind `count` units, in stream order.
-
-    Each column holds one value per unit and is sliced [lo:hi]; _units
-    maps any slice of them to (B, H).  The uniform columns are streamed
-    (_StreamedUniforms); the Beta covariate, whose draws use a variable
-    number of random bits, is an array of `count` values, drawn in
-    scratch's buffers when given.  Raises TypeError for a population with
-    no sampler.
+    The covariate, whose draws use a variable number of random bits, is
+    an array of `count` values, drawn in scratch's buffers; the benefit
+    uniforms are streamed (_StreamedUniforms).
     """
-    if isinstance(pop, BinaryXPopulation):
-        return _StreamedUniforms(rng, count), _StreamedUniforms(rng, count)
-    if isinstance(pop, BetaXPopulation):
-        return _beta_draws(rng, pop.alpha, pop.beta, count, scratch), _StreamedUniforms(rng, count)
-    raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
+    return _beta_draws(rng, pop.alpha, pop.beta, count, scratch), _StreamedUniforms(rng, count)
 
 
-def _units(pop, columns, scratch=None, half=0):
-    """(B, H) of the units whose random columns (see _draw_columns) are given,
+def _units(pop, columns, scratch, half=0):
+    """(B, H) of the units whose covariates and benefit uniforms are given,
     H the oracle predictor E[B | X].
 
     B and H are written into row `half` (0 or 1) of scratch's b and h, and
-    the thresholds and masks use its shared buffers; without a scratch set
-    one is made for these units.
+    the thresholds and masks use its shared buffers.
     """
     import numpy as np
 
     x, u = columns
     k = len(u)
-    if scratch is None:
-        scratch = _Scratch(k)
     t_minus, t_zero = scratch.t_minus[:k], scratch.t_zero[:k]
     b, h = scratch.b[half, :k], scratch.h[half, :k]
     t0, t1 = pop.triple0, pop.triple1
-    if isinstance(pop, BinaryXPopulation):
-        level = np.less(x, pop.c, out=scratch.mask[0, :k])  # the covariate: 1 with probability c
-        for out, v0, v1 in ((t_minus, t0.p_minus, t1.p_minus), (t_zero, t0.p_zero, t1.p_zero),
-                            (h, t0.mean_benefit, t1.mean_benefit)):
-            out.fill(v0)
-            np.copyto(out, v1, where=level)
-    else:
-        # t0 + (t1 - t0) * x per component, H = p_plus - p_minus
-        np.multiply(x, t1.p_minus - t0.p_minus, out=t_minus)
-        t_minus += t0.p_minus
-        np.multiply(x, t1.p_zero - t0.p_zero, out=t_zero)
-        t_zero += t0.p_zero
-        np.multiply(x, t1.p_plus - t0.p_plus, out=h)
-        h += t0.p_plus
-        h -= t_minus
+    # t0 + (t1 - t0) * x per component, H = p_plus - p_minus
+    np.multiply(x, t1.p_minus - t0.p_minus, out=t_minus)
+    t_minus += t0.p_minus
+    np.multiply(x, t1.p_zero - t0.p_zero, out=t_zero)
+    t_zero += t0.p_zero
+    np.multiply(x, t1.p_plus - t0.p_plus, out=h)
+    h += t0.p_plus
+    h -= t_minus
     return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
 
 
 def _block_columns(columns, lo, hi, scratch):
-    """columns[lo:hi]: a streamed column is drawn into scratch's t_minus or u, a stored one viewed."""
-    return [c.draw(lo, out[:hi - lo]) if isinstance(c, _StreamedUniforms) else c[lo:hi]
-            for c, out in zip(columns, (scratch.t_minus, scratch.u))]
+    """Units lo to hi: the stored covariates viewed, the benefit uniforms drawn into scratch's u."""
+    x, u = columns
+    return x[lo:hi], u.draw(lo, scratch.u[:hi - lo])
 
 
 def _pairs_within(counts):
@@ -570,9 +534,9 @@ def _score_chunk(pop, child_seed, m):
 
     Units are built and pairs scored one block of up to _BLOCK pairs at a
     time, in one scratch set (_Scratch) made for the chunk, which the Beta
-    sampler uses first.  The uniform columns are streamed, so a block
-    draws only its own slice of them into that set; the Beta covariate
-    column is stored whole, 2m values (16 MB at m = 10**6).  So a chunk
+    sampler uses first.  The benefit uniforms are streamed, so a block
+    draws only its own slice of them into that set; the covariate column
+    is stored whole, 2m values (16 MB at m = 10**6).  So a chunk
     holds that column and 1.4 MiB of block buffers, and allocates nothing
     per block but the Johnk loop's uniforms and np.compress's buffers.
     """
@@ -605,9 +569,8 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
 
     Parameters
     ----------
-    pop : BetaXPopulation or BinaryXPopulation
-        The Beta-mixed population is what the route is for; the binary
-        one has an exact value (cfb_two_group) to check the sampler by.
+    pop : BetaXPopulation
+        The Beta-mixed population; any other raises TypeError.
     n : int
         Number of independent pairs to score.  With all_pairs=True, n is
         instead the number of units and every one of the n(n-1)/2 pairs
@@ -618,17 +581,16 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
 
     Independent pairs come in chunks of 10**6, each from its own child of
     SeedSequence(seed) and scored one block at a time into exact integer
-    counts, so no result depends on CFB_THREADS.  A chunk's uniform
-    columns are streamed, each block drawing its own slice from a copy of
-    the generator moved ahead to it; only the Beta covariate column is
-    stored.  So a worker holds one covariate column (16 MB for a Beta
-    chunk, none for a binary covariate) and one scratch set of 2**15-pair
-    block buffers (1.4 MiB), allocated once per chunk, in which the Beta
-    sampler and the block scorer do all their work.  Beta covariates with
-    shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
-    stream (_beta_draws): the counts are those of Generator.beta draws
-    unless a draw that moved by a few ULP crosses a benefit threshold or
-    swaps the order of two predictor values.
+    counts, so no result depends on CFB_THREADS.  A chunk's benefit
+    uniforms are streamed, each block drawing its own slice from a copy of
+    the generator moved ahead to it; only the covariate column is stored.
+    So a worker holds one covariate column (16 MB a chunk) and one scratch
+    set of 2**15-pair block buffers (1.4 MiB), allocated once per chunk,
+    in which the Beta sampler and the block scorer do all their work.
+    Beta covariates with shapes in [0.01, 1] run numpy's Johnk loop
+    vectorized on the same stream (_beta_draws): the counts are those of
+    Generator.beta draws unless a draw that moved by a few ULP crosses a
+    benefit threshold or swaps the order of two predictor values.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
@@ -647,6 +609,8 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not isinstance(pop, BetaXPopulation):
+        raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
     import numpy as np
 
     if all_pairs:
@@ -655,7 +619,9 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         if n < 2:
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        b, h = _units(pop, [c[:n] for c in _draw_columns(pop, rng, n)])
+        scratch = _Scratch(n)
+        x, u = _draw_columns(pop, rng, n, scratch)
+        b, h = _units(pop, (x, u.draw(0, scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS

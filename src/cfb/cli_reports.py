@@ -28,7 +28,9 @@ called: `import cfb.cli_reports` loads neither, and `eval-discrete` and
 The five array commands first ask glibc's malloc to keep the memory they
 free (_keep_freed_memory), so each block's buffers reuse the pages of
 the block before instead of being faulted in again.  The process entry
-(main) loads OpenBLAS single-threaded, since no command calls BLAS.
+(main) loads OpenBLAS single-threaded, since no command calls BLAS, and
+freezes the garbage collector once the command is done, so shutdown does
+not walk every object the imports made.
 
 Exit codes: 0 success, 2 validation or input problems, 3 when the
 statistic is undefined for the requested configuration.
@@ -37,6 +39,7 @@ statistic is undefined for the requested configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
@@ -64,7 +67,6 @@ _CHARS_PER_READ = 1 << 18
 
 # the most values a flag may ask for, checked before anything is allocated
 _MAX_RHO_POINTS = 1_000_000  # rho-sweep --rho
-_MAX_MATCH_CELLS = 10_000_000  # match-compare --step: 20x the default grid's 498,501 cells
 _MAX_HIST_BINS = 1_000_000  # hist --bins: one output row per bin, as --rho has per point
 _MAX_MC_PAIRS = 10_000_000_000  # beta-mc --n: 10,000 chunks, far below 2**53 pairs
 
@@ -763,6 +765,8 @@ def _cmd_hist(args, cfg) -> int:
     hi = args.hi if args.hi is not None else max(vals.tolist())
     if not lo < hi:
         raise ValueError("need lo < hi for the histogram range")
+    if not math.isfinite(hi - lo):  # numpy would warn, then name a symptom
+        raise ValueError(f"histogram range [{_fmt(lo)}, {_fmt(hi)}] is too wide: hi - lo is not finite")
     counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
     _emit(args.out, cfg, _bin_lines(edges, counts))
     return 0
@@ -803,29 +807,31 @@ def _count_up_to(cap):
 
 
 def _match_seed(text):
-    """match-compare's --seed: below 2**64, the seed range of its counter draws."""
+    """match-compare's --seed: in matching_experiment's seed range, below 2**64."""
+    from .matched_pairs import _seed_in_range
+
     seed = _SEED(text)
-    if seed >= 1 << 64:
+    if not _seed_in_range(seed):
         raise argparse.ArgumentTypeError(f"must be below 2**64, got {seed}")
     return seed
 
 
-def _grid_cells(step):
-    """Cells of matching_experiment's grid at step, (n - 1)(n - 2) / 2 for n = round(1 / step),
-    or 0 where step is no positive number with a finite 1 / step (its own checks name those)."""
-    if not (step > 0.0 and math.isfinite(1.0 / step)):
-        return 0
-    n = round(1.0 / step)
-    return (n - 1) * (n - 2) // 2
+def _grid_step(text):
+    """match-compare's --step: one whose grid has at most matching_experiment's cell cap;
+    a step with no grid at all is left to its own checks, which name the problem."""
+    from .matched_pairs import _MAX_CELLS, _grid_cells
+
+    return _number(float, f"a step giving at most {_MAX_CELLS:,} grid cells",
+                   lambda step: _grid_cells(step) <= _MAX_CELLS)(text)
 
 
-_GRID_STEP = _number(float, f"a step giving at most {_MAX_MATCH_CELLS:,} grid cells",
-                     lambda step: _grid_cells(step) <= _MAX_MATCH_CELLS)
-# each cell's logistic argument is beta0 + betax*x + betat*t + betaxt*x*t with x <= 2, t <= 1,
-# so it is finite when 6 times the largest bound is; infinite bounds are left to the kernel
-_COEFF_BOUND = _number(
-    float, "a number whose linear predictor |beta0| + 2|betax| + |betat| + 2|betaxt| is finite",
-    lambda v: math.isfinite(6.0 * v) or not math.isfinite(v))
+def _coeff_bound(text):
+    """match-compare's --coeff-min and --coeff-max: a bound whose linear predictor stays
+    finite; infinite bounds are left to the kernel."""
+    from .matched_pairs import _predictor_finite
+
+    return _number(float, "a number whose linear predictor |beta0| + 2|betax| + |betat| + 2|betaxt| "
+                   "is finite", lambda v: _predictor_finite(v) or not math.isfinite(v))(text)
 
 
 class _Flag(NamedTuple):
@@ -886,9 +892,9 @@ _COMMANDS = {
         _Flag("rho", _RhoRangeArg, "-1:1:0.1", help="start:stop:step"),
         _Flag("out", absent="-", help="CSV path (default stdout)"))),
     "match-compare": _Command("matching-factor comparison over the mass grid", _cmd_match_compare, (
-        _Flag("step", _GRID_STEP, "0.001"),
-        _Flag("coeff-min", _COEFF_BOUND, "-5"),
-        _Flag("coeff-max", _COEFF_BOUND, "5"),
+        _Flag("step", _grid_step, "0.001"),
+        _Flag("coeff-min", _coeff_bound, "-5"),
+        _Flag("coeff-max", _coeff_bound, "5"),
         _Flag("seed", _match_seed, "20230516"),
         _Flag("out", default="match_diffs.csv"),
         _Flag("hist-out", default="fig2_hist.csv"))),
@@ -963,10 +969,16 @@ def main() -> None:
     """Process entry of the `cfb` console script and `python -m cfb`: run sys.argv, exit with its code.
 
     Unlike run(), this owns its process, so it sets OPENBLAS_NUM_THREADS=1
-    for it; run() and the library leave the environment alone.
+    for it and freezes the garbage collector before exiting; run() and the
+    library leave the environment and the collector alone.
     """
     # No command calls BLAS, so OpenBLAS's worker threads would only start
     # and spin idle.  OpenBLAS reads the variable once, when numpy first
     # loads, and every handler imports numpy after this point.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The process ends here: frozen objects are skipped by the collections
+    # of interpreter shutdown, which would otherwise walk every object that
+    # numpy and cfb imported.
+    gc.freeze()
+    sys.exit(code)

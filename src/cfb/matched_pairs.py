@@ -20,14 +20,16 @@ chunked, and the sweep runs in blocks of _CELLS_PER_BLOCK cells.  Its
 logistic is the C library's exp reached through numpy's complex exp
 (cexp), bit for bit as scipy.special.expit, with math.exp where z < -709
 (see _logistic), so no SciPy import is needed.
+
+numpy is imported when the sweep runs, so the command line checks its
+flags with the sweep's own limits (_grid_cells, _seed_in_range,
+_predictor_finite) without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cfb_engine import _two_group_masses
 
@@ -46,9 +48,9 @@ DIFF_HIST_BINS = 50
 # counter-based uniforms for the experiment sweep
 # ---------------------------------------------------------------------------
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLD = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _uniform_open01(seed: int, draw_index):
@@ -58,11 +60,13 @@ def _uniform_open01(seed: int, draw_index):
     [0, 2**64), top 53 bits shifted into the mantissa with a half-ulp
     offset so 0 and 1 are both excluded.
     """
+    import numpy as np
+
     idx = np.asarray(draw_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + (idx + np.uint64(1)) * _GOLD
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        z = np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(_GOLD)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
     return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
@@ -101,6 +105,8 @@ class MatchingExperimentResult:
 
 def _two_group_cfb_arrays(c, *triples):
     """Two-level closed form over arrays (cfb_engine._two_group_masses); nan where undefined."""
+    import numpy as np
+
     cross_conc, cross_disc, a_mass = _two_group_masses(c, *triples)
     defined = a_mass > 0.0
     dev = np.full(a_mass.shape, np.nan)
@@ -119,6 +125,8 @@ def _logistic(z):
     twice, so those z < -709 take math.exp instead (inf where it overflows,
     giving 0.0 as expit does).
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):
         e = np.exp((-z).astype(np.complex128)).real
     for k in np.flatnonzero(z < -709.0):
@@ -135,6 +143,27 @@ _CELLS_PER_BLOCK = 16_384
 # the most cells a grid may have, checked before anything is allocated:
 # 20x the default grid's 498,501
 _MAX_CELLS = 10_000_000
+
+
+def _grid_cells(grid_step):
+    """Cells of the grid at grid_step, (n - 1)(n - 2) / 2 for n = round(1 / grid_step),
+    or 0 where grid_step is no positive number with a finite 1 / grid_step."""
+    if not (grid_step > 0.0 and math.isfinite(1.0 / grid_step)):
+        return 0
+    n = round(1.0 / grid_step)
+    return (n - 1) * (n - 2) // 2
+
+
+def _seed_in_range(seed):
+    """Whether seed lies in [0, 2**64), the range of the counter draws."""
+    return 0 <= seed < 1 << 64
+
+
+def _predictor_finite(bound):
+    """Whether each cell's logistic argument beta0 + betax*x + betat*t + betaxt*x*t,
+    with x <= 2, t <= 1 and every coefficient within |bound|, stays finite:
+    whether 6 * |bound| does."""
+    return math.isfinite(6.0 * bound)
 
 
 def _sweep_block(a, b, beta0, betax, betat, betaxt):
@@ -198,6 +227,8 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     cell's beta0 + betax*x + betat*t + betaxt*x*t, with x <= 2 and t <= 1,
     must stay finite, so 6 * max(|lo|, |hi|) must be.
     """
+    import numpy as np
+
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     if not math.isfinite(1.0 / grid_step):
@@ -205,17 +236,17 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     inv = round(1.0 / grid_step)
     if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
         raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
-    if (inv - 1) * (inv - 2) // 2 > _MAX_CELLS:
+    if _grid_cells(grid_step) > _MAX_CELLS:
         raise ValueError(f"grid_step must give at most {_MAX_CELLS:,} grid cells, got {grid_step!r}")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")
     if not lo < hi:
         raise ValueError("coeff_range must be an increasing pair")
-    if not math.isfinite(6.0 * max(abs(lo), abs(hi))):
+    if not (_predictor_finite(lo) and _predictor_finite(hi)):
         raise ValueError(f"coeff_range's linear predictor overflows: 6 * max(|lo|, |hi|) "
                          f"must be finite, got {coeff_range!r}")
-    if not 0 <= seed < 1 << 64:
+    if not _seed_in_range(seed):
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
     i_vals = np.arange(1, inv - 1, dtype=np.int64)

@@ -9,7 +9,7 @@ under treatment (1 = favorable), and the resulting ternary benefit
 happens only if untreated, 0 means treatment changes nothing for that
 subject).
 A population couples a distribution for X with, at each covariate
-level, a distribution for B.  Three concrete families are provided.
+level, a distribution for B.  Two concrete families are provided.
 The predictor every route scores is the oracle h*(x) = E[B | X=x],
 which for a discrete population is ProbTriple.mean_benefit of each
 covariate level.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ProbTriple",
-    "BinaryXPopulation",
     "BetaXPopulation",
     "LinearGaussianPopulation",
 ]
@@ -75,22 +74,6 @@ def _require_finite(pop, *names):
         v = getattr(pop, name)
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class BinaryXPopulation:
-    """Two covariate levels: X=0 with probability 1-c, X=1 with probability c.
-
-    triple0 and triple1 are the benefit distributions at the two levels.
-    """
-
-    c: float
-    triple0: ProbTriple
-    triple1: ProbTriple
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie strictly inside (0, 1), got {self.c!r}")
 
 
 @dataclass(frozen=True)

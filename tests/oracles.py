@@ -12,10 +12,12 @@ library gets another way, by a route that shares no algebra with it.
 - empirical_cfb_oracle scores every ordered pair of weighted atoms one
   comparison at a time, the check on the closed forms.
 - whole_column_score_chunk is the Monte Carlo chunk scorer as it was
-  before the uniform columns were streamed: every column of the chunk is
-  drawn whole with rng.random or the Beta sampler, then sliced block by
-  block.  It is the check on _score_chunk's streamed
-  columns, which must give the same counts.
+  before the benefit uniforms were streamed: both columns of the chunk,
+  the Beta covariates and the benefit uniforms, are drawn whole
+  (whole_columns), then sliced block by block.  It is the check on
+  _score_chunk's streamed column, which must give the same counts; the
+  tests score all pairs of whole_columns too, the check on all-pairs
+  mode's.
 - beta_mixture_cfb is the exact statistic of the oracle predictor of a
   Beta-mixed population (ROADMAP item 7): the binary two-group closed
   form shrunk toward 0.5 by the covariate's relative Gini mean
@@ -46,8 +48,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from cfb import (
-    BetaXPopulation,
-    BinaryXPopulation,
     CfbError,
     CfbResult,
     DegenerateCfb,
@@ -56,7 +56,7 @@ from cfb import (
     UndefinedCfb,
     cfb_two_group,
 )
-from cfb.cfb_engine import _BLOCK, _beta_draws, _two_group_masses, _units
+from cfb.cfb_engine import _BLOCK, _beta_draws, _Scratch, _two_group_masses, _units
 from cfb.population_model import _COMPONENT_TOL, _SUM_TOL
 
 _SQRT2 = math.sqrt(2.0)
@@ -181,12 +181,9 @@ def empirical_cfb_oracle(atoms) -> CfbResult:
 
 
 def whole_columns(pop, rng, count):
-    """The random columns behind `count` units, each drawn whole, in stream order."""
-    if isinstance(pop, BinaryXPopulation):
-        return rng.random(count), rng.random(count)
-    if isinstance(pop, BetaXPopulation):
-        return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
-    raise TypeError(f"no Monte Carlo sampler for {type(pop).__name__}")
+    """The covariates and benefit uniforms of `count` units of a BetaXPopulation,
+    each column drawn whole, in stream order."""
+    return _beta_draws(rng, pop.alpha, pop.beta, count), rng.random(count)
 
 
 def whole_column_score_chunk(pop, child_seed, m):
@@ -198,11 +195,12 @@ def whole_column_score_chunk(pop, child_seed, m):
     """
     rng = np.random.default_rng(child_seed)
     columns = whole_columns(pop, rng, 2 * m)
+    scratch = _Scratch(min(m, _BLOCK))
     conc = tied = valid = 0
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        b1, h1 = _units(pop, [c[lo:hi] for c in columns])
-        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns])
+        b1, h1 = _units(pop, [c[lo:hi] for c in columns], scratch, 0)
+        b2, h2 = _units(pop, [c[m + lo:m + hi] for c in columns], scratch, 1)
         differ = b1 != b2
         conc += (int(np.count_nonzero((b1 > b2) & (h1 > h2)))
                  + int(np.count_nonzero((b1 < b2) & (h1 < h2))))

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from cfb import (
     BetaXPopulation,
-    BinaryXPopulation,
     CfbResult,
     DegenerateCfb,
     LinearGaussianPopulation,
@@ -44,6 +43,7 @@ from cfb.cfb_engine import (
     _sample_b_from_triples,
     _score_chunk,
     _StreamedUniforms,
+    _units,
     _worker_count,
 )
 from cfb.matched_pairs import _two_group_cfb_arrays
@@ -483,30 +483,16 @@ def test_linear_gaussian_closed_form_matches_the_quadrature():
 # Monte Carlo sampler
 # ---------------------------------------------------------------------------
 
-BINARY_POP = BinaryXPopulation(0.5, HEADLINE_P, HEADLINE_Q)
-# both levels have mean benefit exactly 0 but differ in benefit spread, so
-# the oracle predictor is one value for every unit of either population
+# the README's Beta example
+BETA_T0 = ProbTriple(0.08, 0.0, 0.92)
+BETA_T1 = ProbTriple(0.0, 0.15, 0.85)
+BETA_POP = BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1)
+# both end triples have mean benefit exactly 0 but differ in benefit
+# spread; the interpolated p_plus and p_minus are then the same
+# expression, so the oracle predictor is exactly 0 for every unit
 FLAT_T0 = ProbTriple(0.25, 0.5, 0.25)
 FLAT_T1 = ProbTriple(0.5, 0.0, 0.5)
-FLAT_POP = BinaryXPopulation(0.5, FLAT_T0, FLAT_T1)
-
-
-def test_monte_carlo_is_reproducible():
-    a = cfb_monte_carlo(BINARY_POP, 50_000, 99)
-    b = cfb_monte_carlo(BINARY_POP, 50_000, 99)
-    assert a == b
-    c = cfb_monte_carlo(BINARY_POP, 50_000, 100)
-    assert c != a
-
-
-def test_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
-    # 2.5M pairs spans three chunks, so scheduling could matter if the
-    # merge were order sensitive
-    monkeypatch.setenv("CFB_THREADS", "1")
-    serial = cfb_monte_carlo(BINARY_POP, 2_500_000, 7)
-    monkeypatch.setenv("CFB_THREADS", "4")
-    threaded = cfb_monte_carlo(BINARY_POP, 2_500_000, 7)
-    assert serial == threaded
+FLAT_POP = BetaXPopulation(0.5, 0.5, FLAT_T0, FLAT_T1)
 
 
 @pytest.mark.parametrize("affinity, cpus, expected", [
@@ -529,9 +515,6 @@ def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, 
     assert _worker_count() == expected
 
 
-BETA_T0 = ProbTriple(0.08, 0.0, 0.92)
-BETA_T1 = ProbTriple(0.0, 0.15, 0.85)
-
 # repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),
 # recorded while Beta covariates were still drawn with Generator.beta
 BETA_MC_PINS = {
@@ -551,11 +534,12 @@ def test_beta_monte_carlo_estimates_are_pinned(shape, seed):
 
 
 def test_beta_monte_carlo_thread_count_does_not_change_the_answer(monkeypatch):
-    pop = BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1)
+    # 2.5M pairs spans three chunks, so scheduling could matter if the
+    # merge were order sensitive
     monkeypatch.setenv("CFB_THREADS", "1")
-    serial = cfb_monte_carlo(pop, 2_500_000, 7)
+    serial = cfb_monte_carlo(BETA_POP, 2_500_000, 7)
     monkeypatch.setenv("CFB_THREADS", "2")
-    threaded = cfb_monte_carlo(pop, 2_500_000, 7)
+    threaded = cfb_monte_carlo(BETA_POP, 2_500_000, 7)
     assert serial == threaded
     assert repr(serial) == BETA_MC_PINS[(0.5, 0.5), 7]
 
@@ -608,15 +592,14 @@ def test_beta_mixture_identity_matches_the_quadrature(pop):
 
 def test_beta_mixture_of_the_readme_example():
     # binary limit 0.4308041040 shrunk by 8/pi^2, the arcsine law's factor
-    pop = BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1)
     assert cfb_two_group(0.5, BETA_T0, BETA_T1).value == pytest.approx(0.4308041040, abs=1e-10)
-    assert beta_mixture_cfb(pop) == pytest.approx(0.5 - (0.5 - 0.4308041040) * 8 / math.pi**2, abs=1e-10)
-    assert beta_mixture_cfb(pop) == pytest.approx(0.4439119193, abs=1e-10)
+    assert beta_mixture_cfb(BETA_POP) == pytest.approx(0.5 - (0.5 - 0.4308041040) * 8 / math.pi**2, abs=1e-10)
+    assert beta_mixture_cfb(BETA_POP) == pytest.approx(0.4439119193, abs=1e-10)
     # uniform covariate: E|X1 - X2| = 1/3
     uniform = BetaXPopulation(1.0, 1.0, BETA_T0, BETA_T1)
     assert beta_mixture_cfb(uniform) == pytest.approx(0.5 - (0.5 - 0.4308041040) * 2 / 3, abs=1e-10)
     with pytest.raises(DegenerateCfb):
-        beta_mixture_cfb(BetaXPopulation(0.5, 0.5, FLAT_T0, FLAT_T1))
+        beta_mixture_cfb(FLAT_POP)
 
 
 @pytest.mark.parametrize("shape, seed", list(BETA_MC_PINS), ids=str)
@@ -635,28 +618,9 @@ def test_beta_monte_carlo_lies_within_4_se_of_the_exact_value(shape):
     assert abs(est - beta_mixture_cfb(pop)) < 4.0 * se
 
 
-# repr(cfb_monte_carlo(BINARY_POP, 2_500_000, seed)), recorded while every
-# chunk column was drawn whole
-MC_ROUTES = {"binary": BINARY_POP}
-MC_ROUTE_PINS = {
-    ("binary", 20230516): "(0.4907486009209489, 0.00047206880828426376)",
-    ("binary", 7): "(0.49070383766590436, 0.00047167682295926863)",
-    ("binary", 11): "(0.4901907247719498, 0.000471825739742959)",
-}
-
-
-@pytest.mark.parametrize("route, seed", list(MC_ROUTE_PINS), ids=str)
-def test_monte_carlo_route_estimates_are_pinned(route, seed):
-    assert repr(cfb_monte_carlo(MC_ROUTES[route], 2_500_000, seed)) == MC_ROUTE_PINS[route, seed]
-
-
-# both populations, with Beta shapes inside Johnk's range [0.01, 1] and
-# outside it (Generator.beta)
-CHUNK_CASES = {
-    **MC_ROUTES,
-    **{f"beta{shape}": BetaXPopulation(*shape, BETA_T0, BETA_T1)
-       for shape in [(0.5, 0.5), (0.3, 0.9), (2.0, 3.0), (0.005, 0.5)]},
-}
+# Beta shapes inside Johnk's range [0.01, 1] and outside it (Generator.beta)
+CHUNK_CASES = {f"beta{shape}": BetaXPopulation(*shape, BETA_T0, BETA_T1)
+               for shape in [(0.5, 0.5), (0.3, 0.9), (2.0, 3.0), (0.005, 0.5)]}
 
 
 @pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
@@ -669,23 +633,25 @@ def test_streamed_chunk_counts_equal_whole_columns(case, m):
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
-def test_all_pairs_streamed_columns_equal_whole_columns(case, monkeypatch):
+def test_all_pairs_streamed_columns_equal_whole_columns(case):
     pop = CHUNK_CASES[case]
-    streamed = cfb_monte_carlo(pop, 1500, 11, all_pairs=True)
-    monkeypatch.setattr(cfb_engine, "_draw_columns", whole_columns)
-    assert cfb_monte_carlo(pop, 1500, 11, all_pairs=True) == streamed
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    conc, tied, valid = _pair_counts(*_units(pop, whole_columns(pop, rng, 1500), _Scratch(1500)))
+    est = (conc + 0.5 * tied) / valid
+    want = est, math.sqrt(est * (1.0 - est) / valid)
+    assert cfb_monte_carlo(pop, 1500, 11, all_pairs=True) == want
 
 
 def test_streamed_uniforms_are_slices_of_generator_random():
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     column = _StreamedUniforms(rng, 1000)
     want = ref.random(1000)
-    for lo, hi in [(None, None), (0, 0), (0, 1), (999, 1000), (17, 530), (900, 2000), (600, 500)]:
-        assert np.array_equal(column[lo:hi], want[lo:hi]), (lo, hi)
+    for lo, hi in [(0, 1000), (0, 0), (0, 1), (999, 1000), (17, 530), (600, 600)]:
+        out = np.empty(hi - lo)
+        assert column.draw(lo, out) is out
+        assert np.array_equal(out, want[lo:hi]), (lo, hi)
     # the generator moved past the column, as drawing it would
     assert np.array_equal(rng.random(10), ref.random(10))
-    with pytest.raises(IndexError):
-        column[::2]
 
 
 # block sizes that divide m = 200,000 into whole blocks, into blocks with
@@ -702,17 +668,13 @@ def test_chunk_counts_do_not_depend_on_the_block_size(block, monkeypatch):
 
 
 # numpy reports its buffers to tracemalloc.  With every column drawn whole
-# one chunk peaked at 33.8 MiB (Beta) and 33.4 MiB (binary covariate);
-# with the uniform columns streamed and per-block temporaries, 19.4 MiB
-# (Beta).  Now a Beta chunk holds its covariate column, 2 * 10**6 * 8 B =
-# 15.26 MiB, and one scratch set of 2**15 pairs, 2**15 * (5 * 8 + 2 + 2) B =
-# 1.38 MiB, and while the column is drawn one Johnk block's uniforms,
-# 2 * 2**15 * 8 B = 0.5 MiB, and np.compress's index and output buffers,
-# at most 0.5 MiB more: 17.6 MiB, below 18.
-@pytest.mark.parametrize("pop, limit_mib", [
-    (BetaXPopulation(0.5, 0.5, BETA_T0, BETA_T1), 18),
-    (BINARY_POP, 8),
-], ids=["beta", "binary"])
+# one chunk peaked at 33.8 MiB; with the uniform columns streamed and
+# per-block temporaries, 19.4 MiB.  Now a chunk holds its covariate
+# column, 2 * 10**6 * 8 B = 15.26 MiB, and one scratch set of 2**15 pairs,
+# 2**15 * (5 * 8 + 2 + 2) B = 1.38 MiB, and while the column is drawn one
+# Johnk block's uniforms, 2 * 2**15 * 8 B = 0.5 MiB, and np.compress's
+# index and output buffers, at most 0.5 MiB more: 17.6 MiB, below 18.
+@pytest.mark.parametrize("pop, limit_mib", [(BETA_POP, 18)], ids=["beta"])
 def test_chunk_peak_memory(pop, limit_mib):
     child = np.random.SeedSequence(20230516).spawn(1)[0]
     tracemalloc.start()
@@ -722,13 +684,6 @@ def test_chunk_peak_memory(pop, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
-
-
-def test_monte_carlo_agrees_with_closed_form():
-    est, se = cfb_monte_carlo(BINARY_POP, 400_000, 20230516)
-    want = cfb_two_group(0.5, HEADLINE_P, HEADLINE_Q).value
-    assert abs(est - want) < 4.0 * se
-    assert 0.0 < se < 0.01
 
 
 def test_monte_carlo_linear_gaussian_agrees_with_quadrature():
@@ -747,16 +702,13 @@ def test_monte_carlo_constant_predictor_is_exactly_half():
 
 def test_monte_carlo_all_b_ties_is_undefined():
     t = ProbTriple(0.0, 1.0, 0.0)
-    pop = BinaryXPopulation(0.5, t, t)
     with pytest.raises(UndefinedCfb):
-        cfb_monte_carlo(pop, 1_000, 3)
+        cfb_monte_carlo(BetaXPopulation(0.5, 0.5, t, t), 1_000, 3)
 
 
 def test_monte_carlo_all_pairs_mode():
-    est, se = cfb_monte_carlo(BINARY_POP, 400, 17, all_pairs=True)
+    est, se = cfb_monte_carlo(BETA_POP, 400, 17, all_pairs=True)
     assert 0.0 < est < 1.0 and se > 0.0
-    est, _ = cfb_monte_carlo(FLAT_POP, 400, 17, all_pairs=True)
-    assert est == 0.5
 
 
 def _brute_pair_counts(b, h):
@@ -800,22 +752,19 @@ def test_pair_counts_of_two_units():
 def test_all_pairs_all_b_ties_is_undefined():
     t = ProbTriple(0.0, 1.0, 0.0)
     with pytest.raises(UndefinedCfb):
-        cfb_monte_carlo(BinaryXPopulation(0.5, t, t), 300, 3, all_pairs=True)
+        cfb_monte_carlo(BetaXPopulation(0.5, 0.5, t, t), 300, 3, all_pairs=True)
     assert _pair_counts(np.zeros(50, dtype=np.int8), np.arange(50.0))[2] == 0
 
 
 def test_all_pairs_constant_continuous_predictor_is_exactly_half():
-    # a continuous covariate whose interpolated p_plus and p_minus are the
-    # same expression, so E[B | X] is exactly 0 for every unit
-    est, _ = cfb_monte_carlo(BetaXPopulation(0.5, 0.5, FLAT_T0, FLAT_T1), 1000, 11, all_pairs=True)
+    est, _ = cfb_monte_carlo(FLAT_POP, 1000, 11, all_pairs=True)
     assert est == 0.5
 
 
-# The all-pairs population of the benchmark (README Beta example 1) at the
-# first three seeds derived from 20230516.
+# BETA_POP, the all-pairs population of the benchmark (README Beta example 1),
+# at the first three seeds derived from 20230516.
 # Recorded from the pair-by-pair loop that sorting replaced; the counts are
 # exact, so the floats must not move in the last bit.
-ALL_PAIRS_BETA_POP = BetaXPopulation(0.5, 0.5, ProbTriple(0.08, 0.0, 0.92), ProbTriple(0.0, 0.15, 0.85))
 ALL_PAIRS_BETA_PINS = (
     "(0.4259909311334547, 0.0007912464614731958)",
     "(0.40087301822972204, 0.0008052013617083336)",
@@ -827,7 +776,7 @@ def test_all_pairs_estimates_are_pinned():
     rng = random.Random(20230516)
     for pin in ALL_PAIRS_BETA_PINS:
         seed = rng.randrange(2**32)
-        assert repr(cfb_monte_carlo(ALL_PAIRS_BETA_POP, 2000, seed, all_pairs=True)) == pin
+        assert repr(cfb_monte_carlo(BETA_POP, 2000, seed, all_pairs=True)) == pin
 
 
 def test_benefit_draw_matches_nested_where():
@@ -839,7 +788,7 @@ def test_benefit_draw_matches_nested_where():
     u[1::4] = tm[1::4]
     u[2::4] = (tm + tz)[2::4]
     old = np.where(u < tm, -1, np.where(u < tm + tz, 0, 1)).astype(np.int8)
-    new = _sample_b_from_triples(u, tm, tz)
+    new = _sample_b_from_triples(u, tm, tz, np.empty(3000, np.int8), np.empty(3000, bool))
     assert new.dtype == np.int8
     assert np.array_equal(new, old)
     assert set(np.unique(new)) == {-1, 0, 1}
@@ -847,14 +796,14 @@ def test_benefit_draw_matches_nested_where():
 
 def test_monte_carlo_all_pairs_unit_cap():
     with pytest.raises(ValueError, match="capped"):
-        cfb_monte_carlo(BINARY_POP, 10_001, 1, all_pairs=True)
+        cfb_monte_carlo(BETA_POP, 10_001, 1, all_pairs=True)
     with pytest.raises(ValueError):
-        cfb_monte_carlo(BINARY_POP, 1, 1, all_pairs=True)
+        cfb_monte_carlo(BETA_POP, 1, 1, all_pairs=True)
 
 
 def test_monte_carlo_input_validation():
     with pytest.raises(ValueError):
-        cfb_monte_carlo(BINARY_POP, 0, 1)
+        cfb_monte_carlo(BETA_POP, 0, 1)
     # the linear-Gaussian family has its closed form, and no sampler
     for pop in (object(), lg(1.0, 1.0, 0.0)):
         with pytest.raises(TypeError, match="no Monte Carlo sampler"):

@@ -885,6 +885,22 @@ def test_hist_rejects_empty_range(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, flags", [
+    ("score\n0.45\n0.47\n", ["--lo=-1.7e308", "--hi", "1.7e308"]),
+    ("score\n-1.7e308\n1.7e308\n", []),  # the range the data gives
+], ids=["flags", "data"])
+def test_hist_rejects_a_range_whose_width_overflows(tmp_path, capsys, text, flags):
+    src = tmp_path / "vals.csv"
+    src.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["hist", "--in", str(src), "--col", "score", *flags]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "histogram range [-1.7e+308, 1.7e+308] is too wide" in err
+    assert "Warning" not in err
+
+
 def hist_counts(src, capsys, *extra):
     assert run(["hist", "--in", str(src), "--col", "score", "--bins", "2",
                 "--lo", "0", "--hi", "10", *extra]) == 0
@@ -1180,18 +1196,20 @@ def test_rho_cap_is_checked_before_points_are_built(monkeypatch):
 
 def test_grid_cells_are_the_kernels():
     from cfb import matching_experiment
-    from cfb.matched_pairs import _MAX_CELLS
+    from cfb.matched_pairs import _grid_cells
 
-    assert cli_reports._MAX_MATCH_CELLS == _MAX_CELLS
-    assert cli_reports._grid_cells(0.001) == 498_501
+    assert _grid_cells(0.001) == 498_501
     for step in (1 / 3, 0.25, 0.1, 0.05, 0.02):
-        assert cli_reports._grid_cells(step) == len(matching_experiment(step))
-    # the finest step that divides 1 within the cap, and the first beyond it
-    assert cli_reports._grid_cells(1 / 4473) == 9_997_156
-    assert cli_reports._grid_cells(1 / 4474) == 10_001_628
-    assert cli_reports._GRID_STEP(repr(1 / 4473)) == 1 / 4473
+        assert _grid_cells(step) == len(matching_experiment(step))
+    # the finest step that divides 1 within the cap, and the first beyond it,
+    # which the flag and the kernel both reject
+    assert _grid_cells(1 / 4473) == 9_997_156
+    assert _grid_cells(1 / 4474) == 10_001_628
+    assert cli_reports._grid_step(repr(1 / 4473)) == 1 / 4473
     with pytest.raises(argparse.ArgumentTypeError):
-        cli_reports._GRID_STEP(repr(1 / 4474))
+        cli_reports._grid_step(repr(1 / 4474))
+    with pytest.raises(ValueError, match="at most 10,000,000 grid cells"):
+        matching_experiment(1 / 4474)
 
 
 def test_match_compare_step_cap_leaves_numpy_out(tmp_path):
@@ -1294,6 +1312,20 @@ def test_main_runs_an_array_command_in_one_thread(tmp_path, preset):
     assert (code, numpy_loaded, setting) == ("0", "True", "1")
     if tasks != "-":
         assert tasks == "1"
+
+
+def test_main_freezes_the_collector_once_the_command_is_done(tmp_path, monkeypatch, capsys):
+    (tmp_path / "vals.csv").write_text(HIST_CSV)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # main sets it; monkeypatch restores it
+    monkeypatch.setattr(sys, "argv", ["cfb", *HIST_ARGV])
+    frozen = []
+    monkeypatch.setattr(cli_reports.gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    with pytest.raises(SystemExit) as exit_:
+        cli_reports.main()
+    assert exit_.value.code == 0
+    # once, after the histogram was written
+    assert len(frozen) == 1 and "bin_left,bin_right,count" in frozen[0]
 
 
 def test_run_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):

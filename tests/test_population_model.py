@@ -11,7 +11,6 @@ import pytest
 
 from cfb import (
     BetaXPopulation,
-    BinaryXPopulation,
     LinearGaussianPopulation,
     ProbTriple,
 )
@@ -77,14 +76,6 @@ def test_expit_extreme_arguments_saturate():
 # ---------------------------------------------------------------------------
 # population families
 # ---------------------------------------------------------------------------
-
-
-def test_binary_x_population_validates_c():
-    t = ProbTriple(0.2, 0.3, 0.5)
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            BinaryXPopulation(bad, t, t)
-    assert BinaryXPopulation(0.5, t, t).c == 0.5
 
 
 def test_beta_x_population_validates_shapes():
