@@ -298,15 +298,17 @@ def _worker_count() -> int:
 
 
 class _Scratch:
-    """Work buffers for blocks of up to `size` pairs, allocated once per chunk.
+    """Work buffers for blocks of up to `size` pairs.
 
     _beta_draws runs its Johnk loop in them (X in t_minus, Y in t_zero,
     X + Y in u, the accept and recheck masks in mask) before any block is
     scored.  The scorer then draws each block's benefit uniforms into u;
     it builds the two benefit thresholds in t_minus and t_zero, the B and
     H of both halves of the block in b and h, and compares the halves in
-    mask.  Each buffer is one
-    contiguous row, so its [:k] is too.
+    mask.  Each buffer is one contiguous row, so its [:k] is too.  A
+    half's t_minus, t_zero and H are three adjacent rows, so one numpy
+    call writes all three: triples[half] is those rows and the triple
+    component (p_minus, p_zero, p_plus) each is built from.
     """
 
     def __init__(self, size):
@@ -314,8 +316,9 @@ class _Scratch:
 
         self.size = size
         rows = np.empty((5, size))
-        self.u, self.t_minus, self.t_zero = rows[:3]
-        self.h = rows[3:]
+        self.u, self.t_minus, self.t_zero = rows[0], rows[2], rows[3]
+        self.h = rows[4], rows[1]
+        self.triples = (rows[2:5], [0, 1, 2]), (rows[1:4], [2, 0, 1])
         self.b = np.empty((2, size), np.int8)
         self.mask = np.empty((2, size), bool)
 
@@ -360,43 +363,179 @@ def _beta_draws(rng, a, b, count, scratch=None):
     Shapes above 1 call rng.beta, and so do shapes below 0.01: there a
     growing share of X or Y underflows and numpy's own loop is faster.
     """
-    if not (_JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0):
+    if not _johnk_shapes(a, b):
         return rng.beta(a, b, count)
     import numpy as np
 
     if scratch is None:
         scratch = _Scratch(min(count, _BLOCK))
-    ea, eb = 1.0 / a, 1.0 / b
     out = np.empty(count)
     filled = 0
     while filled < count:
-        k = min(scratch.size, count - filled)
-        uv = rng.random(2 * k)
-        u, v = uv[0::2], uv[1::2]
-        x, y, s = scratch.t_minus[:k], scratch.t_zero[:k], scratch.u[:k]
-        accept, redo = scratch.mask[0, :k], scratch.mask[1, :k]
-        np.multiply(u, u, out=x) if ea == 2.0 else np.power(u, ea, out=x)
-        np.multiply(v, v, out=y) if eb == 2.0 else np.power(v, eb, out=y)
-        np.add(x, y, out=s)
-        np.less_equal(s, 1.0, out=accept)
-        tiny = None
-        if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
-            tiny = (x < _TINY) | (y < _TINY)
-        with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
-            np.divide(x, s, out=x)
-        np.subtract(s, 1.0, out=s)
-        np.less_equal(np.abs(s, out=s), _JOHNK_RECHECK, out=redo)
-        if tiny is not None:
-            redo |= tiny
-        for i in np.flatnonzero(redo).tolist():
-            got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
-            accept[i] = got is not None
-            if got is not None:
-                x[i] = got
-        kept = int(np.count_nonzero(accept))
-        np.compress(accept, x, out=out[filled:filled + kept])
-        filled += kept
+        filled += _johnk_attempts(rng, a, b, min(scratch.size, count - filled), scratch, out[filled:])
     return out
+
+
+def _johnk_shapes(a, b):
+    """Whether _beta_draws runs Johnk's loop itself for Beta(a, b), and so
+    whether its attempts can be split (_beta_draws_in_parts)."""
+    return _JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0
+
+
+def _johnk_attempts(rng, a, b, k, scratch, out):
+    """Run k attempts of Johnk's loop on rng.random(2k); returns how many were accepted.
+
+    Attempt i takes the uniforms 2i and 2i + 1.  The accepted values go to
+    out[:kept] in attempt order, and the accept mask is left in
+    scratch.mask[0, :k].  This is the loop body of _beta_draws, which
+    says how the values relate to numpy's.
+    """
+    import numpy as np
+
+    uv = rng.random(2 * k)
+    u, v = uv[0::2], uv[1::2]
+    x, y, s = scratch.t_minus[:k], scratch.t_zero[:k], scratch.u[:k]
+    accept, redo = scratch.mask[0, :k], scratch.mask[1, :k]
+    ea, eb = 1.0 / a, 1.0 / b
+    np.multiply(u, u, out=x) if ea == 2.0 else np.power(u, ea, out=x)
+    np.multiply(v, v, out=y) if eb == 2.0 else np.power(v, eb, out=y)
+    np.add(x, y, out=s)
+    np.less_equal(s, 1.0, out=accept)
+    tiny = None
+    if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
+        tiny = (x < _TINY) | (y < _TINY)
+    with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
+        np.divide(x, s, out=x)
+    np.subtract(s, 1.0, out=s)
+    np.less_equal(np.abs(s, out=s), _JOHNK_RECHECK, out=redo)
+    if tiny is not None:
+        redo |= tiny
+    for i in np.flatnonzero(redo).tolist():
+        got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
+        accept[i] = got is not None
+        if got is not None:
+            x[i] = got
+    kept = int(np.count_nonzero(accept))
+    np.compress(accept, x, out=out[:kept])
+    return kept
+
+
+def _planned_attempts(a, b, count):
+    """Johnk attempts that give `count` acceptances of Beta(a, b) but for a
+    chance of order 1e-9: their mean plus six standard deviations.
+
+    An attempt is accepted with probability G(a+1) G(b+1) / G(a+b+1) (G
+    the gamma function), so the attempts needed are negative binomial.
+    """
+    p = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 1.0))
+    return math.ceil((count + 6.0 * math.sqrt(count * (1.0 - p))) / p)
+
+
+class _Claims:
+    """Blocks of the range [0, stops[-1]) of work, handed to workers at once.
+
+    Worker i starts on its share, stops[i - 1] (0 for the first) to
+    stops[i], taking blocks of up to `size` from its front.  Once its share
+    is done it takes blocks from the back of the share with the most work
+    left, so a worker on a slower CPU holds the others up by one block at
+    most.  The blocks of all workers partition the range.
+    """
+
+    def __init__(self, stops, size):
+        import threading
+
+        self._lock = threading.Lock()
+        self._left = [[lo, hi] for lo, hi in zip([0, *stops[:-1]], stops)]
+        self._size = size
+
+    def next(self, worker):
+        """(lo, hi) of worker's next block, or None when all are taken."""
+        with self._lock:
+            left = self._left[worker]
+            if left[0] < left[1]:
+                lo = left[0]
+                left[0] = min(lo + self._size, left[1])
+                return lo, left[0]
+            left = max(self._left, key=lambda r: r[1] - r[0])
+            if left[0] == left[1]:
+                return None
+            hi = left[1]
+            left[1] = max(hi - self._size, left[0])
+            return left[1], hi
+
+
+def _johnk_blocks(state, a, b, worker, claims, scratch, out):
+    """Draw the blocks of Johnk attempts that `worker` claims, in scratch.
+
+    Each attempt lo takes outputs 2lo and 2lo + 1 of the stream at
+    generator state `state`.  A run of consecutive attempts that the
+    worker draws writes its accepted values in order from out[first
+    attempt of the run] on; runs are disjoint and accept at most one value
+    an attempt, so workers drawing at once never write over each other.
+    Returns each block's (first attempt, attempts, accepted, where its
+    values start in out, accept mask packed to bits).
+    """
+    import numpy as np
+
+    bits = np.random.PCG64(0)  # seeded only to construct it; moved to each run's start
+    rng = np.random.Generator(bits)
+    blocks = []
+    at = None  # the attempt the generator is at
+    while (claim := claims.next(worker)) is not None:
+        lo, hi = claim
+        if lo != at:  # a new run
+            bits.state = state
+            bits.advance(2 * lo)
+            pos = lo
+        kept = _johnk_attempts(rng, a, b, hi - lo, scratch, out[pos:])
+        blocks.append((lo, hi - lo, kept, pos, np.packbits(scratch.mask[0, :hi - lo])))
+        pos += kept
+        at = hi
+    return blocks
+
+
+def _beta_draws_in_parts(rng, a, b, count, stops, scratches, run=map):
+    """The `count` >= 1 values _beta_draws(rng, a, b, count) draws, drawn by
+    workers at once; a, b in Johnk's range (_johnk_shapes).
+
+    The workers, one per scratch set and all run through run (map, or a
+    thread pool's map), draw the Johnk attempts from 0 to stops[-1],
+    worker i starting on the share from stops[i - 1] to stops[i]
+    (_Claims, _johnk_blocks).  They write into one array of stops[-1]
+    values, where the attempts they reject leave gaps that nothing
+    writes.  If the attempts give fewer than `count` values the rest is
+    drawn by _beta_draws after them.  Returns the column as (first unit,
+    values) pieces in order, and leaves rng where _beta_draws leaves it:
+    after the attempt that gives the count-th acceptance.
+    """
+    import numpy as np
+
+    state = rng.bit_generator.state
+    out = np.empty(stops[-1])
+    claims = _Claims(stops, scratches[0].size)
+    drawn = list(run(lambda i: _johnk_blocks(state, a, b, i, claims, scratches[i], out),
+                     range(len(scratches))))
+    ranges = []  # [first unit, start, stop] of the column's pieces in out
+    filled = 0
+    for lo, k, kept, pos, mask in sorted(block for blocks in drawn for block in blocks):
+        if not kept:
+            continue
+        if filled + kept >= count:  # the count-th acceptance is in this block
+            accepted = np.flatnonzero(np.unpackbits(mask, count=k))
+            rng.bit_generator.advance(2 * (lo + int(accepted[count - filled - 1]) + 1))
+            kept = count - filled
+        if ranges and ranges[-1][2] == pos:
+            ranges[-1][2] = pos + kept
+        else:
+            ranges.append([filled, pos, pos + kept])
+        filled += kept
+        if filled == count:
+            break
+    pieces = [(first, out[start:stop]) for first, start, stop in ranges]
+    if filled < count:
+        rng.bit_generator.advance(2 * stops[-1])
+        pieces.append((filled, _beta_draws(rng, a, b, count - filled, scratches[0])))
+    return pieces
 
 
 def _johnk_pair(u, v, a, b):
@@ -431,6 +570,7 @@ class _StreamedUniforms:
 
         self._state = rng.bit_generator.state
         self._bits = np.random.PCG64(0)  # seeded only to construct it; draw sets its state
+        self._gen = np.random.Generator(self._bits)
         rng.bit_generator.advance(count)
 
     def draw(self, lo, out):
@@ -438,7 +578,23 @@ class _StreamedUniforms:
         import numpy as np
 
         self._bits.state = self._state
-        return np.random.Generator(self._bits.advance(lo)).random(out=out)
+        self._bits.advance(lo)
+        return self._gen.random(out=out)
+
+    def fork(self):
+        """A drawer of the same column with a generator of its own.
+
+        draw sets the state of the drawer's one generator, so threads that
+        draw at once need one drawer each.
+        """
+        import copy
+
+        import numpy as np
+
+        twin = copy.copy(self)
+        twin._bits = np.random.PCG64(0)
+        twin._gen = np.random.Generator(twin._bits)
+        return twin
 
 
 def _draw_columns(pop, rng, count, scratch):
@@ -463,23 +619,28 @@ def _units(pop, columns, scratch, half=0):
     x, u = columns
     k = len(u)
     t_minus, t_zero = scratch.t_minus[:k], scratch.t_zero[:k]
-    b, h = scratch.b[half, :k], scratch.h[half, :k]
-    t0, t1 = pop.triple0, pop.triple1
+    b, h = scratch.b[half, :k], scratch.h[half][:k]
+    t0, t1 = np.array(pop.triple0.as_tuple()), np.array(pop.triple1.as_tuple())
+    rows, components = scratch.triples[half]
     # t0 + (t1 - t0) * x per component, H = p_plus - p_minus
-    np.multiply(x, t1.p_minus - t0.p_minus, out=t_minus)
-    t_minus += t0.p_minus
-    np.multiply(x, t1.p_zero - t0.p_zero, out=t_zero)
-    t_zero += t0.p_zero
-    np.multiply(x, t1.p_plus - t0.p_plus, out=h)
-    h += t0.p_plus
+    np.multiply(x, (t1 - t0)[components, None], out=rows[:, :k])
+    rows[:, :k] += t0[components, None]
     h -= t_minus
     return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
 
 
 def _block_columns(columns, lo, hi, scratch):
-    """Units lo to hi: the stored covariates viewed, the benefit uniforms drawn into scratch's u."""
-    x, u = columns
-    return x[lo:hi], u.draw(lo, scratch.u[:hi - lo])
+    """Units lo to hi: their covariates and their benefit uniforms, drawn into scratch's u.
+
+    The covariate column is given as (first unit, values) pieces in order;
+    the covariates are a view of one piece, or a copy where the units
+    span two.
+    """
+    import numpy as np
+
+    pieces, u = columns
+    x = [v[max(lo - s, 0):hi - s] for s, v in pieces if s < hi and lo < s + len(v)]
+    return x[0] if len(x) == 1 else np.concatenate(x), u.draw(lo, scratch.u[:hi - lo])
 
 
 def _pairs_within(counts):
@@ -528,40 +689,75 @@ def _pair_counts(b, h):
     return valid - tied - disc, tied, valid
 
 
-def _score_chunk(pop, child_seed, m):
+def _score_blocks(pop, columns, m, worker, claims, scratch):
+    """Exact (concordant, predictor-tied, benefit-differing) counts over the
+    pairs (i, i + m) for the blocks of i that `worker` claims (_Claims),
+    in scratch's buffers.  columns are the chunk's covariate pieces and
+    benefit uniforms (_block_columns)."""
+    import numpy as np
+
+    conc = tied = valid = 0
+    while (claim := claims.next(worker)) is not None:
+        start, stop = claim
+        b1, h1 = _units(pop, _block_columns(columns, start, stop, scratch), scratch, 0)
+        b2, h2 = _units(pop, _block_columns(columns, m + start, m + stop, scratch), scratch, 1)
+        h_gt, h_lt = scratch.mask[0, :stop - start], scratch.mask[1, :stop - start]
+        np.subtract(b1, b2, out=b1)  # B1 - B2, from -2 to 2
+        block_valid = int(np.count_nonzero(b1))
+        np.greater(h1, h2, out=h_gt)
+        np.less(h1, h2, out=h_lt)
+        h_sign = h_gt.view(np.int8)
+        h_sign -= h_lt.view(np.int8)
+        np.multiply(b1, h_sign, out=b1)  # > 0 concordant, < 0 discordant
+        np.greater(b1, 0, out=h_lt)
+        conc += int(np.count_nonzero(h_lt))
+        tied += block_valid - int(np.count_nonzero(b1))
+        valid += block_valid
+    return conc, tied, valid
+
+
+def _score_chunk(pop, child_seed, m, workers=1, run=map):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
     Units are built and pairs scored one block of up to _BLOCK pairs at a
-    time, in one scratch set (_Scratch) made for the chunk, which the Beta
+    time (_score_blocks), in a scratch set (_Scratch), which the Beta
     sampler uses first.  The benefit uniforms are streamed, so a block
     draws only its own slice of them into that set; the covariate column
-    is stored whole, 2m values (16 MB at m = 10**6).  So a chunk
-    holds that column and 1.4 MiB of block buffers, and allocates nothing
+    is stored, 2m values (16 MB at m = 10**6).
+
+    With one worker, the chunk is drawn and scored in one scratch set: it
+    holds the column and 1.4 MiB of block buffers, and allocates nothing
     per block but the Johnk loop's uniforms and np.compress's buffers.
+    With `workers` > 1 and a Beta shape in Johnk's range (_johnk_shapes),
+    the workers share the chunk, each in a scratch set of its own, through
+    run (a thread pool's map).  They draw the column's Johnk attempts,
+    planned to give the 2m values (_planned_attempts), into one array of
+    the planned attempts' length (_beta_draws_in_parts); the slots of
+    rejected attempts are allocated but never written.  Then they score
+    its blocks, each with a uniform drawer of its own.  In both phases
+    worker i starts on the i-th share of the blocks and then helps the
+    others (_Claims).  Other shapes, drawn by Generator.beta, ignore
+    `workers`.  The counts are the same either way.
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
-    scratch = _Scratch(min(m, _BLOCK))
-    columns = _draw_columns(pop, rng, 2 * m, scratch)
-    conc = tied = valid = 0
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        b1, h1 = _units(pop, _block_columns(columns, lo, hi, scratch), scratch, 0)
-        b2, h2 = _units(pop, _block_columns(columns, m + lo, m + hi, scratch), scratch, 1)
-        b_rel, h_rel = scratch.mask[0, :hi - lo], scratch.mask[1, :hi - lo]
-        np.not_equal(b1, b2, out=b_rel)
-        valid += int(np.count_nonzero(b_rel))
-        np.equal(h1, h2, out=h_rel)
-        h_rel &= b_rel
-        tied += int(np.count_nonzero(h_rel))
-        for order in (np.greater, np.less):
-            order(b1, b2, out=b_rel)
-            order(h1, h2, out=h_rel)
-            h_rel &= b_rel
-            conc += int(np.count_nonzero(h_rel))
-    return conc, tied, valid
+    size = min(m, _BLOCK)
+    if workers == 1 or not _johnk_shapes(pop.alpha, pop.beta):
+        scratch = _Scratch(size)
+        x, u = _draw_columns(pop, rng, 2 * m, scratch)
+        return _score_blocks(pop, ([(0, x)], u), m, 0, _Claims([m], size), scratch)
+    scratches = [_Scratch(size) for _ in range(workers)]
+    planned = _planned_attempts(pop.alpha, pop.beta, 2 * m)
+    pieces = _beta_draws_in_parts(rng, pop.alpha, pop.beta, 2 * m,
+                                  [planned * (i + 1) // workers for i in range(workers)], scratches, run)
+    u = _StreamedUniforms(rng, 2 * m)
+    drawers = [u, *(u.fork() for _ in range(workers - 1))]
+    n_blocks = -(-m // size)
+    claims = _Claims([min(size * (n_blocks * (i + 1) // workers), m) for i in range(workers)], size)
+    counts = run(lambda i: _score_blocks(pop, (pieces, drawers[i]), m, i, claims, scratches[i]), range(workers))
+    return tuple(map(sum, zip(*counts)))
 
 
 def cfb_monte_carlo(pop, n, seed, all_pairs=False):
@@ -583,14 +779,20 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     SeedSequence(seed) and scored one block at a time into exact integer
     counts, so no result depends on CFB_THREADS.  A chunk's benefit
     uniforms are streamed, each block drawing its own slice from a copy of
-    the generator moved ahead to it; only the covariate column is stored.
-    So a worker holds one covariate column (16 MB a chunk) and one scratch
-    set of 2**15-pair block buffers (1.4 MiB), allocated once per chunk,
-    in which the Beta sampler and the block scorer do all their work.
-    Beta covariates with shapes in [0.01, 1] run numpy's Johnk loop
-    vectorized on the same stream (_beta_draws): the counts are those of
-    Generator.beta draws unless a draw that moved by a few ULP crosses a
-    benefit threshold or swaps the order of two predictor values.
+    the generator moved ahead to it; only the covariate column is stored
+    (16 MB a chunk).  Each worker has one scratch set of 2**15-pair block
+    buffers (1.4 MiB), allocated per chunk, in which the Beta sampler and
+    the block scorer do all their work.  Beta covariates with shapes in
+    [0.01, 1] run numpy's Johnk loop vectorized on the same stream
+    (_beta_draws): the counts are those of Generator.beta draws unless a
+    draw that moved by a few ULP crosses a benefit threshold or swaps the
+    order of two predictor values.  Each Johnk attempt takes two outputs
+    of the generator, so the chunk's attempts split at generator offsets:
+    the workers draw one chunk's column together, then score its blocks
+    together, and one covariate column is held whatever CFB_THREADS is
+    (_score_chunk).  Other shapes take a varying number of random bits
+    per draw; their chunks run one per worker, each worker holding its
+    own chunk's column.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
@@ -627,15 +829,19 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         children = np.random.SeedSequence(seed).spawn(n_chunks)
-        workers = min(_worker_count(), n_chunks)
+        shared = _johnk_shapes(pop.alpha, pop.beta)
+        workers = _worker_count() if shared else min(_worker_count(), n_chunks)
         if workers > 1:
             # the module's binding at call time, which a caller may have replaced
             pool_class = sys.modules[__name__].ThreadPoolExecutor
             with pool_class(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda cm: _score_chunk(pop, cm[0], cm[1]),
-                    zip(children, sizes),
-                ))
+                if shared:
+                    parts = [_score_chunk(pop, c, m, workers, pool.map) for c, m in zip(children, sizes)]
+                else:
+                    parts = list(pool.map(
+                        lambda cm: _score_chunk(pop, cm[0], cm[1]),
+                        zip(children, sizes),
+                    ))
         else:
             parts = [_score_chunk(pop, c, m) for c, m in zip(children, sizes)]
         conc, tied, valid = (sum(col) for col in zip(*parts))

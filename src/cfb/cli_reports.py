@@ -767,6 +767,10 @@ def _cmd_hist(args, cfg) -> int:
         raise ValueError("need lo < hi for the histogram range")
     if not math.isfinite(hi - lo):  # numpy would warn, then name a symptom
         raise ValueError(f"histogram range [{_fmt(lo)}, {_fmt(hi)}] is too wide: hi - lo is not finite")
+    edges = np.linspace(lo, hi, args.bins + 1)  # the edges np.histogram makes
+    if not (edges[:-1] < edges[1:]).all():
+        raise ValueError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {args.bins} bins: "
+                         f"their edges are not distinct floats; widen --lo and --hi or lower --bins")
     counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
     _emit(args.out, cfg, _bin_lines(edges, counts))
     return 0

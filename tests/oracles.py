@@ -15,7 +15,8 @@ library gets another way, by a route that shares no algebra with it.
   before the benefit uniforms were streamed: both columns of the chunk,
   the Beta covariates and the benefit uniforms, are drawn whole
   (whole_columns), then sliced block by block.  It is the check on
-  _score_chunk's streamed column, which must give the same counts; the
+  _score_chunk's streamed column, drawn and scored by one worker or
+  shared by several, which must give the same counts; the
   tests score all pairs of whole_columns too, the check on all-pairs
   mode's.
 - beta_mixture_cfb is the exact statistic of the oracle predictor of a

@@ -10,7 +10,9 @@ import itertools
 import math
 import os
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,7 @@ from cfb import cfb_engine
 from cfb.cfb_engine import (
     _BLOCK,
     _beta_draws,
+    _beta_draws_in_parts,
     _Scratch,
     _pair_counts,
     _sample_b_from_triples,
@@ -623,13 +626,46 @@ CHUNK_CASES = {f"beta{shape}": BetaXPopulation(*shape, BETA_T0, BETA_T1)
                for shape in [(0.5, 0.5), (0.3, 0.9), (2.0, 3.0), (0.005, 0.5)]}
 
 
-@pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 1_000_000])
+CHUNK_PAIRS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 1_000_000]
+
+
+@pytest.mark.parametrize("m", CHUNK_PAIRS)
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_streamed_chunk_counts_equal_whole_columns(case, m):
     pop = CHUNK_CASES[case]
     child = np.random.SeedSequence(20230516).spawn(2)[1]
     assert _score_chunk(pop, child, m) == whole_column_score_chunk(pop, child, m)
+
+
+# the test above is the one-worker case
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("m", CHUNK_PAIRS)
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
+    pop = CHUNK_CASES[case]
+    child = np.random.SeedSequence(20230516).spawn(2)[1]
+    with ThreadPoolExecutor(workers) as pool:
+        assert _score_chunk(pop, child, m, workers, pool.map) == whole_column_score_chunk(pop, child, m)
+
+
+def test_shared_chunk_under_thread_switches_at_every_chance():
+    """More workers than CPUs, switching threads as often as the interpreter
+    can: workers that drew into one another's buffers, or shared a uniform
+    drawer, would change the counts."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(2 * cpus, 8) + 1
+    m = 3 * _BLOCK + 5
+    child = np.random.SeedSequence(20230516).spawn(2)[1]
+    want = whole_column_score_chunk(BETA_POP, child, m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1) as caller:
+            for _ in range(3):
+                got = caller.submit(_score_chunk, BETA_POP, child, m, workers, pool.map).result(timeout=120)
+                assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -684,6 +720,48 @@ def test_chunk_peak_memory(pop, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+# With CFB_THREADS=4 and four chunks, each worker used to score a chunk of
+# its own, so four covariate columns of 15.26 MiB were held at once and
+# tracemalloc's peak read 71 MiB.  Now the workers share one chunk at a
+# time.  tracemalloc counts the bytes numpy allocates, not the pages the
+# process touches, so the bound counts the whole array the parts draw into:
+# one slot per planned Johnk attempt, _planned_attempts(0.5, 0.5, 2 * 10**6)
+# = 2,551,484 slots, 19.47 MiB, though the slots of rejected attempts
+# (a fifth of them) are never written.  Beside it: four scratch sets
+# (5.53 MiB), per worker one Johnk block's uniforms and np.compress's
+# buffers (at most 1 MiB, 4 MiB in all) or the covariates of a block
+# that spans two pieces of the column (0.25 MiB), and the packed accept
+# masks (0.3 MiB): at most 30.3 MiB, below 32 (29.9 measured).
+def test_workers_share_one_chunk_at_a_time(monkeypatch):
+    monkeypatch.setenv("CFB_THREADS", "4")
+    tracemalloc.start()
+    try:
+        cfb_monte_carlo(BETA_POP, 4_000_000, 20230516)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def test_independent_pairs_standard_error_covers_the_exact_value(monkeypatch):
+    """95% intervals est +- 1.96 se of the README example, at 200 derived
+    seeds of 20,000 pairs each, cover the exact value at a rate within
+    about 3 sd (0.015 at 200 seeds) of 0.95.  Each call scores one chunk
+    shared by two workers."""
+    monkeypatch.setenv("CFB_THREADS", "2")
+    shared = []
+    split = cfb_engine._beta_draws_in_parts
+    monkeypatch.setattr(cfb_engine, "_beta_draws_in_parts", lambda *a: shared.append(1) or split(*a))
+    exact = beta_mixture_cfb(BETA_POP)
+    seeds = np.random.SeedSequence(20230516).generate_state(200).tolist()
+    covered = 0
+    for seed in seeds:
+        est, se = cfb_monte_carlo(BETA_POP, 20_000, seed)
+        covered += abs(est - exact) <= 1.96 * se
+    assert len(shared) == len(seeds)
+    assert 0.90 <= covered / len(seeds) <= 0.99
 
 
 def test_monte_carlo_linear_gaussian_agrees_with_quadrature():
@@ -878,6 +956,35 @@ def test_beta_draws_do_not_depend_on_the_block_size(a, b, block, monkeypatch):
        count=st.integers(0, 3 * _BLOCK), seed=st.integers(0, 2**32 - 1))
 def test_beta_draws_follow_generator_beta_on_any_shape(a, b, count, seed):
     _assert_matches_generator_beta(a, b, count, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.01, 1.0), b=st.floats(0.01, 1.0), count=st.integers(1, 300),
+       size=st.integers(1, 40), stops=st.lists(st.integers(0, 600), min_size=1, max_size=4).map(sorted),
+       seed=st.integers(0, 2**32 - 1))
+@example(a=0.5, b=0.5, count=40, size=8, stops=[16, 32, 64], seed=5)  # parts split at block edges
+@example(a=1.0, b=1.0, count=30, size=8, stops=[6, 6, 100], seed=5)  # an empty part
+@example(a=1.0, b=1.0, count=30, size=8, stops=[6, 8, 100], seed=5)  # a part with no acceptance
+@example(a=0.5, b=0.5, count=300, size=8, stops=[10, 20], seed=5)  # a serial shortfall
+def test_beta_draws_in_parts_equal_beta_draws(a, b, count, size, stops, seed):
+    """The parts, put together, are the values _beta_draws draws, bit for
+    bit, and the generator ends where _beta_draws leaves it."""
+    want_rng = np.random.default_rng(seed)
+    want = _beta_draws(want_rng, a, b, count)
+    rng = np.random.default_rng(seed)
+    pieces = _beta_draws_in_parts(rng, a, b, count, stops, [_Scratch(size) for _ in stops])
+    sizes = [len(v) for _, v in pieces[:-1]]
+    assert [first for first, _ in pieces] == list(itertools.accumulate(sizes, initial=0))
+    assert np.concatenate([v for _, v in pieces]).tobytes() == want.tobytes()
+    assert rng.random() == want_rng.random()
+
+
+def test_parts_examples_have_a_part_with_no_acceptance():
+    # attempts 6 and 7 of seed 5 reject at shape (1, 1), as the example above needs
+    state = np.random.default_rng(5).bit_generator.state
+    claims = cfb_engine._Claims([6, 8], 8)
+    blocks = cfb_engine._johnk_blocks(state, 1.0, 1.0, 1, claims, _Scratch(8), np.empty(8))
+    assert [(lo, k, kept) for lo, k, kept, _, _ in blocks][0] == (6, 2, 0)
 
 
 def test_beta_draws_call_generator_beta_outside_the_johnk_range():

@@ -885,6 +885,22 @@ def test_hist_rejects_empty_range(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lo, hi, bins", [
+    ("0", "5e-324", "2"),  # one subnormal step wide
+    ("1", "1.0000000000000002", "3"),  # one ULP wide, three bins
+])
+def test_hist_rejects_a_range_too_narrow_for_its_bins(tmp_path, capsys, lo, hi, bins):
+    src = tmp_path / "vals.csv"
+    src.write_text("score\n0\n1\n")
+    assert run(["hist", "--in", str(src), "--col", "score", "--lo", lo, "--hi", hi, "--bins", bins]) == 2
+    err = capsys.readouterr().err
+    assert f"histogram range [{float(lo)!r}, {float(hi)!r}] is too narrow for {bins} bins" in err
+    assert all(flag in err for flag in ("--lo", "--hi", "--bins"))
+    # two bins fit in two ULPs
+    assert run(["hist", "--in", str(src), "--col", "score", "--lo", "1", "--hi", "1.0000000000000004",
+                "--bins", "2"]) == 0
+
+
 @pytest.mark.parametrize("text, flags", [
     ("score\n0.45\n0.47\n", ["--lo=-1.7e308", "--hi", "1.7e308"]),
     ("score\n-1.7e308\n1.7e308\n", []),  # the range the data gives
