@@ -298,17 +298,14 @@ def _worker_count() -> int:
 
 
 class _Scratch:
-    """Work buffers for blocks of up to `size` pairs.
+    """Work buffers for blocks of up to `size` pairs, one set per worker.
 
     _beta_draws runs its Johnk loop in them (X in t_minus, Y in t_zero,
     X + Y in u, the accept and recheck masks in mask) before any block is
     scored.  The scorer then draws each block's benefit uniforms into u;
     it builds the two benefit thresholds in t_minus and t_zero, the B and
     H of both halves of the block in b and h, and compares the halves in
-    mask.  Each buffer is one contiguous row, so its [:k] is too.  A
-    half's t_minus, t_zero and H are three adjacent rows, so one numpy
-    call writes all three: triples[half] is those rows and the triple
-    component (p_minus, p_zero, p_plus) each is built from.
+    mask.  Each buffer is one contiguous row, so its [:k] is too.
     """
 
     def __init__(self, size):
@@ -316,9 +313,8 @@ class _Scratch:
 
         self.size = size
         rows = np.empty((5, size))
-        self.u, self.t_minus, self.t_zero = rows[0], rows[2], rows[3]
-        self.h = rows[4], rows[1]
-        self.triples = (rows[2:5], [0, 1, 2]), (rows[1:4], [2, 0, 1])
+        self.u, self.t_minus, self.t_zero = rows[:3]
+        self.h = rows[3:]
         self.b = np.empty((2, size), np.int8)
         self.mask = np.empty((2, size), bool)
 
@@ -431,66 +427,27 @@ def _planned_attempts(a, b, count):
     return math.ceil((count + 6.0 * math.sqrt(count * (1.0 - p))) / p)
 
 
-class _Claims:
-    """Blocks of the range [0, stops[-1]) of work, handed to workers at once.
+def _johnk_run(state, a, b, lo, hi, scratch, out):
+    """Johnk attempts lo to hi of the stream at generator state `state`,
+    drawn in blocks of up to scratch.size attempts in scratch's buffers.
 
-    Worker i starts on its share, stops[i - 1] (0 for the first) to
-    stops[i], taking blocks of up to `size` from its front.  Once its share
-    is done it takes blocks from the back of the share with the most work
-    left, so a worker on a slower CPU holds the others up by one block at
-    most.  The blocks of all workers partition the range.
-    """
-
-    def __init__(self, stops, size):
-        import threading
-
-        self._lock = threading.Lock()
-        self._left = [[lo, hi] for lo, hi in zip([0, *stops[:-1]], stops)]
-        self._size = size
-
-    def next(self, worker):
-        """(lo, hi) of worker's next block, or None when all are taken."""
-        with self._lock:
-            left = self._left[worker]
-            if left[0] < left[1]:
-                lo = left[0]
-                left[0] = min(lo + self._size, left[1])
-                return lo, left[0]
-            left = max(self._left, key=lambda r: r[1] - r[0])
-            if left[0] == left[1]:
-                return None
-            hi = left[1]
-            left[1] = max(hi - self._size, left[0])
-            return left[1], hi
-
-
-def _johnk_blocks(state, a, b, worker, claims, scratch, out):
-    """Draw the blocks of Johnk attempts that `worker` claims, in scratch.
-
-    Each attempt lo takes outputs 2lo and 2lo + 1 of the stream at
-    generator state `state`.  A run of consecutive attempts that the
-    worker draws writes its accepted values in order from out[first
-    attempt of the run] on; runs are disjoint and accept at most one value
-    an attempt, so workers drawing at once never write over each other.
-    Returns each block's (first attempt, attempts, accepted, where its
-    values start in out, accept mask packed to bits).
+    Attempt i takes outputs 2i and 2i + 1 of the stream.  The accepted
+    values go in attempt order to out[lo:hi], which has room for them, as
+    an attempt accepts at most one value.  Returns each block's (first
+    attempt, attempts, accepted, accept mask packed to bits).
     """
     import numpy as np
 
-    bits = np.random.PCG64(0)  # seeded only to construct it; moved to each run's start
-    rng = np.random.Generator(bits)
+    bits = np.random.PCG64(0)  # seeded only to construct it; set to the run's start
+    bits.state = state
+    rng = np.random.Generator(bits.advance(2 * lo))
     blocks = []
-    at = None  # the attempt the generator is at
-    while (claim := claims.next(worker)) is not None:
-        lo, hi = claim
-        if lo != at:  # a new run
-            bits.state = state
-            bits.advance(2 * lo)
-            pos = lo
-        kept = _johnk_attempts(rng, a, b, hi - lo, scratch, out[pos:])
-        blocks.append((lo, hi - lo, kept, pos, np.packbits(scratch.mask[0, :hi - lo])))
+    pos = lo
+    for first in range(lo, hi, scratch.size):
+        k = min(scratch.size, hi - first)
+        kept = _johnk_attempts(rng, a, b, k, scratch, out[pos:])
+        blocks.append((first, k, kept, np.packbits(scratch.mask[0, :k])))
         pos += kept
-        at = hi
     return blocks
 
 
@@ -498,43 +455,39 @@ def _beta_draws_in_parts(rng, a, b, count, stops, scratches, run=map):
     """The `count` >= 1 values _beta_draws(rng, a, b, count) draws, drawn by
     workers at once; a, b in Johnk's range (_johnk_shapes).
 
-    The workers, one per scratch set and all run through run (map, or a
-    thread pool's map), draw the Johnk attempts from 0 to stops[-1],
-    worker i starting on the share from stops[i - 1] to stops[i]
-    (_Claims, _johnk_blocks).  They write into one array of stops[-1]
-    values, where the attempts they reject leave gaps that nothing
-    writes.  If the attempts give fewer than `count` values the rest is
-    drawn by _beta_draws after them.  Returns the column as (first unit,
-    values) pieces in order, and leaves rng where _beta_draws leaves it:
-    after the attempt that gives the count-th acceptance.
+    Worker i, with scratch set i, draws the Johnk attempts from stops[i - 1]
+    (0 for the first) to stops[i] (_johnk_run); the workers run through
+    run (map, or a thread pool's map).  They write into one array of
+    stops[-1] values, where the attempts they reject leave gaps that
+    nothing writes.  If the attempts give fewer than `count` values the
+    rest is drawn by _beta_draws after them.  Returns the column as (first
+    unit, values) pieces in order, and leaves rng where _beta_draws leaves
+    it: after the attempt that gives the count-th acceptance.
     """
     import numpy as np
 
     state = rng.bit_generator.state
     out = np.empty(stops[-1])
-    claims = _Claims(stops, scratches[0].size)
-    drawn = list(run(lambda i: _johnk_blocks(state, a, b, i, claims, scratches[i], out),
+    starts = [0, *stops[:-1]]
+    drawn = list(run(lambda i: _johnk_run(state, a, b, starts[i], stops[i], scratches[i], out),
                      range(len(scratches))))
-    ranges = []  # [first unit, start, stop] of the column's pieces in out
+    pieces = []
     filled = 0
-    for lo, k, kept, pos, mask in sorted(block for blocks in drawn for block in blocks):
-        if not kept:
-            continue
-        if filled + kept >= count:  # the count-th acceptance is in this block
-            accepted = np.flatnonzero(np.unpackbits(mask, count=k))
-            rng.bit_generator.advance(2 * (lo + int(accepted[count - filled - 1]) + 1))
-            kept = count - filled
-        if ranges and ranges[-1][2] == pos:
-            ranges[-1][2] = pos + kept
-        else:
-            ranges.append([filled, pos, pos + kept])
-        filled += kept
+    for lo, blocks in zip(starts, drawn):
+        first_unit = filled
+        for first, k, kept, mask in blocks:
+            if filled + kept >= count:  # the count-th acceptance is in this block
+                nth = np.flatnonzero(np.unpackbits(mask, count=k))[count - filled - 1]
+                rng.bit_generator.advance(2 * (first + int(nth) + 1))
+                filled = count
+                break
+            filled += kept
+        if filled > first_unit:
+            pieces.append((first_unit, out[lo:lo + filled - first_unit]))
         if filled == count:
-            break
-    pieces = [(first, out[start:stop]) for first, start, stop in ranges]
-    if filled < count:
-        rng.bit_generator.advance(2 * stops[-1])
-        pieces.append((filled, _beta_draws(rng, a, b, count - filled, scratches[0])))
+            return pieces
+    rng.bit_generator.advance(2 * stops[-1])
+    pieces.append((filled, _beta_draws(rng, a, b, count - filled, scratches[0])))
     return pieces
 
 
@@ -570,7 +523,6 @@ class _StreamedUniforms:
 
         self._state = rng.bit_generator.state
         self._bits = np.random.PCG64(0)  # seeded only to construct it; draw sets its state
-        self._gen = np.random.Generator(self._bits)
         rng.bit_generator.advance(count)
 
     def draw(self, lo, out):
@@ -578,8 +530,7 @@ class _StreamedUniforms:
         import numpy as np
 
         self._bits.state = self._state
-        self._bits.advance(lo)
-        return self._gen.random(out=out)
+        return np.random.Generator(self._bits.advance(lo)).random(out=out)
 
     def fork(self):
         """A drawer of the same column with a generator of its own.
@@ -593,18 +544,29 @@ class _StreamedUniforms:
 
         twin = copy.copy(self)
         twin._bits = np.random.PCG64(0)
-        twin._gen = np.random.Generator(twin._bits)
         return twin
 
 
-def _draw_columns(pop, rng, count, scratch):
+def _draw_columns(pop, rng, count, scratches, run=map):
     """The random columns behind `count` units of a BetaXPopulation, in stream order.
 
     The covariate, whose draws use a variable number of random bits, is
-    an array of `count` values, drawn in scratch's buffers; the benefit
-    uniforms are streamed (_StreamedUniforms).
+    stored, as (first unit, values) pieces in order.  With one scratch
+    set, or a shape outside Johnk's range, it is drawn by _beta_draws in
+    the first set, as one piece.  Otherwise one worker per set draws its
+    share of the Johnk attempts planned to give `count` values
+    (_planned_attempts, _beta_draws_in_parts), all run through run.  The
+    benefit uniforms are streamed (_StreamedUniforms).
     """
-    return _beta_draws(rng, pop.alpha, pop.beta, count, scratch), _StreamedUniforms(rng, count)
+    a, b = pop.alpha, pop.beta
+    workers = len(scratches)
+    if workers > 1 and _johnk_shapes(a, b):
+        planned = _planned_attempts(a, b, count)
+        stops = [planned * (i + 1) // workers for i in range(workers)]
+        x = _beta_draws_in_parts(rng, a, b, count, stops, scratches, run)
+    else:
+        x = [(0, _beta_draws(rng, a, b, count, scratches[0]))]
+    return x, _StreamedUniforms(rng, count)
 
 
 def _units(pop, columns, scratch, half=0):
@@ -619,12 +581,15 @@ def _units(pop, columns, scratch, half=0):
     x, u = columns
     k = len(u)
     t_minus, t_zero = scratch.t_minus[:k], scratch.t_zero[:k]
-    b, h = scratch.b[half, :k], scratch.h[half][:k]
-    t0, t1 = np.array(pop.triple0.as_tuple()), np.array(pop.triple1.as_tuple())
-    rows, components = scratch.triples[half]
+    b, h = scratch.b[half, :k], scratch.h[half, :k]
+    t0, t1 = pop.triple0, pop.triple1
     # t0 + (t1 - t0) * x per component, H = p_plus - p_minus
-    np.multiply(x, (t1 - t0)[components, None], out=rows[:, :k])
-    rows[:, :k] += t0[components, None]
+    np.multiply(x, t1.p_minus - t0.p_minus, out=t_minus)
+    t_minus += t0.p_minus
+    np.multiply(x, t1.p_zero - t0.p_zero, out=t_zero)
+    t_zero += t0.p_zero
+    np.multiply(x, t1.p_plus - t0.p_plus, out=h)
+    h += t0.p_plus
     h -= t_minus
     return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
 
@@ -689,74 +654,58 @@ def _pair_counts(b, h):
     return valid - tied - disc, tied, valid
 
 
-def _score_blocks(pop, columns, m, worker, claims, scratch):
+def _score_blocks(pop, columns, m, lo, hi, scratch):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
-    pairs (i, i + m) for the blocks of i that `worker` claims (_Claims),
-    in scratch's buffers.  columns are the chunk's covariate pieces and
-    benefit uniforms (_block_columns)."""
+    pairs (i, i + m), lo <= i < hi, one block of up to scratch.size pairs
+    at a time in scratch's buffers.  columns are the chunk's covariate
+    pieces and benefit uniforms (_draw_columns)."""
     import numpy as np
 
     conc = tied = valid = 0
-    while (claim := claims.next(worker)) is not None:
-        start, stop = claim
+    for start in range(lo, hi, scratch.size):
+        stop = min(start + scratch.size, hi)
         b1, h1 = _units(pop, _block_columns(columns, start, stop, scratch), scratch, 0)
         b2, h2 = _units(pop, _block_columns(columns, m + start, m + stop, scratch), scratch, 1)
-        h_gt, h_lt = scratch.mask[0, :stop - start], scratch.mask[1, :stop - start]
-        np.subtract(b1, b2, out=b1)  # B1 - B2, from -2 to 2
-        block_valid = int(np.count_nonzero(b1))
-        np.greater(h1, h2, out=h_gt)
-        np.less(h1, h2, out=h_lt)
-        h_sign = h_gt.view(np.int8)
-        h_sign -= h_lt.view(np.int8)
-        np.multiply(b1, h_sign, out=b1)  # > 0 concordant, < 0 discordant
-        np.greater(b1, 0, out=h_lt)
-        conc += int(np.count_nonzero(h_lt))
-        tied += block_valid - int(np.count_nonzero(b1))
-        valid += block_valid
+        b_rel, h_rel = scratch.mask[0, :stop - start], scratch.mask[1, :stop - start]
+        np.not_equal(b1, b2, out=b_rel)
+        valid += int(np.count_nonzero(b_rel))
+        np.equal(h1, h2, out=h_rel)
+        h_rel &= b_rel
+        tied += int(np.count_nonzero(h_rel))
+        for order in (np.greater, np.less):
+            order(b1, b2, out=b_rel)
+            order(h1, h2, out=h_rel)
+            h_rel &= b_rel
+            conc += int(np.count_nonzero(h_rel))
     return conc, tied, valid
 
 
 def _score_chunk(pop, child_seed, m, workers=1, run=map):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
-    pairs (i, i + m) of 2m units drawn from child_seed.
+    pairs (i, i + m) of 2m units drawn from child_seed, by `workers`
+    workers run through run (map, or a thread pool's map).
 
-    Units are built and pairs scored one block of up to _BLOCK pairs at a
-    time (_score_blocks), in a scratch set (_Scratch), which the Beta
-    sampler uses first.  The benefit uniforms are streamed, so a block
-    draws only its own slice of them into that set; the covariate column
-    is stored, 2m values (16 MB at m = 10**6).
-
-    With one worker, the chunk is drawn and scored in one scratch set: it
-    holds the column and 1.4 MiB of block buffers, and allocates nothing
-    per block but the Johnk loop's uniforms and np.compress's buffers.
-    With `workers` > 1 and a Beta shape in Johnk's range (_johnk_shapes),
-    the workers share the chunk, each in a scratch set of its own, through
-    run (a thread pool's map).  They draw the column's Johnk attempts,
-    planned to give the 2m values (_planned_attempts), into one array of
-    the planned attempts' length (_beta_draws_in_parts); the slots of
-    rejected attempts are allocated but never written.  Then they score
-    its blocks, each with a uniform drawer of its own.  In both phases
-    worker i starts on the i-th share of the blocks and then helps the
-    others (_Claims).  Other shapes, drawn by Generator.beta, ignore
-    `workers`.  The counts are the same either way.
+    Each worker has one scratch set (_Scratch) of block buffers, 1.4 MiB.
+    The workers draw the covariate column together where its Beta shape
+    lets its Johnk attempts split, else the first worker draws it
+    (_draw_columns); it is stored, 2m values (16 MB at m = 10**6), and a
+    split draw holds one slot per planned attempt (20 MB at m = 10**6
+    and shape (0.5, 0.5)).  Then worker i scores the pairs from the i-th
+    of `workers` equal shares of the chunk, one block of up to _BLOCK pairs
+    at a time (_score_blocks), drawing each block's slice of the streamed
+    benefit uniforms with a drawer of its own.  One worker allocates
+    nothing per block but the Johnk loop's uniforms and np.compress's
+    buffers.  The counts do not depend on `workers`.
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
-    size = min(m, _BLOCK)
-    if workers == 1 or not _johnk_shapes(pop.alpha, pop.beta):
-        scratch = _Scratch(size)
-        x, u = _draw_columns(pop, rng, 2 * m, scratch)
-        return _score_blocks(pop, ([(0, x)], u), m, 0, _Claims([m], size), scratch)
-    scratches = [_Scratch(size) for _ in range(workers)]
-    planned = _planned_attempts(pop.alpha, pop.beta, 2 * m)
-    pieces = _beta_draws_in_parts(rng, pop.alpha, pop.beta, 2 * m,
-                                  [planned * (i + 1) // workers for i in range(workers)], scratches, run)
-    u = _StreamedUniforms(rng, 2 * m)
+    scratches = [_Scratch(min(m, _BLOCK)) for _ in range(workers)]
+    x, u = _draw_columns(pop, rng, 2 * m, scratches, run)
     drawers = [u, *(u.fork() for _ in range(workers - 1))]
-    n_blocks = -(-m // size)
-    claims = _Claims([min(size * (n_blocks * (i + 1) // workers), m) for i in range(workers)], size)
-    counts = run(lambda i: _score_blocks(pop, (pieces, drawers[i]), m, i, claims, scratches[i]), range(workers))
+    stops = [m * i // workers for i in range(workers + 1)]
+    counts = run(lambda i: _score_blocks(pop, (x, drawers[i]), m, stops[i], stops[i + 1], scratches[i]),
+                 range(workers))
     return tuple(map(sum, zip(*counts)))
 
 
@@ -786,13 +735,16 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     [0.01, 1] run numpy's Johnk loop vectorized on the same stream
     (_beta_draws): the counts are those of Generator.beta draws unless a
     draw that moved by a few ULP crosses a benefit threshold or swaps the
-    order of two predictor values.  Each Johnk attempt takes two outputs
-    of the generator, so the chunk's attempts split at generator offsets:
-    the workers draw one chunk's column together, then score its blocks
-    together, and one covariate column is held whatever CFB_THREADS is
-    (_score_chunk).  Other shapes take a varying number of random bits
-    per draw; their chunks run one per worker, each worker holding its
-    own chunk's column.
+    order of two predictor values.
+
+    Chunks are scored one at a time, each by all workers (_score_chunk),
+    so one covariate column is held whatever CFB_THREADS is.  There are
+    at most as many workers as chunks, so a run of one chunk (n <= 10**6)
+    runs on one worker and holds what it always did.  Each Johnk attempt
+    takes two outputs of the generator, so at shapes in [0.01, 1] the
+    workers draw the column together, split at generator offsets; other
+    shapes take a varying number of random bits per draw, and the column
+    is drawn by one worker while the others wait.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
@@ -822,26 +774,19 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         scratch = _Scratch(n)
-        x, u = _draw_columns(pop, rng, n, scratch)
-        b, h = _units(pop, (x, u.draw(0, scratch.u)), scratch)
+        columns = _draw_columns(pop, rng, n, [scratch])
+        b, h = _units(pop, _block_columns(columns, 0, n, scratch), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         children = np.random.SeedSequence(seed).spawn(n_chunks)
-        shared = _johnk_shapes(pop.alpha, pop.beta)
-        workers = _worker_count() if shared else min(_worker_count(), n_chunks)
+        workers = min(_worker_count(), n_chunks)
         if workers > 1:
             # the module's binding at call time, which a caller may have replaced
             pool_class = sys.modules[__name__].ThreadPoolExecutor
             with pool_class(max_workers=workers) as pool:
-                if shared:
-                    parts = [_score_chunk(pop, c, m, workers, pool.map) for c, m in zip(children, sizes)]
-                else:
-                    parts = list(pool.map(
-                        lambda cm: _score_chunk(pop, cm[0], cm[1]),
-                        zip(children, sizes),
-                    ))
+                parts = [_score_chunk(pop, c, m, workers, pool.map) for c, m in zip(children, sizes)]
         else:
             parts = [_score_chunk(pop, c, m) for c, m in zip(children, sizes)]
         conc, tied, valid = (sum(col) for col in zip(*parts))

@@ -769,8 +769,9 @@ def _cmd_hist(args, cfg) -> int:
         raise ValueError(f"histogram range [{_fmt(lo)}, {_fmt(hi)}] is too wide: hi - lo is not finite")
     edges = np.linspace(lo, hi, args.bins + 1)  # the edges np.histogram makes
     if not (edges[:-1] < edges[1:]).all():
-        raise ValueError(f"histogram range [{lo!r}, {hi!r}] is too narrow for {args.bins} bins: "
-                         f"their edges are not distinct floats; widen --lo and --hi or lower --bins")
+        raise ValueError(f"histogram range [{_fmt(lo)}, {_fmt(hi)}] is too narrow for {args.bins} bins: "
+                         f"hi - lo = {_fmt(hi - lo)} gives no {args.bins + 1} distinct edges; "
+                         f"widen --lo and --hi or lower --bins")
     counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
     _emit(args.out, cfg, _bin_lines(edges, counts))
     return 0

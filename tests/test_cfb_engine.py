@@ -733,7 +733,7 @@ def test_chunk_peak_memory(pop, limit_mib):
 # (5.53 MiB), per worker one Johnk block's uniforms and np.compress's
 # buffers (at most 1 MiB, 4 MiB in all) or the covariates of a block
 # that spans two pieces of the column (0.25 MiB), and the packed accept
-# masks (0.3 MiB): at most 30.3 MiB, below 32 (29.9 measured).
+# masks (0.3 MiB): at most 30.3 MiB, below 32 (28.8 measured).
 def test_workers_share_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setenv("CFB_THREADS", "4")
     tracemalloc.start()
@@ -745,22 +745,16 @@ def test_workers_share_one_chunk_at_a_time(monkeypatch):
     assert peak <= 32 * 2**20
 
 
-def test_independent_pairs_standard_error_covers_the_exact_value(monkeypatch):
+def test_independent_pairs_standard_error_covers_the_exact_value():
     """95% intervals est +- 1.96 se of the README example, at 200 derived
     seeds of 20,000 pairs each, cover the exact value at a rate within
-    about 3 sd (0.015 at 200 seeds) of 0.95.  Each call scores one chunk
-    shared by two workers."""
-    monkeypatch.setenv("CFB_THREADS", "2")
-    shared = []
-    split = cfb_engine._beta_draws_in_parts
-    monkeypatch.setattr(cfb_engine, "_beta_draws_in_parts", lambda *a: shared.append(1) or split(*a))
+    about 3 sd (0.015 at 200 seeds) of 0.95."""
     exact = beta_mixture_cfb(BETA_POP)
     seeds = np.random.SeedSequence(20230516).generate_state(200).tolist()
     covered = 0
     for seed in seeds:
         est, se = cfb_monte_carlo(BETA_POP, 20_000, seed)
         covered += abs(est - exact) <= 1.96 * se
-    assert len(shared) == len(seeds)
     assert 0.90 <= covered / len(seeds) <= 0.99
 
 
@@ -982,9 +976,8 @@ def test_beta_draws_in_parts_equal_beta_draws(a, b, count, size, stops, seed):
 def test_parts_examples_have_a_part_with_no_acceptance():
     # attempts 6 and 7 of seed 5 reject at shape (1, 1), as the example above needs
     state = np.random.default_rng(5).bit_generator.state
-    claims = cfb_engine._Claims([6, 8], 8)
-    blocks = cfb_engine._johnk_blocks(state, 1.0, 1.0, 1, claims, _Scratch(8), np.empty(8))
-    assert [(lo, k, kept) for lo, k, kept, _, _ in blocks][0] == (6, 2, 0)
+    blocks = cfb_engine._johnk_run(state, 1.0, 1.0, 6, 8, _Scratch(8), np.empty(8))
+    assert [(first, k, kept) for first, k, kept, _ in blocks] == [(6, 2, 0)]
 
 
 def test_beta_draws_call_generator_beta_outside_the_johnk_range():

@@ -195,13 +195,18 @@ def test_header_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, header):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "col.csv").write_text("x\n0.25\n0.5\n")
     (tmp_path / "improper.csv").write_text(",".join(IMPROPER_COLUMNS) + "\n")
-    inputs = {"col.csv": os.stat("col.csv"), "improper.csv": os.stat("improper.csv")}
+    # size and mtime only: a command that reads an input may move its access time
+    def written_state(path):
+        st = path.stat()
+        return st.st_size, st.st_mtime_ns
+
+    inputs = {name: written_state(tmp_path / name) for name in ("col.csv", "improper.csv")}
     assert run(argv) == 0
     want = ["# cfb 0.1.0", "# " + header]
     out = capsys.readouterr().out
     if out:
         assert out.splitlines()[:2] == want
-    written = [p for p in tmp_path.iterdir() if p.name not in inputs or p.stat() != inputs[p.name]]
+    written = [p for p in tmp_path.iterdir() if p.name not in inputs or written_state(p) != inputs[p.name]]
     assert out or written
     for path in written:
         with open(path) as f:
@@ -885,16 +890,17 @@ def test_hist_rejects_empty_range(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("lo, hi, bins", [
-    ("0", "5e-324", "2"),  # one subnormal step wide
-    ("1", "1.0000000000000002", "3"),  # one ULP wide, three bins
+@pytest.mark.parametrize("lo, hi, bins, shown", [
+    ("0", "5e-324", "2", "[0, 4.940656458e-324] is too narrow for 2 bins: hi - lo = 4.940656458e-324 gives no 3"),
+    # one ULP wide: printed to 10 digits, both ends read 1, so the message gives the width
+    ("1", "1.0000000000000002", "3", "[1, 1] is too narrow for 3 bins: hi - lo = 2.220446049e-16 gives no 4"),
 ])
-def test_hist_rejects_a_range_too_narrow_for_its_bins(tmp_path, capsys, lo, hi, bins):
+def test_hist_rejects_a_range_too_narrow_for_its_bins(tmp_path, capsys, lo, hi, bins, shown):
     src = tmp_path / "vals.csv"
     src.write_text("score\n0\n1\n")
     assert run(["hist", "--in", str(src), "--col", "score", "--lo", lo, "--hi", hi, "--bins", bins]) == 2
     err = capsys.readouterr().err
-    assert f"histogram range [{float(lo)!r}, {float(hi)!r}] is too narrow for {bins} bins" in err
+    assert f"histogram range {shown} distinct edges" in err
     assert all(flag in err for flag in ("--lo", "--hi", "--bins"))
     # two bins fit in two ULPs
     assert run(["hist", "--in", str(src), "--col", "score", "--lo", "1", "--hi", "1.0000000000000004",
