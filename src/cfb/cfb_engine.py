@@ -50,11 +50,12 @@ _REL = {"<": 0, "=": 1, ">": 2}
 # results do not depend on how many threads consume them.
 _CHUNK_PAIRS = 1_000_000
 # Pairs per block of the Beta sampler and of scoring inside a chunk, and so
-# the size of a chunk's scratch set (_Scratch, 1.4 MiB at 2**15): small
+# the size of a chunk's scratch sets (_Scratch, 1.4 MiB at 2**15): small
 # enough that the block's buffers stay in cache, large enough that two pool
-# threads seldom wait for the GIL between numpy calls, which they did at
-# 2**14.
+# threads drawing Johnk blocks seldom wait for the GIL between numpy calls,
+# which they did at 2**14.
 _BLOCK = 32_768
+_MAX_THREADS = 64  # most workers CFB_THREADS may ask for, each a pool thread and a scratch set
 # Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
@@ -278,11 +279,11 @@ def __getattr__(name):
 
 
 def _worker_count() -> int:
-    """Thread count for scoring Monte Carlo chunks, controlled by CFB_THREADS.
+    """Thread count for drawing Monte Carlo chunks, controlled by CFB_THREADS.
 
     Unset or 0 picks the CPUs this process may run on, at most 4; 1
-    forces sequential work.  No result depends on this, only wall time
-    does.
+    forces sequential work; above _MAX_THREADS raises ValueError.  No
+    result depends on this, only wall time does.
     """
     raw = os.environ.get("CFB_THREADS", "").strip()
     if raw in ("", "0"):
@@ -294,18 +295,21 @@ def _worker_count() -> int:
         raise ValueError(f"CFB_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"CFB_THREADS must be positive, got {n}")
+    if n > _MAX_THREADS:
+        raise ValueError(f"CFB_THREADS must be at most {_MAX_THREADS}, got {n}")
     return n
 
 
 class _Scratch:
     """Work buffers for blocks of up to `size` pairs, one set per worker.
 
-    _beta_draws runs its Johnk loop in them (X in t_minus, Y in t_zero,
-    X + Y in u, the accept and recheck masks in mask) before any block is
-    scored.  The scorer then draws each block's benefit uniforms into u;
-    it builds the two benefit thresholds in t_minus and t_zero, the B and
-    H of both halves of the block in b and h, and compares the halves in
-    mask.  Each buffer is one contiguous row, so its [:k] is too.
+    Every worker runs its Johnk blocks in its own set (X in t_minus, Y in
+    t_zero, X + Y in u, the accept and recheck masks in mask) before any
+    block is scored.  The calling thread then scores in the first set: it
+    draws each block's benefit uniforms into u, builds the two benefit
+    thresholds in t_minus and t_zero, the B and H of both halves of the
+    block in b and h, and compares the halves in mask.  Each buffer is one
+    contiguous row, so its [:k] is too.
     """
 
     def __init__(self, size):
@@ -532,20 +536,6 @@ class _StreamedUniforms:
         self._bits.state = self._state
         return np.random.Generator(self._bits.advance(lo)).random(out=out)
 
-    def fork(self):
-        """A drawer of the same column with a generator of its own.
-
-        draw sets the state of the drawer's one generator, so threads that
-        draw at once need one drawer each.
-        """
-        import copy
-
-        import numpy as np
-
-        twin = copy.copy(self)
-        twin._bits = np.random.PCG64(0)
-        return twin
-
 
 def _draw_columns(pop, rng, count, scratches, run=map):
     """The random columns behind `count` units of a BetaXPopulation, in stream order.
@@ -654,16 +644,28 @@ def _pair_counts(b, h):
     return valid - tied - disc, tied, valid
 
 
-def _score_blocks(pop, columns, m, lo, hi, scratch):
+def _score_chunk(pop, child_seed, m, workers=1, run=map):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
-    pairs (i, i + m), lo <= i < hi, one block of up to scratch.size pairs
-    at a time in scratch's buffers.  columns are the chunk's covariate
-    pieces and benefit uniforms (_draw_columns)."""
+    pairs (i, i + m) of 2m units drawn from child_seed.
+
+    `workers` workers, run through run (map, or a thread pool's map), each
+    in a scratch set (_Scratch, 1.4 MiB) of its own, draw the covariate
+    column together where its Johnk attempts split (_draw_columns).  It
+    is stored: 2m values (16 MB at m = 10**6), or for a split draw one
+    slot per planned attempt (20 MB at shape (0.5, 0.5)).  Then the
+    calling thread scores every pair in the first scratch set, one block
+    of up to _BLOCK pairs at a time, each with its slice of the streamed
+    benefit uniforms.  The counts do not depend on `workers`.
+    """
     import numpy as np
 
+    rng = np.random.default_rng(child_seed)
+    scratches = [_Scratch(min(m, _BLOCK)) for _ in range(workers)]
+    columns = _draw_columns(pop, rng, 2 * m, scratches, run)
+    scratch = scratches[0]
     conc = tied = valid = 0
-    for start in range(lo, hi, scratch.size):
-        stop = min(start + scratch.size, hi)
+    for start in range(0, m, scratch.size):
+        stop = min(start + scratch.size, m)
         b1, h1 = _units(pop, _block_columns(columns, start, stop, scratch), scratch, 0)
         b2, h2 = _units(pop, _block_columns(columns, m + start, m + stop, scratch), scratch, 1)
         b_rel, h_rel = scratch.mask[0, :stop - start], scratch.mask[1, :stop - start]
@@ -678,35 +680,6 @@ def _score_blocks(pop, columns, m, lo, hi, scratch):
             h_rel &= b_rel
             conc += int(np.count_nonzero(h_rel))
     return conc, tied, valid
-
-
-def _score_chunk(pop, child_seed, m, workers=1, run=map):
-    """Exact (concordant, predictor-tied, benefit-differing) counts over the
-    pairs (i, i + m) of 2m units drawn from child_seed, by `workers`
-    workers run through run (map, or a thread pool's map).
-
-    Each worker has one scratch set (_Scratch) of block buffers, 1.4 MiB.
-    The workers draw the covariate column together where its Beta shape
-    lets its Johnk attempts split, else the first worker draws it
-    (_draw_columns); it is stored, 2m values (16 MB at m = 10**6), and a
-    split draw holds one slot per planned attempt (20 MB at m = 10**6
-    and shape (0.5, 0.5)).  Then worker i scores the pairs from the i-th
-    of `workers` equal shares of the chunk, one block of up to _BLOCK pairs
-    at a time (_score_blocks), drawing each block's slice of the streamed
-    benefit uniforms with a drawer of its own.  One worker allocates
-    nothing per block but the Johnk loop's uniforms and np.compress's
-    buffers.  The counts do not depend on `workers`.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(child_seed)
-    scratches = [_Scratch(min(m, _BLOCK)) for _ in range(workers)]
-    x, u = _draw_columns(pop, rng, 2 * m, scratches, run)
-    drawers = [u, *(u.fork() for _ in range(workers - 1))]
-    stops = [m * i // workers for i in range(workers + 1)]
-    counts = run(lambda i: _score_blocks(pop, (x, drawers[i]), m, stops[i], stops[i + 1], scratches[i]),
-                 range(workers))
-    return tuple(map(sum, zip(*counts)))
 
 
 def cfb_monte_carlo(pop, n, seed, all_pairs=False):
@@ -730,21 +703,21 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     uniforms are streamed, each block drawing its own slice from a copy of
     the generator moved ahead to it; only the covariate column is stored
     (16 MB a chunk).  Each worker has one scratch set of 2**15-pair block
-    buffers (1.4 MiB), allocated per chunk, in which the Beta sampler and
-    the block scorer do all their work.  Beta covariates with shapes in
-    [0.01, 1] run numpy's Johnk loop vectorized on the same stream
-    (_beta_draws): the counts are those of Generator.beta draws unless a
-    draw that moved by a few ULP crosses a benefit threshold or swaps the
-    order of two predictor values.
+    buffers (1.4 MiB), allocated per chunk, in which it runs the Beta
+    sampler; the block scorer works in the first.  Beta covariates with
+    shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
+    stream (_beta_draws): the counts are those of Generator.beta draws
+    unless a draw that moved by a few ULP crosses a benefit threshold or
+    swaps the order of two predictor values.
 
-    Chunks are scored one at a time, each by all workers (_score_chunk),
-    so one covariate column is held whatever CFB_THREADS is.  There are
-    at most as many workers as chunks, so a run of one chunk (n <= 10**6)
-    runs on one worker and holds what it always did.  Each Johnk attempt
-    takes two outputs of the generator, so at shapes in [0.01, 1] the
-    workers draw the column together, split at generator offsets; other
-    shapes take a varying number of random bits per draw, and the column
-    is drawn by one worker while the others wait.
+    Chunks are done one at a time (_score_chunk), so one covariate column
+    is held whatever CFB_THREADS is.  The pool threads only draw: each
+    Johnk attempt takes two outputs of the generator, so at shapes in
+    [0.01, 1] the workers draw the column together, split at generator
+    offsets; other shapes take a varying number of random bits per draw,
+    and the calling thread draws the column.  The calling thread scores
+    every pair.  There are at most as many workers as chunks, so a run of
+    one chunk (n <= 10**6) runs on one worker.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in

@@ -135,19 +135,13 @@ def screen_improper_set(found: ImproperSet) -> ScreenResult:
         solutions[minus, plus] = (solve_outcome_probs(triple), discriminant(triple))
 
     if len(kept):
-        values = kept.cfb_star.tolist()
-        values_sorted = sorted(values)
-        n = len(values_sorted)
-        mid = n // 2
-        median = values_sorted[mid] if n % 2 else 0.5 * (
-            values_sorted[mid - 1] + values_sorted[mid]
-        )
+        cfb = kept.cfb_star
         summary = ScreenSummary(
-            count=n,
-            cfb_min=values_sorted[0],
-            cfb_max=values_sorted[-1],
-            cfb_mean=math.fsum(values) / n,
-            cfb_median=median,
+            count=len(cfb),
+            cfb_min=float(cfb.min()),
+            cfb_max=float(cfb.max()),
+            cfb_mean=math.fsum(cfb.tolist()) / len(cfb),
+            cfb_median=float(np.median(cfb)),
         )
     else:
         nan = float("nan")

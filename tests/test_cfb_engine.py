@@ -11,6 +11,7 @@ import math
 import os
 import random
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -518,6 +519,14 @@ def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, 
     assert _worker_count() == expected
 
 
+def test_worker_count_is_capped_at_64(monkeypatch):
+    monkeypatch.setenv("CFB_THREADS", "64")
+    assert _worker_count() == 64
+    monkeypatch.setenv("CFB_THREADS", "65")
+    with pytest.raises(ValueError, match="CFB_THREADS must be at most 64, got 65"):
+        _worker_count()
+
+
 # repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),
 # recorded while Beta covariates were still drawn with Generator.beta
 BETA_MC_PINS = {
@@ -650,8 +659,8 @@ def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
 
 def test_shared_chunk_under_thread_switches_at_every_chance():
     """More workers than CPUs, switching threads as often as the interpreter
-    can: workers that drew into one another's buffers, or shared a uniform
-    drawer, would change the counts."""
+    can: workers that drew into one another's buffers or slots of the
+    column would change the counts."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(2 * cpus, 8) + 1
     m = 3 * _BLOCK + 5
@@ -666,6 +675,28 @@ def test_shared_chunk_under_thread_switches_at_every_chance():
                 assert got == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_pool_threads_only_draw(monkeypatch):
+    """Two chunks at CFB_THREADS=2 run on two workers: the pool threads draw
+    the Johnk attempts, and the calling thread builds and scores every unit."""
+    monkeypatch.setenv("CFB_THREADS", "2")
+    threads = {"_units": set(), "_johnk_run": set()}
+
+    def record(name):
+        f = getattr(cfb_engine, name)
+
+        def recorded(*args, **kwargs):
+            threads[name].add(threading.get_ident())
+            return f(*args, **kwargs)
+        monkeypatch.setattr(cfb_engine, name, recorded)
+
+    record("_units")
+    record("_johnk_run")
+    cfb_monte_carlo(BETA_POP, 2_000_000, 7)
+    caller = threading.get_ident()
+    assert threads["_units"] == {caller}
+    assert threads["_johnk_run"] and caller not in threads["_johnk_run"]
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -724,16 +755,19 @@ def test_chunk_peak_memory(pop, limit_mib):
 
 # With CFB_THREADS=4 and four chunks, each worker used to score a chunk of
 # its own, so four covariate columns of 15.26 MiB were held at once and
-# tracemalloc's peak read 71 MiB.  Now the workers share one chunk at a
-# time.  tracemalloc counts the bytes numpy allocates, not the pages the
-# process touches, so the bound counts the whole array the parts draw into:
-# one slot per planned Johnk attempt, _planned_attempts(0.5, 0.5, 2 * 10**6)
-# = 2,551,484 slots, 19.47 MiB, though the slots of rejected attempts
-# (a fifth of them) are never written.  Beside it: four scratch sets
+# tracemalloc's peak read 71 MiB.  Now the workers draw one chunk at a
+# time, and the calling thread scores it.  tracemalloc counts the bytes
+# numpy allocates, not the pages the process touches, so the bound counts
+# the whole array the parts draw into: one slot per planned Johnk attempt,
+# _planned_attempts(0.5, 0.5, 2 * 10**6) = 2,551,484 slots, 19.47 MiB,
+# though the slots of rejected attempts (a fifth of them) are never
+# written.  While the column is drawn, beside it: four scratch sets
 # (5.53 MiB), per worker one Johnk block's uniforms and np.compress's
-# buffers (at most 1 MiB, 4 MiB in all) or the covariates of a block
-# that spans two pieces of the column (0.25 MiB), and the packed accept
-# masks (0.3 MiB): at most 30.3 MiB, below 32 (28.8 measured).
+# buffers (at most 1 MiB, 4 MiB in all), and the packed accept masks
+# (0.3 MiB): at most 29.3 MiB.  The scoring that follows holds the array,
+# the scratch sets and at most the covariates of one block that spans two
+# pieces of the column (0.25 MiB): 25.3 MiB.  The peak is below 32 MiB
+# (29.2-29.5 measured, with numpy and the thread pool already imported).
 def test_workers_share_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setenv("CFB_THREADS", "4")
     tracemalloc.start()

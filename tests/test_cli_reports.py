@@ -450,7 +450,7 @@ def test_screen_cf_roots_are_the_smaller_roots(small_search, tmp_path, capsys):
     assert distinct > 0  # rows where the larger root differs, so the order shows
 
 
-@pytest.mark.parametrize("value", ["two", "-1"])
+@pytest.mark.parametrize("value", ["two", "-1", "65"])
 def test_beta_mc_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, value):
     """CFB_THREADS sets the Monte Carlo route's workers, so beta-mc checks it."""
     monkeypatch.setenv("CFB_THREADS", value)
