@@ -55,7 +55,7 @@ _CHUNK_PAIRS = 1_000_000
 # threads drawing Johnk blocks seldom wait for the GIL between numpy calls,
 # which they did at 2**14.
 _BLOCK = 32_768
-_MAX_THREADS = 64  # most workers CFB_THREADS may ask for, each a pool thread and a scratch set
+_MAX_THREADS = 64  # most workers CFB_THREADS gets, each a pool thread and a scratch set
 # Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
@@ -282,8 +282,9 @@ def _worker_count() -> int:
     """Thread count for drawing Monte Carlo chunks, controlled by CFB_THREADS.
 
     Unset or 0 picks the CPUs this process may run on, at most 4; 1
-    forces sequential work; above _MAX_THREADS raises ValueError.  No
-    result depends on this, only wall time does.
+    forces sequential work; a value above _MAX_THREADS counts as
+    _MAX_THREADS, so a harness that sets it to a large machine's CPU
+    count still runs.  No result depends on this, only wall time does.
     """
     raw = os.environ.get("CFB_THREADS", "").strip()
     if raw in ("", "0"):
@@ -295,9 +296,7 @@ def _worker_count() -> int:
         raise ValueError(f"CFB_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"CFB_THREADS must be positive, got {n}")
-    if n > _MAX_THREADS:
-        raise ValueError(f"CFB_THREADS must be at most {_MAX_THREADS}, got {n}")
-    return n
+    return min(n, _MAX_THREADS)
 
 
 class _Scratch:
@@ -715,9 +714,9 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     Johnk attempt takes two outputs of the generator, so at shapes in
     [0.01, 1] the workers draw the column together, split at generator
     offsets; other shapes take a varying number of random bits per draw,
-    and the calling thread draws the column.  The calling thread scores
-    every pair.  There are at most as many workers as chunks, so a run of
-    one chunk (n <= 10**6) runs on one worker.
+    so the calling thread draws the column and no pool starts.  The
+    calling thread scores every pair.  There are at most as many workers
+    as chunks, so a run of one chunk (n <= 10**6) runs on one worker.
 
     All pairs are counted exactly by sorting, not compared one by one:
     the discordant pairs are the inversions of the predictor ranks put in
@@ -755,6 +754,8 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         children = np.random.SeedSequence(seed).spawn(n_chunks)
         workers = min(_worker_count(), n_chunks)
+        if not _johnk_shapes(pop.alpha, pop.beta):
+            workers = 1  # the calling thread draws an unsplit column, so no pool
         if workers > 1:
             # the module's binding at call time, which a caller may have replaced
             pool_class = sys.modules[__name__].ThreadPoolExecutor

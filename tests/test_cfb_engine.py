@@ -519,12 +519,60 @@ def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, 
     assert _worker_count() == expected
 
 
-def test_worker_count_is_capped_at_64(monkeypatch):
-    monkeypatch.setenv("CFB_THREADS", "64")
+@pytest.mark.parametrize("value", ["64", "65", "128", "10000"])
+def test_worker_count_is_capped_at_64(monkeypatch, value):
+    """More than 64 counts as 64, so a run with CFB_THREADS set to a large
+    machine's CPU count still runs, on at most 64 threads."""
+    monkeypatch.setenv("CFB_THREADS", value)
     assert _worker_count() == 64
-    monkeypatch.setenv("CFB_THREADS", "65")
-    with pytest.raises(ValueError, match="CFB_THREADS must be at most 64, got 65"):
-        _worker_count()
+
+
+class _SequentialPool:
+    """Stands in for the Monte Carlo pool: records max_workers, maps in the caller."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+def test_a_many_cpu_thread_count_asks_the_pool_for_64_workers(monkeypatch):
+    """CFB_THREADS set to the CPU count of a 128-CPU machine, as a benchmark
+    harness sets it, over more chunks than that: one pool of 64 workers, and
+    the counts of one worker."""
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 500)
+    monkeypatch.setenv("CFB_THREADS", "1")
+    want = cfb_monte_carlo(BETA_POP, 65_000, 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)))
+    monkeypatch.setenv("CFB_THREADS", str(len(os.sched_getaffinity(0))))
+    monkeypatch.setattr(cfb_engine, "ThreadPoolExecutor", _SequentialPool)
+    monkeypatch.setattr(_SequentialPool, "sizes", [])
+    assert cfb_monte_carlo(BETA_POP, 65_000, 3) == want
+    assert _SequentialPool.sizes == [64]
+
+
+def test_unsplit_shapes_start_no_pool(monkeypatch):
+    """Outside Johnk's range the calling thread draws and scores each chunk,
+    so two chunks at CFB_THREADS=2 give the pool nothing to do and start none."""
+    pop = BetaXPopulation(2.0, 3.0, BETA_T0, BETA_T1)
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 5_000)
+    monkeypatch.setenv("CFB_THREADS", "1")
+    want = cfb_monte_carlo(pop, 10_000, 3)
+    monkeypatch.setenv("CFB_THREADS", "2")
+    monkeypatch.setattr(cfb_engine, "ThreadPoolExecutor", _SequentialPool)
+    monkeypatch.setattr(_SequentialPool, "sizes", [])
+    assert cfb_monte_carlo(pop, 10_000, 3) == want
+    assert _SequentialPool.sizes == []
+    assert cfb_monte_carlo(BETA_POP, 10_000, 3)  # a Johnk shape does start one
+    assert _SequentialPool.sizes == [2]
 
 
 # repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),

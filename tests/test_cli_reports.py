@@ -450,7 +450,7 @@ def test_screen_cf_roots_are_the_smaller_roots(small_search, tmp_path, capsys):
     assert distinct > 0  # rows where the larger root differs, so the order shows
 
 
-@pytest.mark.parametrize("value", ["two", "-1", "65"])
+@pytest.mark.parametrize("value", ["two", "-1"])
 def test_beta_mc_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, value):
     """CFB_THREADS sets the Monte Carlo route's workers, so beta-mc checks it."""
     monkeypatch.setenv("CFB_THREADS", value)
@@ -460,6 +460,19 @@ def test_beta_mc_rejects_an_invalid_thread_count(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == "" and "CFB_THREADS" in captured.err
     assert not list(tmp_path.iterdir())
+
+
+def test_beta_mc_runs_with_a_thread_count_above_64(tmp_path, monkeypatch, capsys):
+    """CFB_THREADS above 64 counts as 64: beta-mc prints what it prints at 1."""
+    argv = ["beta-mc", "--alpha", "0.5", "--beta", "0.5",
+            "--p", "0.08,0,0.92", "--q", "0,0.15,0.85", "--n", "1000"]
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for value in ("1", "65", "10000"):
+        monkeypatch.setenv("CFB_THREADS", value)
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_search_does_not_read_the_thread_count(tmp_path, monkeypatch, capsys):
