@@ -24,6 +24,7 @@ tests/oracles.py, not in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -597,50 +598,28 @@ def _block_columns(columns, lo, hi, scratch):
     return x[0] if len(x) == 1 else np.concatenate(x), u.draw(lo, scratch.u[:hi - lo])
 
 
-def _pairs_within(counts):
-    """Number of unordered pairs inside groups of the given sizes."""
-    return int((counts * (counts - 1)).sum()) // 2
-
-
 def _pair_counts(b, h):
-    """Exact (concordant, predictor-tied, benefit-differing) unordered pair counts.
+    """Exact (concordant, predictor-tied, benefit-differing) unordered pair counts
+    for benefits b in {-1, 0, 1}, the only values _units draws.
 
     A pair is counted when its benefits differ; it is concordant when h
-    orders it the same way, tied when its h values are equal.  Both arrays
-    are dense-ranked, the h ranks are put in (b rank, h rank) order, and
-    the strict inversions of that sequence are exactly the discordant
-    pairs.  Inversions are counted by bottom-up merging: at width w each
-    element of a right half counts the larger elements of its left half
-    with two searchsorted calls, then every block of 2w is sorted.  Ties
-    follow from group sizes.  O(n log^2 n) time, O(n) memory.
+    orders it the same way, tied when its h values are equal.  The h of
+    each benefit level are sorted once.  For each (lower, higher) pair of
+    levels, searching every higher h in the lower level's sorted h gives
+    the lower units below it, which are its concordant pairs, and up to
+    it, whose difference is its tied pairs.  O(n log n) time, O(n) memory.
     """
     import numpy as np
 
-    n = len(b)
-    _, b_rank = np.unique(b, return_inverse=True)
-    h_levels, h_rank = np.unique(h, return_inverse=True)
-    u = len(h_levels)
-    seq = np.sort(b_rank * u + h_rank)
-    runs = np.flatnonzero(np.concatenate(([True], seq[1:] != seq[:-1], [True])))
-    tied_both = _pairs_within(np.diff(runs))
-    seq %= u
-    pos = np.arange(n)
-    disc = 0
-    w = 1
-    while w < n:
-        block = pos // (2 * w)
-        right = (pos & w) != 0
-        key = block * u + seq
-        left = key[~right]
-        larger = (np.searchsorted(left, (block[right] + 1) * u)
-                  - np.searchsorted(left, key[right], side="right"))
-        disc += int(larger.sum())
-        key.sort()
-        seq = key - block * u
-        w *= 2
-    valid = n * (n - 1) // 2 - _pairs_within(np.bincount(b_rank))
-    tied = _pairs_within(np.bincount(h_rank)) - tied_both
-    return valid - tied - disc, tied, valid
+    levels = [np.sort(h[b == v]) for v in (-1, 0, 1)]
+    conc = tied = valid = 0
+    for lower, higher in itertools.combinations(levels, 2):
+        below = int(np.searchsorted(lower, higher, "left").sum())
+        upto = int(np.searchsorted(lower, higher, "right").sum())
+        conc += below
+        tied += upto - below
+        valid += len(lower) * len(higher)
+    return conc, tied, valid
 
 
 def _score_chunk(pop, child_seed, m, workers=1, run=map):
@@ -718,10 +697,10 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     calling thread scores every pair.  There are at most as many workers
     as chunks, so a run of one chunk (n <= 10**6) runs on one worker.
 
-    All pairs are counted exactly by sorting, not compared one by one:
-    the discordant pairs are the inversions of the predictor ranks put in
-    benefit order, counted by a vectorized merge (O(n log^2 n) time, O(n)
-    memory), and ties come from group sizes.
+    All pairs are counted exactly, not compared one by one: the predictor
+    values of each benefit level (-1, 0, 1) are sorted once, and one sorted
+    search per pair of levels counts its concordant and tied pairs
+    (_pair_counts, O(n log n) time, O(n) memory).
 
     Returns
     -------

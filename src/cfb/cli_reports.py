@@ -846,7 +846,7 @@ class _Flag(NamedTuple):
     argparse.ArgumentTypeError naming the problem.  default is the text
     an omitted flag takes; a flag with neither default nor absent must
     be given, and one with absent may stay unset: its value is None and
-    the header shows absent.
+    the header shows absent.  Typing absent as the value leaves it unset.
     """
 
     name: str
@@ -954,7 +954,8 @@ def run(argv) -> int:
     for flag in command.flags:
         text = getattr(args, flag.dest)
         try:
-            value = None if text is None else flag.parse(text)
+            # the header's spelling of an unset flag means unset when typed too
+            value = None if text in (None, flag.absent) else flag.parse(text)
         except argparse.ArgumentTypeError as e:
             print(f"cfb: --{flag.name} {e}", file=sys.stderr)
             return 2

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfb import (
@@ -662,6 +662,25 @@ def test_beta_mixture_of_the_readme_example():
         beta_mixture_cfb(FLAT_POP)
 
 
+_SHAPES = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_SHAPES, beta=_SHAPES, t0=_TRIPLES, t1=_TRIPLES)
+def test_beta_mixture_lies_between_half_and_the_two_group_value(alpha, beta, t0, t1):
+    """The shrink factor E|X1 - X2| / (2 mu (1 - mu)) lies in (0, 1]: a
+    continuous covariate only dilutes the two-group value at c = mu."""
+    t0, t1 = ProbTriple(*t0), ProbTriple(*t1)
+    assume(t0.mean_benefit != t1.mean_benefit)
+    mu = alpha / (alpha + beta)
+    if t1.mean_benefit > t0.mean_benefit:
+        binary = cfb_two_group(mu, t0, t1).value
+    else:
+        binary = cfb_two_group(1.0 - mu, t1, t0).value
+    value = beta_mixture_cfb(BetaXPopulation(alpha, beta, t0, t1))
+    assert min(0.5, binary) - 1e-12 <= value <= max(0.5, binary) + 1e-12
+
+
 @pytest.mark.parametrize("shape, seed", list(BETA_MC_PINS), ids=str)
 def test_beta_monte_carlo_pins_lie_within_4_se_of_the_exact_value(shape, seed):
     est, se = ast.literal_eval(BETA_MC_PINS[shape, seed])
@@ -879,21 +898,34 @@ def _brute_pair_counts(b, h):
     return conc, tied, valid
 
 
-# few distinct values, so both coordinates tie heavily; -0.0 and 0.0 tie too
+# few distinct values, so h ties heavily; -0.0 and 0.0 tie too
 _H_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])
-_B_FLOATS = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0])
+
+
+def _ternary_units(data):
+    """(b, h) of 2 to 200 units, b int8 in {-1, 0, 1} as _units draws it."""
+    n = data.draw(st.integers(2, 200), label="n")
+    b = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)), dtype=np.int8)
+    h = np.array(data.draw(st.lists(_H_VALUES, min_size=n, max_size=n)))
+    return b, h
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pair_counts_match_double_loop(data):
-    n = data.draw(st.integers(2, 40), label="n")
-    if data.draw(st.booleans(), label="ternary"):
-        b = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)), dtype=np.int8)
-    else:
-        b = np.array(data.draw(st.lists(_B_FLOATS, min_size=n, max_size=n)))
-    h = np.array(data.draw(st.lists(_H_VALUES, min_size=n, max_size=n)))
+    b, h = _ternary_units(data)
     assert _pair_counts(b, h) == _brute_pair_counts(b.tolist(), h.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_counts_keep_under_negation_and_permutation(data):
+    b, h = _ternary_units(data)
+    counts = _pair_counts(b, h)
+    # negating both reverses every pair's benefit order and predictor order alike
+    assert _pair_counts(-b, -h) == counts
+    order = np.array(data.draw(st.permutations(range(len(b))), label="order"))
+    assert _pair_counts(b[order], h[order]) == counts
 
 
 def test_pair_counts_of_two_units():

@@ -213,6 +213,21 @@ def test_header_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, header):
             assert [f.readline().rstrip("\n") for _ in want] == want, path.name
 
 
+@pytest.mark.parametrize("argv, unset", [
+    (["rho-sweep", "--beta-xt", "1"], ["--out", "-"]),
+    (["hist", "--in", "col.csv", "--col", "x"], ["--lo", "auto", "--hi", "auto"]),
+], ids=["rho-sweep-out", "hist-lo-hi"])
+def test_a_flag_given_its_unset_header_spelling_stays_unset(tmp_path, monkeypatch, capsys, argv, unset):
+    """Typing the value the header shows for an unset flag runs as if the flag were left out."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "col.csv").write_text("x\n0.25\n0.5\n")
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    assert run(argv + unset) == 0
+    assert capsys.readouterr().out == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
+
+
 # ---------------------------------------------------------------------------
 # eval-discrete
 # ---------------------------------------------------------------------------

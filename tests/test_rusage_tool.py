@@ -1,6 +1,7 @@
 """tools/rusage.py, the per-command child rusage table, on its cheapest command."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,18 @@ def test_rusage_tool_measures_the_all_pairs_study_on_each_tree(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode != 0
     assert "allpairs exited 1 in " in proc.stderr and proc.stderr.rstrip().endswith("change")
+
+
+def test_rusage_tool_runs_its_children_with_one_blas_thread(tmp_path):
+    """The all-pairs study imports cfb without the CLI's main, so the tool itself
+    gives every child OPENBLAS_NUM_THREADS=1, whatever its own environment says."""
+    tree = tmp_path / "tree"
+    (tree / "src" / "cfb").mkdir(parents=True)
+    (tree / "src" / "cfb" / "__init__.py").write_text(
+        "import os, sys\nsys.exit(0 if os.environ.get('OPENBLAS_NUM_THREADS') == '1' else 1)\n")
+    argv = [sys.executable, str(ROOT / "tools" / "rusage.py"), "--parent", str(tree),
+            "--change", str(tree), "--passes", "1", "--commands", "allpairs"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4")
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert list(json.loads(proc.stdout)["commands"]) == ["allpairs"]

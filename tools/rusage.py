@@ -10,7 +10,9 @@ label allpairs runs this repository's bench/allpairs.py, the one process
 that scores all pairs through cfb_monte_carlo, the same way.  Each
 tree writes into its own work directory, so a command that reads a CSV
 reads the one its own tree wrote.  CFB_THREADS is the number of usable
-CPUs, as in bench/run.py.
+CPUs, as in bench/run.py.  OPENBLAS_NUM_THREADS is 1, which the CLI sets
+for itself, so that bench/allpairs.py, which imports cfb directly, starts
+no idle BLAS threads either.
 
 Prints one JSON object: for each command, the medians over passes of wall
 time, user + system CPU, ru_maxrss (MB), ru_minflt and ru_nivcsw from
@@ -96,7 +98,8 @@ def run_one(label, argv, workdir, env):
 def measure(trees, labels, passes):
     """{label: {side: [measures of each pass]}}, the sides taking turns going first."""
     threads = str(len(os.sched_getaffinity(0)))
-    envs = {side: dict(os.environ, CFB_THREADS=threads, PYTHONPATH=str(Path(tree, "src")))
+    envs = {side: dict(os.environ, CFB_THREADS=threads, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=str(Path(tree, "src")))
             for side, tree in trees.items()}
     runs = {label: {side: [] for side in SIDES} for label in labels}
     with tempfile.TemporaryDirectory() as scratch:
