@@ -305,11 +305,11 @@ class _Scratch:
 
     Every worker runs its Johnk blocks in its own set (X in t_minus, Y in
     t_zero, X + Y in u, the accept and recheck masks in mask) before any
-    block is scored.  The calling thread then scores in the first set: it
-    draws each block's benefit uniforms into u, builds the two benefit
-    thresholds in t_minus and t_zero, the B and H of both halves of the
-    block in b and h, and compares the halves in mask.  Each buffer is one
-    contiguous row, so its [:k] is too.
+    block is scored.  The calling thread then scores in the first set: for
+    each half of a block in turn it draws the benefit uniforms into u and
+    the two benefit thresholds into t_minus and t_zero, builds B and H in
+    that half's row of b and h, and then compares the halves in mask.
+    Each buffer is one contiguous row, so its [:k] is too.
     """
 
     def __init__(self, size):
@@ -442,9 +442,7 @@ def _johnk_run(state, a, b, lo, hi, scratch, out):
     """
     import numpy as np
 
-    bits = np.random.PCG64(0)  # seeded only to construct it; set to the run's start
-    bits.state = state
-    rng = np.random.Generator(bits.advance(2 * lo))
+    rng = _generator_at(state, 2 * lo)
     blocks = []
     pos = lo
     for first in range(lo, hi, scratch.size):
@@ -453,6 +451,16 @@ def _johnk_run(state, a, b, lo, hi, scratch, out):
         blocks.append((first, k, kept, np.packbits(scratch.mask[0, :k])))
         pos += kept
     return blocks
+
+
+def _generator_at(state, offset):
+    """A Generator that draws the stream of PCG64 state `state` from its
+    offset-th 64-bit output on, without drawing the outputs before it."""
+    import numpy as np
+
+    bits = np.random.PCG64(0)  # seeded only to construct it; set to `state`
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
 
 
 def _beta_draws_in_parts(rng, a, b, count, stops, scratches, run=map):
@@ -511,42 +519,14 @@ def _johnk_pair(u, v, a, b):
     return math.exp(d - math.log1p(math.exp(d)))
 
 
-class _StreamedUniforms:
-    """The column rng.random(count) would draw, drawn one slice at a time.
-
-    draw(lo, out) draws len(out) values from a copy of the generator's
-    state moved ahead by lo outputs.  Every float64 of Generator.random
-    takes exactly one 64-bit output, so they are
-    rng.random(count)[lo:lo + len(out)] bit for bit, and the column is
-    never held whole.  Making the column moves rng past it, as drawing it
-    would.
-    """
-
-    def __init__(self, rng, count):
-        import numpy as np
-
-        self._state = rng.bit_generator.state
-        self._bits = np.random.PCG64(0)  # seeded only to construct it; draw sets its state
-        rng.bit_generator.advance(count)
-
-    def draw(self, lo, out):
-        """Fill out with the column's values from lo on; returns out."""
-        import numpy as np
-
-        self._bits.state = self._state
-        return np.random.Generator(self._bits.advance(lo)).random(out=out)
-
-
 def _draw_columns(pop, rng, count, scratches, run=map):
-    """The random columns behind `count` units of a BetaXPopulation, in stream order.
+    """The covariates of `count` units of a BetaXPopulation, as (first unit,
+    values) pieces in order; leaves rng at the start of their benefit uniforms.
 
-    The covariate, whose draws use a variable number of random bits, is
-    stored, as (first unit, values) pieces in order.  With one scratch
-    set, or a shape outside Johnk's range, it is drawn by _beta_draws in
-    the first set, as one piece.  Otherwise one worker per set draws its
-    share of the Johnk attempts planned to give `count` values
-    (_planned_attempts, _beta_draws_in_parts), all run through run.  The
-    benefit uniforms are streamed (_StreamedUniforms).
+    With one scratch set, or a shape outside Johnk's range, the column is
+    drawn by _beta_draws in the first set, as one piece.  Otherwise one
+    worker per set draws its share of the Johnk attempts planned to give
+    `count` values (_planned_attempts, _beta_draws_in_parts), run through run.
     """
     a, b = pop.alpha, pop.beta
     workers = len(scratches)
@@ -556,7 +536,7 @@ def _draw_columns(pop, rng, count, scratches, run=map):
         x = _beta_draws_in_parts(rng, a, b, count, stops, scratches, run)
     else:
         x = [(0, _beta_draws(rng, a, b, count, scratches[0]))]
-    return x, _StreamedUniforms(rng, count)
+    return x
 
 
 def _units(pop, columns, scratch, half=0):
@@ -584,18 +564,14 @@ def _units(pop, columns, scratch, half=0):
     return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
 
 
-def _block_columns(columns, lo, hi, scratch):
-    """Units lo to hi: their covariates and their benefit uniforms, drawn into scratch's u.
-
-    The covariate column is given as (first unit, values) pieces in order;
-    the covariates are a view of one piece, or a copy where the units
-    span two.
-    """
+def _block_covariates(pieces, lo, hi):
+    """The covariates of units lo to hi, from the column's (first unit,
+    values) pieces in order: a view of one piece, or a copy where the
+    units span two."""
     import numpy as np
 
-    pieces, u = columns
     x = [v[max(lo - s, 0):hi - s] for s, v in pieces if s < hi and lo < s + len(v)]
-    return x[0] if len(x) == 1 else np.concatenate(x), u.draw(lo, scratch.u[:hi - lo])
+    return x[0] if len(x) == 1 else np.concatenate(x)
 
 
 def _pair_counts(b, h):
@@ -632,21 +608,25 @@ def _score_chunk(pop, child_seed, m, workers=1, run=map):
     is stored: 2m values (16 MB at m = 10**6), or for a split draw one
     slot per planned attempt (20 MB at shape (0.5, 0.5)).  Then the
     calling thread scores every pair in the first scratch set, one block
-    of up to _BLOCK pairs at a time, each with its slice of the streamed
-    benefit uniforms.  The counts do not depend on `workers`.
+    of up to _BLOCK pairs at a time, drawing the benefit uniforms as it
+    goes: the first half's by the chunk's generator, the second half's by
+    one m outputs further on (_generator_at).  The counts do not depend
+    on `workers`.
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
     scratches = [_Scratch(min(m, _BLOCK)) for _ in range(workers)]
-    columns = _draw_columns(pop, rng, 2 * m, scratches, run)
+    x = _draw_columns(pop, rng, 2 * m, scratches, run)
+    first, second = rng, _generator_at(rng.bit_generator.state, m)
     scratch = scratches[0]
     conc = tied = valid = 0
-    for start in range(0, m, scratch.size):
-        stop = min(start + scratch.size, m)
-        b1, h1 = _units(pop, _block_columns(columns, start, stop, scratch), scratch, 0)
-        b2, h2 = _units(pop, _block_columns(columns, m + start, m + stop, scratch), scratch, 1)
-        b_rel, h_rel = scratch.mask[0, :stop - start], scratch.mask[1, :stop - start]
+    for lo in range(0, m, scratch.size):
+        k = min(scratch.size, m - lo)
+        u = scratch.u[:k]
+        b1, h1 = _units(pop, (_block_covariates(x, lo, lo + k), first.random(out=u)), scratch, 0)
+        b2, h2 = _units(pop, (_block_covariates(x, m + lo, m + lo + k), second.random(out=u)), scratch, 1)
+        b_rel, h_rel = scratch.mask[0, :k], scratch.mask[1, :k]
         np.not_equal(b1, b2, out=b_rel)
         valid += int(np.count_nonzero(b_rel))
         np.equal(h1, h2, out=h_rel)
@@ -678,11 +658,11 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     Independent pairs come in chunks of 10**6, each from its own child of
     SeedSequence(seed) and scored one block at a time into exact integer
     counts, so no result depends on CFB_THREADS.  A chunk's benefit
-    uniforms are streamed, each block drawing its own slice from a copy of
-    the generator moved ahead to it; only the covariate column is stored
-    (16 MB a chunk).  Each worker has one scratch set of 2**15-pair block
-    buffers (1.4 MiB), allocated per chunk, in which it runs the Beta
-    sampler; the block scorer works in the first.  Beta covariates with
+    uniforms are drawn block by block as its pairs are scored, by one
+    running generator per half of the chunk; only the covariate column
+    is stored (16 MB a chunk).  Each worker has one scratch set of
+    2**15-pair block buffers (1.4 MiB), allocated per chunk, in which it
+    runs the Beta sampler; the block scorer works in the first.  Beta covariates with
     shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
     stream (_beta_draws): the counts are those of Generator.beta draws
     unless a draw that moved by a few ULP crosses a benefit threshold or
@@ -725,8 +705,8 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         scratch = _Scratch(n)
-        columns = _draw_columns(pop, rng, n, [scratch])
-        b, h = _units(pop, _block_columns(columns, 0, n, scratch), scratch)
+        [(_, x)] = _draw_columns(pop, rng, n, [scratch])
+        b, h = _units(pop, (x, rng.random(out=scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS

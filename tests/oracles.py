@@ -11,14 +11,14 @@ library gets another way, by a route that shares no algebra with it.
   correlation that the arcsine of cfb_linear_gaussian is evaluated at.
 - empirical_cfb_oracle scores every ordered pair of weighted atoms one
   comparison at a time, the check on the closed forms.
-- whole_column_score_chunk is the Monte Carlo chunk scorer as it was
-  before the benefit uniforms were streamed: both columns of the chunk,
-  the Beta covariates and the benefit uniforms, are drawn whole
-  (whole_columns), then sliced block by block.  It is the check on
-  _score_chunk's streamed column, drawn by one worker or split among
-  several and scored by the calling thread, which must give the same
-  counts; the tests score all pairs of whole_columns too, the check on
-  all-pairs mode's.
+- whole_column_score_chunk scores a Monte Carlo chunk from its two
+  columns, the Beta covariates and the benefit uniforms, each drawn
+  whole (whole_columns) and then sliced block by block.  It is the check
+  on _score_chunk, which must give the same counts: there the covariate
+  column is drawn by one worker or split among several, and each half's
+  benefit uniforms are drawn block by block by a generator of its own
+  as the calling thread scores.  The tests score all pairs of
+  whole_columns too, the check on all-pairs mode.
 - beta_mixture_cfb is the exact statistic of the oracle predictor of a
   Beta-mixed population (ROADMAP item 7): the binary two-group closed
   form shrunk toward 0.5 by the covariate's relative Gini mean

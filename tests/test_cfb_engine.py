@@ -46,7 +46,6 @@ from cfb.cfb_engine import (
     _pair_counts,
     _sample_b_from_triples,
     _score_chunk,
-    _StreamedUniforms,
     _units,
     _worker_count,
 )
@@ -776,18 +775,6 @@ def test_all_pairs_streamed_columns_equal_whole_columns(case):
     assert cfb_monte_carlo(pop, 1500, 11, all_pairs=True) == want
 
 
-def test_streamed_uniforms_are_slices_of_generator_random():
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    column = _StreamedUniforms(rng, 1000)
-    want = ref.random(1000)
-    for lo, hi in [(0, 1000), (0, 0), (0, 1), (999, 1000), (17, 530), (600, 600)]:
-        out = np.empty(hi - lo)
-        assert column.draw(lo, out) is out
-        assert np.array_equal(out, want[lo:hi]), (lo, hi)
-    # the generator moved past the column, as drawing it would
-    assert np.array_equal(rng.random(10), ref.random(10))
-
-
 # block sizes that divide m = 200,000 into whole blocks, into blocks with
 # a short last one, and into one block of 1000 pairs at a time
 BLOCK_SIZES = [1000, 2**15, 2**16, 3 * 2**15 + 7]
@@ -802,12 +789,12 @@ def test_chunk_counts_do_not_depend_on_the_block_size(block, monkeypatch):
 
 
 # numpy reports its buffers to tracemalloc.  With every column drawn whole
-# one chunk peaked at 33.8 MiB; with the uniform columns streamed and
-# per-block temporaries, 19.4 MiB.  Now a chunk holds its covariate
-# column, 2 * 10**6 * 8 B = 15.26 MiB, and one scratch set of 2**15 pairs,
-# 2**15 * (5 * 8 + 2 + 2) B = 1.38 MiB, and while the column is drawn one
-# Johnk block's uniforms, 2 * 2**15 * 8 B = 0.5 MiB, and np.compress's
-# index and output buffers, at most 0.5 MiB more: 17.6 MiB, below 18.
+# one chunk peaked at 33.8 MiB.  A chunk holds its covariate column,
+# 2 * 10**6 * 8 B = 15.26 MiB, and one scratch set of 2**15 pairs,
+# 2**15 * (5 * 8 + 2 + 2) B = 1.38 MiB, into which each block's benefit
+# uniforms are drawn; while the column is drawn, one Johnk block's
+# uniforms, 2 * 2**15 * 8 B = 0.5 MiB, and np.compress's index and output
+# buffers, at most 0.5 MiB more: 17.6 MiB, below 18.
 @pytest.mark.parametrize("pop, limit_mib", [(BETA_POP, 18)], ids=["beta"])
 def test_chunk_peak_memory(pop, limit_mib):
     child = np.random.SeedSequence(20230516).spawn(1)[0]
