@@ -16,8 +16,8 @@ any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
 population all live here.  Only the Monte Carlo route uses numpy, and it
 imports it when called, so the exact routes and gini_mean_difference run
-without it; the route's thread pool is imported on first use too.  The
-references the tests check these routes against, a quadrature of the
+without it; its worker processes are forked for the call and reaped
+before it returns.  The references the tests check these routes against, a quadrature of the
 bivariate normal cdf and a brute-force pair scorer, are in
 tests/oracles.py, not in the package.
 """
@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateCfb, UndefinedCfb
+from .errors import CfbError, DegenerateCfb, UndefinedCfb
 from .population_model import BetaXPopulation, LinearGaussianPopulation, ProbTriple
 
 __all__ = [
@@ -48,15 +48,14 @@ __all__ = [
 _REL = {"<": 0, "=": 1, ">": 2}
 
 # Pairs per Monte Carlo chunk.  Chunks get independent child seeds, so
-# results do not depend on how many threads consume them.
+# results do not depend on how many worker processes score them.
 _CHUNK_PAIRS = 1_000_000
 # Pairs per block of the Beta sampler and of scoring inside a chunk, and so
-# the size of a chunk's scratch sets (_Scratch, 1.4 MiB at 2**15): small
-# enough that the block's buffers stay in cache, large enough that two pool
-# threads drawing Johnk blocks seldom wait for the GIL between numpy calls,
-# which they did at 2**14.
+# the size of a chunk's scratch set (_Scratch, 1.4 MiB at 2**15): small
+# enough that the block's buffers stay in cache, large enough that numpy's
+# cost per call is spread over many pairs.
 _BLOCK = 32_768
-_MAX_THREADS = 64  # most workers CFB_THREADS gets, each a pool thread and a scratch set
+_MAX_THREADS = 64  # most workers CFB_THREADS gets: the calling process and 63 forked ones
 # Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
@@ -267,9 +266,11 @@ def cfb_two_group(c: float, triple_low: ProbTriple, triple_high: ProbTriple) -> 
 
 
 def __getattr__(name):
-    """ThreadPoolExecutor, imported on first use (PEP 562): the exact routes start no pool.
+    """ThreadPoolExecutor, imported on first use (PEP 562).
 
-    It stays a module name, so a caller can replace it for the Monte Carlo route.
+    The Monte Carlo route no longer uses it.  Its one remaining reader is
+    bench/traced.py, which subclasses it when it installs its counters;
+    ROADMAP item 5 removes it together with that hook.
     """
     if name != "ThreadPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -280,12 +281,13 @@ def __getattr__(name):
 
 
 def _worker_count() -> int:
-    """Thread count for drawing Monte Carlo chunks, controlled by CFB_THREADS.
+    """Processes that score Monte Carlo chunks, the calling one included,
+    controlled by CFB_THREADS.
 
     Unset or 0 picks the CPUs this process may run on, at most 4; 1
-    forces sequential work; a value above _MAX_THREADS counts as
-    _MAX_THREADS, so a harness that sets it to a large machine's CPU
-    count still runs.  No result depends on this, only wall time does.
+    scores every chunk in the calling process; a value above _MAX_THREADS
+    counts as _MAX_THREADS, so a harness that sets it to a large machine's
+    CPU count still runs.  No result depends on this, only wall time does.
     """
     raw = os.environ.get("CFB_THREADS", "").strip()
     if raw in ("", "0"):
@@ -301,15 +303,15 @@ def _worker_count() -> int:
 
 
 class _Scratch:
-    """Work buffers for blocks of up to `size` pairs, one set per worker.
+    """Work buffers for blocks of up to `size` pairs, one set per chunk.
 
-    Every worker runs its Johnk blocks in its own set (X in t_minus, Y in
-    t_zero, X + Y in u, the accept and recheck masks in mask) before any
-    block is scored.  The calling thread then scores in the first set: for
-    each half of a block in turn it draws the benefit uniforms into u and
-    the two benefit thresholds into t_minus and t_zero, builds B and H in
-    that half's row of b and h, and then compares the halves in mask.
-    Each buffer is one contiguous row, so its [:k] is too.
+    The Beta sampler runs its Johnk blocks in it first (X in t_minus, Y in
+    t_zero, X + Y in u, the accept and recheck masks in mask).  The scorer
+    then reuses it: for each half of a block in turn it draws the benefit
+    uniforms into u and the two benefit thresholds into t_minus and
+    t_zero, builds B and H in that half's row of b and h, and then
+    compares the halves in mask.  Each buffer is one contiguous row, so
+    its [:k] is too.
     """
 
     def __init__(self, size):
@@ -363,94 +365,43 @@ def _beta_draws(rng, a, b, count, scratch=None):
     Shapes above 1 call rng.beta, and so do shapes below 0.01: there a
     growing share of X or Y underflows and numpy's own loop is faster.
     """
-    if not _johnk_shapes(a, b):
+    if not (_JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0):
         return rng.beta(a, b, count)
     import numpy as np
 
     if scratch is None:
         scratch = _Scratch(min(count, _BLOCK))
+    ea, eb = 1.0 / a, 1.0 / b
     out = np.empty(count)
     filled = 0
     while filled < count:
-        filled += _johnk_attempts(rng, a, b, min(scratch.size, count - filled), scratch, out[filled:])
+        k = min(scratch.size, count - filled)
+        uv = rng.random(2 * k)
+        u, v = uv[0::2], uv[1::2]
+        x, y, s = scratch.t_minus[:k], scratch.t_zero[:k], scratch.u[:k]
+        accept, redo = scratch.mask[0, :k], scratch.mask[1, :k]
+        np.multiply(u, u, out=x) if ea == 2.0 else np.power(u, ea, out=x)
+        np.multiply(v, v, out=y) if eb == 2.0 else np.power(v, eb, out=y)
+        np.add(x, y, out=s)
+        np.less_equal(s, 1.0, out=accept)
+        tiny = None
+        if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
+            tiny = (x < _TINY) | (y < _TINY)
+        with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
+            np.divide(x, s, out=x)
+        np.subtract(s, 1.0, out=s)
+        np.less_equal(np.abs(s, out=s), _JOHNK_RECHECK, out=redo)
+        if tiny is not None:
+            redo |= tiny
+        for i in np.flatnonzero(redo).tolist():
+            got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
+            accept[i] = got is not None
+            if got is not None:
+                x[i] = got
+        kept = int(np.count_nonzero(accept))
+        np.compress(accept, x, out=out[filled:filled + kept])
+        filled += kept
     return out
-
-
-def _johnk_shapes(a, b):
-    """Whether _beta_draws runs Johnk's loop itself for Beta(a, b), and so
-    whether its attempts can be split (_beta_draws_in_parts)."""
-    return _JOHNK_MIN_SHAPE <= a <= 1.0 and _JOHNK_MIN_SHAPE <= b <= 1.0
-
-
-def _johnk_attempts(rng, a, b, k, scratch, out):
-    """Run k attempts of Johnk's loop on rng.random(2k); returns how many were accepted.
-
-    Attempt i takes the uniforms 2i and 2i + 1.  The accepted values go to
-    out[:kept] in attempt order, and the accept mask is left in
-    scratch.mask[0, :k].  This is the loop body of _beta_draws, which
-    says how the values relate to numpy's.
-    """
-    import numpy as np
-
-    uv = rng.random(2 * k)
-    u, v = uv[0::2], uv[1::2]
-    x, y, s = scratch.t_minus[:k], scratch.t_zero[:k], scratch.u[:k]
-    accept, redo = scratch.mask[0, :k], scratch.mask[1, :k]
-    ea, eb = 1.0 / a, 1.0 / b
-    np.multiply(u, u, out=x) if ea == 2.0 else np.power(u, ea, out=x)
-    np.multiply(v, v, out=y) if eb == 2.0 else np.power(v, eb, out=y)
-    np.add(x, y, out=s)
-    np.less_equal(s, 1.0, out=accept)
-    tiny = None
-    if min(x.min(), y.min()) < _TINY:  # else U and V are positive too
-        tiny = (x < _TINY) | (y < _TINY)
-    with np.errstate(invalid="ignore"):  # 0/0 where both underflow, redone below
-        np.divide(x, s, out=x)
-    np.subtract(s, 1.0, out=s)
-    np.less_equal(np.abs(s, out=s), _JOHNK_RECHECK, out=redo)
-    if tiny is not None:
-        redo |= tiny
-    for i in np.flatnonzero(redo).tolist():
-        got = _johnk_pair(uv[2 * i], uv[2 * i + 1], a, b)
-        accept[i] = got is not None
-        if got is not None:
-            x[i] = got
-    kept = int(np.count_nonzero(accept))
-    np.compress(accept, x, out=out[:kept])
-    return kept
-
-
-def _planned_attempts(a, b, count):
-    """Johnk attempts that give `count` acceptances of Beta(a, b) but for a
-    chance of order 1e-9: their mean plus six standard deviations.
-
-    An attempt is accepted with probability G(a+1) G(b+1) / G(a+b+1) (G
-    the gamma function), so the attempts needed are negative binomial.
-    """
-    p = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 1.0))
-    return math.ceil((count + 6.0 * math.sqrt(count * (1.0 - p))) / p)
-
-
-def _johnk_run(state, a, b, lo, hi, scratch, out):
-    """Johnk attempts lo to hi of the stream at generator state `state`,
-    drawn in blocks of up to scratch.size attempts in scratch's buffers.
-
-    Attempt i takes outputs 2i and 2i + 1 of the stream.  The accepted
-    values go in attempt order to out[lo:hi], which has room for them, as
-    an attempt accepts at most one value.  Returns each block's (first
-    attempt, attempts, accepted, accept mask packed to bits).
-    """
-    import numpy as np
-
-    rng = _generator_at(state, 2 * lo)
-    blocks = []
-    pos = lo
-    for first in range(lo, hi, scratch.size):
-        k = min(scratch.size, hi - first)
-        kept = _johnk_attempts(rng, a, b, k, scratch, out[pos:])
-        blocks.append((first, k, kept, np.packbits(scratch.mask[0, :k])))
-        pos += kept
-    return blocks
 
 
 def _generator_at(state, offset):
@@ -461,46 +412,6 @@ def _generator_at(state, offset):
     bits = np.random.PCG64(0)  # seeded only to construct it; set to `state`
     bits.state = state
     return np.random.Generator(bits.advance(offset))
-
-
-def _beta_draws_in_parts(rng, a, b, count, stops, scratches, run=map):
-    """The `count` >= 1 values _beta_draws(rng, a, b, count) draws, drawn by
-    workers at once; a, b in Johnk's range (_johnk_shapes).
-
-    Worker i, with scratch set i, draws the Johnk attempts from stops[i - 1]
-    (0 for the first) to stops[i] (_johnk_run); the workers run through
-    run (map, or a thread pool's map).  They write into one array of
-    stops[-1] values, where the attempts they reject leave gaps that
-    nothing writes.  If the attempts give fewer than `count` values the
-    rest is drawn by _beta_draws after them.  Returns the column as (first
-    unit, values) pieces in order, and leaves rng where _beta_draws leaves
-    it: after the attempt that gives the count-th acceptance.
-    """
-    import numpy as np
-
-    state = rng.bit_generator.state
-    out = np.empty(stops[-1])
-    starts = [0, *stops[:-1]]
-    drawn = list(run(lambda i: _johnk_run(state, a, b, starts[i], stops[i], scratches[i], out),
-                     range(len(scratches))))
-    pieces = []
-    filled = 0
-    for lo, blocks in zip(starts, drawn):
-        first_unit = filled
-        for first, k, kept, mask in blocks:
-            if filled + kept >= count:  # the count-th acceptance is in this block
-                nth = np.flatnonzero(np.unpackbits(mask, count=k))[count - filled - 1]
-                rng.bit_generator.advance(2 * (first + int(nth) + 1))
-                filled = count
-                break
-            filled += kept
-        if filled > first_unit:
-            pieces.append((first_unit, out[lo:lo + filled - first_unit]))
-        if filled == count:
-            return pieces
-    rng.bit_generator.advance(2 * stops[-1])
-    pieces.append((filled, _beta_draws(rng, a, b, count - filled, scratches[0])))
-    return pieces
 
 
 def _johnk_pair(u, v, a, b):
@@ -517,26 +428,6 @@ def _johnk_pair(u, v, a, b):
     if d > 0.0:
         return math.exp(-math.log1p(math.exp(-d)))
     return math.exp(d - math.log1p(math.exp(d)))
-
-
-def _draw_columns(pop, rng, count, scratches, run=map):
-    """The covariates of `count` units of a BetaXPopulation, as (first unit,
-    values) pieces in order; leaves rng at the start of their benefit uniforms.
-
-    With one scratch set, or a shape outside Johnk's range, the column is
-    drawn by _beta_draws in the first set, as one piece.  Otherwise one
-    worker per set draws its share of the Johnk attempts planned to give
-    `count` values (_planned_attempts, _beta_draws_in_parts), run through run.
-    """
-    a, b = pop.alpha, pop.beta
-    workers = len(scratches)
-    if workers > 1 and _johnk_shapes(a, b):
-        planned = _planned_attempts(a, b, count)
-        stops = [planned * (i + 1) // workers for i in range(workers)]
-        x = _beta_draws_in_parts(rng, a, b, count, stops, scratches, run)
-    else:
-        x = [(0, _beta_draws(rng, a, b, count, scratches[0]))]
-    return x
 
 
 def _units(pop, columns, scratch, half=0):
@@ -564,16 +455,6 @@ def _units(pop, columns, scratch, half=0):
     return _sample_b_from_triples(u, t_minus, t_zero, b, scratch.mask[1, :k]), h
 
 
-def _block_covariates(pieces, lo, hi):
-    """The covariates of units lo to hi, from the column's (first unit,
-    values) pieces in order: a view of one piece, or a copy where the
-    units span two."""
-    import numpy as np
-
-    x = [v[max(lo - s, 0):hi - s] for s, v in pieces if s < hi and lo < s + len(v)]
-    return x[0] if len(x) == 1 else np.concatenate(x)
-
-
 def _pair_counts(b, h):
     """Exact (concordant, predictor-tied, benefit-differing) unordered pair counts
     for benefits b in {-1, 0, 1}, the only values _units draws.
@@ -598,34 +479,29 @@ def _pair_counts(b, h):
     return conc, tied, valid
 
 
-def _score_chunk(pop, child_seed, m, workers=1, run=map):
+def _score_chunk(pop, child_seed, m):
     """Exact (concordant, predictor-tied, benefit-differing) counts over the
     pairs (i, i + m) of 2m units drawn from child_seed.
 
-    `workers` workers, run through run (map, or a thread pool's map), each
-    in a scratch set (_Scratch, 1.4 MiB) of its own, draw the covariate
-    column together where its Johnk attempts split (_draw_columns).  It
-    is stored: 2m values (16 MB at m = 10**6), or for a split draw one
-    slot per planned attempt (20 MB at shape (0.5, 0.5)).  Then the
-    calling thread scores every pair in the first scratch set, one block
-    of up to _BLOCK pairs at a time, drawing the benefit uniforms as it
-    goes: the first half's by the chunk's generator, the second half's by
-    one m outputs further on (_generator_at).  The counts do not depend
-    on `workers`.
+    The covariate column is drawn whole (_beta_draws) and stored: 2m
+    values, 16 MB at m = 10**6.  Then every pair is scored in the same
+    scratch set (_Scratch, 1.4 MiB), one block of up to _BLOCK pairs at a
+    time, drawing the benefit uniforms as it goes: the first half's by the
+    chunk's generator, the second half's by one m outputs further on
+    (_generator_at).
     """
     import numpy as np
 
     rng = np.random.default_rng(child_seed)
-    scratches = [_Scratch(min(m, _BLOCK)) for _ in range(workers)]
-    x = _draw_columns(pop, rng, 2 * m, scratches, run)
+    scratch = _Scratch(min(m, _BLOCK))
+    x = _beta_draws(rng, pop.alpha, pop.beta, 2 * m, scratch)
     first, second = rng, _generator_at(rng.bit_generator.state, m)
-    scratch = scratches[0]
     conc = tied = valid = 0
     for lo in range(0, m, scratch.size):
         k = min(scratch.size, m - lo)
         u = scratch.u[:k]
-        b1, h1 = _units(pop, (_block_covariates(x, lo, lo + k), first.random(out=u)), scratch, 0)
-        b2, h2 = _units(pop, (_block_covariates(x, m + lo, m + lo + k), second.random(out=u)), scratch, 1)
+        b1, h1 = _units(pop, (x[lo:lo + k], first.random(out=u)), scratch, 0)
+        b2, h2 = _units(pop, (x[m + lo:m + lo + k], second.random(out=u)), scratch, 1)
         b_rel, h_rel = scratch.mask[0, :k], scratch.mask[1, :k]
         np.not_equal(b1, b2, out=b_rel)
         valid += int(np.count_nonzero(b_rel))
@@ -638,6 +514,94 @@ def _score_chunk(pop, child_seed, m, workers=1, run=map):
             h_rel &= b_rel
             conc += int(np.count_nonzero(h_rel))
     return conc, tied, valid
+
+
+def _score_share(pop, share):
+    """Summed counts of the chunks in share, a list of (child seed, pairs),
+    scored one chunk at a time (_score_chunk)."""
+    return tuple(map(sum, zip(*[_score_chunk(pop, child, m) for child, m in share])))
+
+
+def _fork_worker(pop, share):
+    """Fork a process that scores share (_score_share); returns its pid and
+    the read end of a pipe on which it writes its three counts, or the type
+    and message of the exception it raised.
+
+    The process ends with os._exit in a finally block, so it never returns
+    into the caller's stack, and runs no exit handler and flushes no buffer
+    that the caller filled before the fork.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                report, ok = "%d %d %d" % _score_share(pop, share), 0
+            except BaseException as e:
+                report, ok = f"{type(e).__name__}: {e}", 1
+            with open(write, "wb") as pipe:
+                pipe.write(report.encode())
+            code = ok
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _worker_counts(worker, report, status):
+    """The counts in a worker's report, given its wait status; CfbError
+    naming the worker if it failed."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return tuple(int(v) for v in report.split())
+    if report:
+        detail = report.decode(errors="replace")
+    else:
+        detail = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    raise CfbError(f"Monte Carlo worker {worker} failed: {detail}")
+
+
+def _score_shares(pop, shares):
+    """Summed counts of every chunk in shares, one list of (child seed,
+    pairs) per worker.
+
+    The calling process is worker 0.  It first forks one process for each
+    other share (_fork_worker), so that no worker starts from a copy of a
+    column, then scores the first share itself and reads each worker's
+    report from its pipe.  A finally block reaps every worker, after
+    killing any whose report it has not read, so no worker outlives the
+    call whether it returns or raises.  A worker that failed raises
+    CfbError naming it.  Where os.fork is missing, the calling process
+    scores every share.
+    """
+    if not hasattr(os, "fork"):
+        return tuple(map(sum, zip(*[_score_share(pop, share) for share in shares])))
+    started, reports, statuses = [], {}, {}
+    try:
+        for share in shares[1:]:
+            started.append(_fork_worker(pop, share))
+        counts = [_score_share(pop, shares[0])]
+        for pid, read in started:
+            with open(read, "rb", closefd=False) as pipe:
+                reports[pid] = pipe.read()
+    finally:
+        for pid, read in started:
+            os.close(read)
+            if pid not in reports:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    counts += [_worker_counts(worker, reports[pid], statuses[pid])
+               for worker, (pid, _) in enumerate(started, 1)]
+    return tuple(map(sum, zip(*counts)))
 
 
 def cfb_monte_carlo(pop, n, seed, all_pairs=False):
@@ -657,25 +621,23 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
 
     Independent pairs come in chunks of 10**6, each from its own child of
     SeedSequence(seed) and scored one block at a time into exact integer
-    counts, so no result depends on CFB_THREADS.  A chunk's benefit
+    counts, so no result depends on CFB_THREADS.  A chunk's covariate
+    column is drawn whole and stored (16 MB a chunk); its benefit
     uniforms are drawn block by block as its pairs are scored, by one
-    running generator per half of the chunk; only the covariate column
-    is stored (16 MB a chunk).  Each worker has one scratch set of
-    2**15-pair block buffers (1.4 MiB), allocated per chunk, in which it
-    runs the Beta sampler; the block scorer works in the first.  Beta covariates with
-    shapes in [0.01, 1] run numpy's Johnk loop vectorized on the same
-    stream (_beta_draws): the counts are those of Generator.beta draws
-    unless a draw that moved by a few ULP crosses a benefit threshold or
-    swaps the order of two predictor values.
+    running generator per half of the chunk, in one scratch set of
+    2**15-pair block buffers (1.4 MiB) in which the Beta sampler runs
+    too.  Beta covariates with shapes in [0.01, 1] run numpy's Johnk loop
+    vectorized on the same stream (_beta_draws): the counts are those of
+    Generator.beta draws unless a draw that moved by a few ULP crosses a
+    benefit threshold or swaps the order of two predictor values.
 
-    Chunks are done one at a time (_score_chunk), so one covariate column
-    is held whatever CFB_THREADS is.  The pool threads only draw: each
-    Johnk attempt takes two outputs of the generator, so at shapes in
-    [0.01, 1] the workers draw the column together, split at generator
-    offsets; other shapes take a varying number of random bits per draw,
-    so the calling thread draws the column and no pool starts.  The
-    calling thread scores every pair.  There are at most as many workers
-    as chunks, so a run of one chunk (n <= 10**6) runs on one worker.
+    The chunks are dealt to w = min(CFB_THREADS, chunks) workers: worker
+    i scores chunks i, i + w, ... one at a time (_score_shares).  Worker 0
+    is the calling process; each other worker is a process forked for
+    the call, which sends its summed counts back over a pipe.  So each
+    process holds one covariate column and one scratch set at a time,
+    whatever CFB_THREADS is, and a run of one chunk (n <= 10**6) runs in
+    the calling process alone.
 
     All pairs are counted exactly, not compared one by one: the predictor
     values of each benefit level (-1, 0, 1) are sorted once, and one sorted
@@ -690,7 +652,8 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     25x at 2000 units of the Beta example); an honest U-statistic SE is
     ROADMAP item 4.
 
-    Raises UndefinedCfb if no sampled pair disagreed in realized benefit.
+    Raises UndefinedCfb if no sampled pair disagreed in realized benefit,
+    and CfbError if a worker process failed.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -705,24 +668,15 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
             raise ValueError("all_pairs mode needs at least 2 units")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         scratch = _Scratch(n)
-        [(_, x)] = _draw_columns(pop, rng, n, [scratch])
+        x = _beta_draws(rng, pop.alpha, pop.beta, n, scratch)
         b, h = _units(pop, (x, rng.random(out=scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
-        children = np.random.SeedSequence(seed).spawn(n_chunks)
+        chunks = list(zip(np.random.SeedSequence(seed).spawn(n_chunks), sizes))
         workers = min(_worker_count(), n_chunks)
-        if not _johnk_shapes(pop.alpha, pop.beta):
-            workers = 1  # the calling thread draws an unsplit column, so no pool
-        if workers > 1:
-            # the module's binding at call time, which a caller may have replaced
-            pool_class = sys.modules[__name__].ThreadPoolExecutor
-            with pool_class(max_workers=workers) as pool:
-                parts = [_score_chunk(pop, c, m, workers, pool.map) for c, m in zip(children, sizes)]
-        else:
-            parts = [_score_chunk(pop, c, m) for c, m in zip(children, sizes)]
-        conc, tied, valid = (sum(col) for col in zip(*parts))
+        conc, tied, valid = _score_shares(pop, [chunks[i::workers] for i in range(workers)])
 
     if valid == 0:
         raise UndefinedCfb("no sampled pair disagrees in realized benefit")

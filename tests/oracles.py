@@ -15,10 +15,10 @@ library gets another way, by a route that shares no algebra with it.
   columns, the Beta covariates and the benefit uniforms, each drawn
   whole (whole_columns) and then sliced block by block.  It is the check
   on _score_chunk, which must give the same counts: there the covariate
-  column is drawn by one worker or split among several, and each half's
-  benefit uniforms are drawn block by block by a generator of its own
-  as the calling thread scores.  The tests score all pairs of
-  whole_columns too, the check on all-pairs mode.
+  column is drawn in the chunk's scratch set, and each half's benefit
+  uniforms are drawn block by block by a generator of its own as the
+  pairs are scored.  The tests score all pairs of whole_columns too, the
+  check on all-pairs mode.
 - beta_mixture_cfb is the exact statistic of the oracle predictor of a
   Beta-mixed population (ROADMAP item 7): the binary two-group closed
   form shrunk toward 0.5 by the covariate's relative Gini mean

@@ -10,10 +10,9 @@ import itertools
 import math
 import os
 import random
-import sys
-import threading
+import signal
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 from cfb import (
     BetaXPopulation,
+    CfbError,
     CfbResult,
     DegenerateCfb,
     LinearGaussianPopulation,
@@ -41,7 +41,6 @@ from cfb import cfb_engine
 from cfb.cfb_engine import (
     _BLOCK,
     _beta_draws,
-    _beta_draws_in_parts,
     _Scratch,
     _pair_counts,
     _sample_b_from_triples,
@@ -521,57 +520,31 @@ def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, 
 @pytest.mark.parametrize("value", ["64", "65", "128", "10000"])
 def test_worker_count_is_capped_at_64(monkeypatch, value):
     """More than 64 counts as 64, so a run with CFB_THREADS set to a large
-    machine's CPU count still runs, on at most 64 threads."""
+    machine's CPU count still runs, on at most 64 workers."""
     monkeypatch.setenv("CFB_THREADS", value)
     assert _worker_count() == 64
 
 
-class _SequentialPool:
-    """Stands in for the Monte Carlo pool: records max_workers, maps in the caller."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    map = staticmethod(map)
-
-
-def test_a_many_cpu_thread_count_asks_the_pool_for_64_workers(monkeypatch):
+def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
     """CFB_THREADS set to the CPU count of a 128-CPU machine, as a benchmark
-    harness sets it, over more chunks than that: one pool of 64 workers, and
-    the counts of one worker."""
+    harness sets it, over more chunks than that: 64 shares, chunk j in share
+    j % 64, and the counts of one worker.  With os.fork removed the calling
+    process scores every share itself, so the test starts no process."""
     monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 500)
     monkeypatch.setenv("CFB_THREADS", "1")
     want = cfb_monte_carlo(BETA_POP, 65_000, 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)))
     monkeypatch.setenv("CFB_THREADS", str(len(os.sched_getaffinity(0))))
-    monkeypatch.setattr(cfb_engine, "ThreadPoolExecutor", _SequentialPool)
-    monkeypatch.setattr(_SequentialPool, "sizes", [])
+    monkeypatch.delattr(os, "fork")
+    shares = []
+    score_share = cfb_engine._score_share
+
+    def recorded(pop, share):
+        shares.append([child.spawn_key[-1] for child, _ in share])
+        return score_share(pop, share)
+    monkeypatch.setattr(cfb_engine, "_score_share", recorded)
     assert cfb_monte_carlo(BETA_POP, 65_000, 3) == want
-    assert _SequentialPool.sizes == [64]
-
-
-def test_unsplit_shapes_start_no_pool(monkeypatch):
-    """Outside Johnk's range the calling thread draws and scores each chunk,
-    so two chunks at CFB_THREADS=2 give the pool nothing to do and start none."""
-    pop = BetaXPopulation(2.0, 3.0, BETA_T0, BETA_T1)
-    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 5_000)
-    monkeypatch.setenv("CFB_THREADS", "1")
-    want = cfb_monte_carlo(pop, 10_000, 3)
-    monkeypatch.setenv("CFB_THREADS", "2")
-    monkeypatch.setattr(cfb_engine, "ThreadPoolExecutor", _SequentialPool)
-    monkeypatch.setattr(_SequentialPool, "sizes", [])
-    assert cfb_monte_carlo(pop, 10_000, 3) == want
-    assert _SequentialPool.sizes == []
-    assert cfb_monte_carlo(BETA_POP, 10_000, 3)  # a Johnk shape does start one
-    assert _SequentialPool.sizes == [2]
+    assert shares == [list(range(i, 130, 64)) for i in range(64)]
 
 
 # repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),
@@ -712,57 +685,107 @@ def test_streamed_chunk_counts_equal_whole_columns(case, m):
     assert _score_chunk(pop, child, m) == whole_column_score_chunk(pop, child, m)
 
 
-# the test above is the one-worker case
-@pytest.mark.parametrize("workers", [2, 3, 4])
-@pytest.mark.parametrize("m", CHUNK_PAIRS)
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
-def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
+def test_monte_carlo_counts_do_not_depend_on_the_worker_count(case, monkeypatch):
+    """Five chunks, the last one short, dealt to 1-4 workers, so that the
+    shares are uneven (chunks 0 and 3, 1 and 4, and 2 on three workers):
+    the caller forks one process per other worker at every shape, and the
+    estimate is the one the whole-column oracle's counts give."""
     pop = CHUNK_CASES[case]
-    child = np.random.SeedSequence(20230516).spawn(2)[1]
-    with ThreadPoolExecutor(workers) as pool:
-        assert _score_chunk(pop, child, m, workers, pool.map) == whole_column_score_chunk(pop, child, m)
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 4000)
+    sizes = [4000] * 4 + [1500]
+    children = np.random.SeedSequence(20230516).spawn(5)
+    conc, tied, valid = map(sum, zip(*(whole_column_score_chunk(pop, c, m) for c, m in zip(children, sizes))))
+    est = (conc + 0.5 * tied) / valid
+    want = est, math.sqrt(est * (1.0 - est) / valid)
+    forked = []
+    fork_worker = cfb_engine._fork_worker
+
+    def recorded(pop, share):
+        forked.append([child.spawn_key[-1] for child, _ in share])
+        return fork_worker(pop, share)
+    monkeypatch.setattr(cfb_engine, "_fork_worker", recorded)
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setenv("CFB_THREADS", str(workers))
+        forked.clear()
+        assert cfb_monte_carlo(pop, sum(sizes), 20230516) == want, workers
+        assert forked == [list(range(i, 5, workers)) for i in range(1, workers)]
 
 
-def test_shared_chunk_under_thread_switches_at_every_chance():
-    """More workers than CPUs, switching threads as often as the interpreter
-    can: workers that drew into one another's buffers or slots of the
-    column would change the counts."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(2 * cpus, 8) + 1
-    m = 3 * _BLOCK + 5
-    child = np.random.SeedSequence(20230516).spawn(2)[1]
-    want = whole_column_score_chunk(BETA_POP, child, m)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(workers) as pool, ThreadPoolExecutor(1) as caller:
-            for _ in range(3):
-                got = caller.submit(_score_chunk, BETA_POP, child, m, workers, pool.map).result(timeout=120)
-                assert got == want
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_pool_threads_only_draw(monkeypatch):
-    """Two chunks at CFB_THREADS=2 run on two workers: the pool threads draw
-    the Johnk attempts, and the calling thread builds and scores every unit."""
+def test_each_worker_scores_whole_chunks_in_a_process_of_its_own(tmp_path, monkeypatch):
+    """Five chunks at CFB_THREADS=2: the calling process scores chunks 0, 2
+    and 4 and one forked process chunks 1 and 3, each chunk whole."""
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 2000)
     monkeypatch.setenv("CFB_THREADS", "2")
-    threads = {"_units": set(), "_johnk_run": set()}
+    log = tmp_path / "chunks"
+    score_chunk = cfb_engine._score_chunk
 
-    def record(name):
-        f = getattr(cfb_engine, name)
+    def logged(pop, child, m):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {child.spawn_key[-1]} {m}\n")
+        return score_chunk(pop, child, m)
+    monkeypatch.setattr(cfb_engine, "_score_chunk", logged)
+    cfb_monte_carlo(BETA_POP, 9000, 7)
+    scored = {}
+    for line in log.read_text().splitlines():
+        pid, chunk, m = map(int, line.split())
+        scored.setdefault(pid, []).append((chunk, m))
+    assert scored.pop(os.getpid()) == [(0, 2000), (2, 2000), (4, 1000)]
+    assert list(scored.values()) == [[(1, 2000), (3, 2000)]]
 
-        def recorded(*args, **kwargs):
-            threads[name].add(threading.get_ident())
-            return f(*args, **kwargs)
-        monkeypatch.setattr(cfb_engine, name, recorded)
 
-    record("_units")
-    record("_johnk_run")
-    cfb_monte_carlo(BETA_POP, 2_000_000, 7)
-    caller = threading.get_ident()
-    assert threads["_units"] == {caller}
-    assert threads["_johnk_run"] and caller not in threads["_johnk_run"]
+def _failing_in_worker(monkeypatch, chunk, fail):
+    """Patch _score_chunk to call fail() in the forked process that scores `chunk`."""
+    caller = os.getpid()
+    score_chunk = cfb_engine._score_chunk
+
+    def failing(pop, child, m):
+        if child.spawn_key[-1] == chunk:
+            assert os.getpid() != caller, "the chunk is the calling process's"
+            fail()
+        return score_chunk(pop, child, m)
+    monkeypatch.setattr(cfb_engine, "_score_chunk", failing)
+
+
+def _refuse():
+    raise ValueError("chunk refused")
+
+
+@pytest.mark.parametrize("fail, report", [
+    (_refuse, "ValueError: chunk refused"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["raises", "killed"])
+def test_a_failed_worker_raises_a_named_error_and_leaves_no_child(monkeypatch, fail, report):
+    """Three chunks at CFB_THREADS=2: worker 1 scores chunk 1 alone."""
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setenv("CFB_THREADS", "2")
+    _failing_in_worker(monkeypatch, 1, fail)
+    with pytest.raises(CfbError) as raised:
+        cfb_monte_carlo(BETA_POP, 3000, 7)
+    assert str(raised.value) == f"Monte Carlo worker 1 failed: {report}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_caller_kills_and_reaps_its_workers(monkeypatch):
+    """The calling process's own chunk raises while its worker would run for
+    a minute: the worker is killed and reaped, and the caller's error is
+    the one raised."""
+    monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setenv("CFB_THREADS", "2")
+    caller = os.getpid()
+
+    def chunk(pop, child, m):
+        if os.getpid() == caller:
+            raise ValueError("caller refused")
+        time.sleep(60)
+    monkeypatch.setattr(cfb_engine, "_score_chunk", chunk)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^caller refused$"):
+        cfb_monte_carlo(BETA_POP, 2000, 7)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
@@ -807,30 +830,19 @@ def test_chunk_peak_memory(pop, limit_mib):
     assert peak <= limit_mib * 2**20
 
 
-# With CFB_THREADS=4 and four chunks, each worker used to score a chunk of
-# its own, so four covariate columns of 15.26 MiB were held at once and
-# tracemalloc's peak read 71 MiB.  Now the workers draw one chunk at a
-# time, and the calling thread scores it.  tracemalloc counts the bytes
-# numpy allocates, not the pages the process touches, so the bound counts
-# the whole array the parts draw into: one slot per planned Johnk attempt,
-# _planned_attempts(0.5, 0.5, 2 * 10**6) = 2,551,484 slots, 19.47 MiB,
-# though the slots of rejected attempts (a fifth of them) are never
-# written.  While the column is drawn, beside it: four scratch sets
-# (5.53 MiB), per worker one Johnk block's uniforms and np.compress's
-# buffers (at most 1 MiB, 4 MiB in all), and the packed accept masks
-# (0.3 MiB): at most 29.3 MiB.  The scoring that follows holds the array,
-# the scratch sets and at most the covariates of one block that spans two
-# pieces of the column (0.25 MiB): 25.3 MiB.  The peak is below 32 MiB
-# (29.2-29.5 measured, with numpy and the thread pool already imported).
-def test_workers_share_one_chunk_at_a_time(monkeypatch):
+# The calling process scores its own share one chunk at a time and forks
+# its workers before it draws any column, so its peak is the one-chunk
+# peak above at any CFB_THREADS.  At 4 workers and five chunks it scores
+# chunks 0 and 4; tracemalloc counts this process's allocations only.
+def test_calling_process_peak_memory_at_four_workers(monkeypatch):
     monkeypatch.setenv("CFB_THREADS", "4")
     tracemalloc.start()
     try:
-        cfb_monte_carlo(BETA_POP, 4_000_000, 20230516)
+        cfb_monte_carlo(BETA_POP, 5_000_000, 20230516)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 18 * 2**20
 
 
 def test_independent_pairs_standard_error_covers_the_exact_value():
@@ -1051,34 +1063,6 @@ def test_beta_draws_do_not_depend_on_the_block_size(a, b, block, monkeypatch):
        count=st.integers(0, 3 * _BLOCK), seed=st.integers(0, 2**32 - 1))
 def test_beta_draws_follow_generator_beta_on_any_shape(a, b, count, seed):
     _assert_matches_generator_beta(a, b, count, seed)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=st.floats(0.01, 1.0), b=st.floats(0.01, 1.0), count=st.integers(1, 300),
-       size=st.integers(1, 40), stops=st.lists(st.integers(0, 600), min_size=1, max_size=4).map(sorted),
-       seed=st.integers(0, 2**32 - 1))
-@example(a=0.5, b=0.5, count=40, size=8, stops=[16, 32, 64], seed=5)  # parts split at block edges
-@example(a=1.0, b=1.0, count=30, size=8, stops=[6, 6, 100], seed=5)  # an empty part
-@example(a=1.0, b=1.0, count=30, size=8, stops=[6, 8, 100], seed=5)  # a part with no acceptance
-@example(a=0.5, b=0.5, count=300, size=8, stops=[10, 20], seed=5)  # a serial shortfall
-def test_beta_draws_in_parts_equal_beta_draws(a, b, count, size, stops, seed):
-    """The parts, put together, are the values _beta_draws draws, bit for
-    bit, and the generator ends where _beta_draws leaves it."""
-    want_rng = np.random.default_rng(seed)
-    want = _beta_draws(want_rng, a, b, count)
-    rng = np.random.default_rng(seed)
-    pieces = _beta_draws_in_parts(rng, a, b, count, stops, [_Scratch(size) for _ in stops])
-    sizes = [len(v) for _, v in pieces[:-1]]
-    assert [first for first, _ in pieces] == list(itertools.accumulate(sizes, initial=0))
-    assert np.concatenate([v for _, v in pieces]).tobytes() == want.tobytes()
-    assert rng.random() == want_rng.random()
-
-
-def test_parts_examples_have_a_part_with_no_acceptance():
-    # attempts 6 and 7 of seed 5 reject at shape (1, 1), as the example above needs
-    state = np.random.default_rng(5).bit_generator.state
-    blocks = cfb_engine._johnk_run(state, 1.0, 1.0, 6, 8, _Scratch(8), np.empty(8))
-    assert [(first, k, kept) for first, k, kept, _ in blocks] == [(6, 2, 0)]
 
 
 def test_beta_draws_call_generator_beta_outside_the_johnk_range():

@@ -490,6 +490,42 @@ def test_beta_mc_runs_with_a_thread_count_above_64(tmp_path, monkeypatch, capsys
     assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+# A library caller whose stdout is a pipe, so block buffered, with text
+# unflushed when the Monte Carlo workers fork; a worker of the second run
+# raises.  Three chunks at CFB_THREADS=3: worker 2 scores chunk 2.
+_FAILING_WORKER_RUN = """
+import os
+from cfb import cfb_engine, run
+cfb_engine._CHUNK_PAIRS = 1000
+os.environ["CFB_THREADS"] = "3"
+argv = ["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92",
+        "--q", "0,0.15,0.85", "--n", "3000"]
+print("buffered")
+first = run(argv)
+score_chunk = cfb_engine._score_chunk
+
+def refusing(pop, child, m):
+    if child.spawn_key[-1] == 2:
+        raise ValueError("chunk refused")
+    return score_chunk(pop, child, m)
+
+cfb_engine._score_chunk = refusing
+print("exit codes", first, run(argv))
+"""
+
+
+def test_beta_mc_reports_a_failed_worker_in_one_line():
+    """Exit 2 and one `cfb:` line naming the worker and its exception, and
+    the workers write nothing that the caller had buffered."""
+    proc = subprocess.run([sys.executable, "-c", _FAILING_WORKER_RUN],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "cfb: Monte Carlo worker 2 failed: ValueError: chunk refused\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "buffered" and lines[-1] == "exit codes 0 2"
+    assert proc.stdout.count("buffered") == 1 and proc.stdout.count("estimate,") == 1
+
+
 def test_search_does_not_read_the_thread_count(tmp_path, monkeypatch, capsys):
     """The census scan runs in the calling thread: CFB_THREADS unset, 1 or 2 gives the same bytes."""
     outputs = []

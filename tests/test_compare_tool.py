@@ -133,3 +133,43 @@ def test_cells_are_workloads_at_each_seed_or_at_their_own():
         ("census", 20230516), ("sampling", 20230516), ("sampling", 7)]
     with pytest.raises(SystemExit):
         compare.cells_of(["nosuch"], [1], known)
+
+
+def test_rusage_table_of_both_archive_trees_goes_into_the_output(tmp_path, monkeypatch):
+    """With the builds, the runs and the rusage passes stubbed: --rusage
+    measures the named commands, and the ones they read from, on the same
+    two trees as the pairs, one pass per pair, and writes the table."""
+    built = {}
+
+    def build(rev, dest):
+        dest.mkdir()
+        (dest / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        built[rev] = dest
+        return f"id-{rev}"
+
+    def run_one(tree, workload, seed, seconds):
+        metrics = {m["name"]: 1.0 for m in SPEC["end_to_end"]}
+        return {"ok": True, "exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "src_sha256": tree.name, "metrics": metrics}, {"nproc": 2}
+
+    measured = []
+
+    def measure(trees, labels, passes):
+        measured.append((dict(trees), labels, passes))
+        one = {"wall_s": 1.0, "cpu_s": 1.0, "maxrss_mb": 50.0, "minflt": 1, "nivcsw": 1}
+        return {label: {side: [one] * passes for side in compare.SIDES} for label in labels}
+
+    monkeypatch.setattr(compare, "build", build)
+    monkeypatch.setattr(compare, "run_one", run_one)
+    monkeypatch.setattr(compare.rusage, "measure", measure)
+    out = tmp_path / "bench.json"
+    compare.main(["--parent", "A", "--change", "B", "--pairs", "2", "--seeds", "7",
+                  "--workloads", "census", "--rusage", "hist(match)", "--out", str(out)])
+    assert measured == [({"parent": built["A"], "change": built["B"]},
+                         ["match-compare", "hist(match)"], 2)]
+    table = json.loads(out.read_text())["child_rusage_per_command"]
+    assert list(table) == ["match-compare", "hist(match)"]
+    assert table["hist(match)"]["passes"] == 2 and table["hist(match)"]["change"]["maxrss_mb"] == 50.0
+    with pytest.raises(SystemExit):
+        compare.main(["--parent", "A", "--change", "B", "--pairs", "1", "--seeds", "7",
+                      "--rusage", "nosuch", "--out", str(out)])

@@ -175,6 +175,7 @@ def test_every_module_all_names_what_it_defines():
 
 
 def test_engine_hooks_stay_module_level():
-    """The thread pool class is looked up on the module at call time, so a
-    caller can replace it (the traced benchmark records the pool's workers so)."""
+    """ThreadPoolExecutor stays a module name, resolved on first use: the
+    traced benchmark subclasses it when it installs its counters, though no
+    Monte Carlo code uses it any more."""
     assert isinstance(cfb_engine.ThreadPoolExecutor, type)

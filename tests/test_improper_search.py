@@ -121,7 +121,7 @@ SURVIVOR_COLUMNS = ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "devia
 
 @pytest.mark.parametrize("c", [0.5, 0.3])
 def test_grid_search_ignores_an_invalid_thread_count(monkeypatch, capsys, c):
-    """CFB_THREADS sets the Monte Carlo route's threads only: a value that makes
+    """CFB_THREADS sets the Monte Carlo route's workers only: a value that makes
     beta-mc exit 2 leaves the census running, with the full scan's columns."""
     monkeypatch.setenv("CFB_THREADS", "not-a-number")
     assert run(["beta-mc", "--alpha", "0.5", "--beta", "0.5",

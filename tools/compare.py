@@ -2,7 +2,7 @@
 
     python3 tools/compare.py --parent REV --change REV --pairs 10 --seeds 20230516,7 \\
         [--workloads census@20230516,matching@20230516,sampling] [--claim METRIC@WORKLOAD] \\
-        --out BENCH_N.json
+        [--rusage beta-mc,allpairs] --out BENCH_N.json
 
 Both revisions are built the same way, `git archive REV` unpacked into a
 temporary directory, so neither side runs from a working tree.  REV is
@@ -36,6 +36,11 @@ nine tenths of the pairs, its median is better than the parent's by
 more than the parent's quartile distance, and its runs failed no more
 operations; it is met when it is met in every cell of that workload.
 
+--rusage LABEL,... then runs tools/rusage.py's passes on the same two
+trees, as many passes as --pairs, for the named commands and the ones
+whose outputs they read, and writes its per-command table of child
+rusage from os.wait4 under child_rusage_per_command.
+
 Standard library only.
 """
 
@@ -49,7 +54,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rusage import quartiles  # this script's directory is on sys.path
+import rusage  # this script's directory is on sys.path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -116,7 +121,7 @@ def cells_of(workloads, seeds, known):
 def side_summary(values):
     if not values:
         return None
-    q1, q3 = quartiles(values)
+    q1, q3 = rusage.quartiles(values)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -198,11 +203,13 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
     parser.add_argument("--workloads", help="comma-separated NAME or NAME@SEED; default every workload")
     parser.add_argument("--claim", help="METRIC@WORKLOAD, a gain to judge")
+    parser.add_argument("--rusage", help="comma-separated tools/rusage.py labels to measure on both trees")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
     seeds = [int(s) for s in args.seeds.split(",")]
+    labels = rusage.selected(args.rusage.split(",")) if args.rusage else []
 
     with tempfile.TemporaryDirectory(prefix="compare-") as scratch:
         trees = {side: Path(scratch, side) for side in SIDES}
@@ -226,6 +233,13 @@ def main(argv=None):
             "side runs first (even pair: parent first); medians and inclusive quartiles over "
             "the runs that passed; change_wins counts pairs where the change reads better, "
             "ties for neither side; verdicts from the parent's BENCHMARK.json bounds")
+        if labels:
+            head["method"] += ("; child_rusage_per_command from tools/rusage.py on the same two "
+                               "trees, one pass per pair")
+
+        def write():
+            args.out.write_text(json.dumps(dict(head, **report(spec, runs, claim)), indent=1) + "\n")
+
         for pair in range(args.pairs):
             for (name, seed), key in zip(cells, keys):
                 for side in side_order(pair):
@@ -238,7 +252,11 @@ def main(argv=None):
                     print(f"pair {pair} {key} {side}: " + (
                         " ".join(f"{k} {v:.3f}" for k, v in record["metrics"].items())
                         if record["ok"] else f"FAILED (exit {record['exit']})"), file=sys.stderr)
-            args.out.write_text(json.dumps(dict(head, **report(spec, runs, claim)), indent=1) + "\n")
+            write()
+        if labels:
+            head["child_rusage_per_command"] = rusage.summary(rusage.measure(trees, labels, args.pairs),
+                                                              args.pairs)
+            write()
 
 
 if __name__ == "__main__":
