@@ -45,6 +45,7 @@ from cfb.cfb_engine import (
     _pair_counts,
     _sample_b_from_triples,
     _score_chunk,
+    _score_shares,
     _units,
     _worker_count,
 )
@@ -683,6 +684,21 @@ def test_streamed_chunk_counts_equal_whole_columns(case, m):
     pop = CHUNK_CASES[case]
     child = np.random.SeedSequence(20230516).spawn(2)[1]
     assert _score_chunk(pop, child, m) == whole_column_score_chunk(pop, child, m)
+
+
+# the test above is the one-worker case
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("m", CHUNK_PAIRS)
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
+    """Every worker scores the same chunk, the calling process and each
+    forked one: the counts that come back over the pipes are the
+    whole-column oracle's, once per worker."""
+    pop = CHUNK_CASES[case]
+    child = np.random.SeedSequence(20230516).spawn(2)[1]
+    want = whole_column_score_chunk(pop, child, m)
+    got = _score_shares(pop, [[(child, m)]] * workers)
+    assert got == tuple(workers * count for count in want)
 
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
