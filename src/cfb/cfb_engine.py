@@ -16,8 +16,8 @@ any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
 population all live here.  Only the Monte Carlo route uses numpy, and it
 imports it when called, so the exact routes and gini_mean_difference run
-without it; its worker processes are forked for the call and reaped
-before it returns.  The references the tests check these routes against, a quadrature of the
+without it; its worker processes are forked for the call (cfb._fork)
+and reaped before it returns.  The references the tests check these routes against, a quadrature of the
 bivariate normal cdf and a brute-force pair scorer, are in
 tests/oracles.py, not in the package.
 """
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 
-from .errors import CfbError, DegenerateCfb, UndefinedCfb
+from .errors import DegenerateCfb, UndefinedCfb
 from .population_model import BetaXPopulation, LinearGaussianPopulation, ProbTriple
 
 __all__ = [
@@ -55,7 +54,6 @@ _CHUNK_PAIRS = 1_000_000
 # enough that the block's buffers stay in cache, large enough that numpy's
 # cost per call is spread over many pairs.
 _BLOCK = 32_768
-_MAX_THREADS = 64  # most workers CFB_THREADS gets: the calling process and 63 forked ones
 # Pairs whose Johnk sum X + Y lies this close to 1 are redone with libm's pow.
 _JOHNK_RECHECK = 2.0 ** -48
 # Below this shape X or Y underflows often and Generator.beta is faster.
@@ -280,28 +278,6 @@ def __getattr__(name):
     return ThreadPoolExecutor
 
 
-def _worker_count() -> int:
-    """Processes that score Monte Carlo chunks, the calling one included,
-    controlled by CFB_THREADS.
-
-    Unset or 0 picks the CPUs this process may run on, at most 4; 1
-    scores every chunk in the calling process; a value above _MAX_THREADS
-    counts as _MAX_THREADS, so a harness that sets it to a large machine's
-    CPU count still runs.  No result depends on this, only wall time does.
-    """
-    raw = os.environ.get("CFB_THREADS", "").strip()
-    if raw in ("", "0"):
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return min(usable or 1, 4)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CFB_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"CFB_THREADS must be positive, got {n}")
-    return min(n, _MAX_THREADS)
-
-
 class _Scratch:
     """Work buffers for blocks of up to `size` pairs, one set per chunk.
 
@@ -522,85 +498,24 @@ def _score_share(pop, share):
     return tuple(map(sum, zip(*[_score_chunk(pop, child, m) for child, m in share])))
 
 
-def _fork_worker(pop, share):
-    """Fork a process that scores share (_score_share); returns its pid and
-    the read end of a pipe on which it writes its three counts, or the type
-    and message of the exception it raised.
-
-    The process ends with os._exit in a finally block, so it never returns
-    into the caller's stack, and runs no exit handler and flushes no buffer
-    that the caller filled before the fork.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            try:
-                report, ok = "%d %d %d" % _score_share(pop, share), 0
-            except BaseException as e:
-                report, ok = f"{type(e).__name__}: {e}", 1
-            with open(write, "wb") as pipe:
-                pipe.write(report.encode())
-            code = ok
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _worker_counts(worker, report, status):
-    """The counts in a worker's report, given its wait status; CfbError
-    naming the worker if it failed."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return tuple(int(v) for v in report.split())
-    if report:
-        detail = report.decode(errors="replace")
-    else:
-        detail = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-    raise CfbError(f"Monte Carlo worker {worker} failed: {detail}")
-
-
 def _score_shares(pop, shares):
     """Summed counts of every chunk in shares, one list of (child seed,
     pairs) per worker.
 
-    The calling process is worker 0.  It first forks one process for each
-    other share (_fork_worker), so that no worker starts from a copy of a
-    column, then scores the first share itself and reads each worker's
-    report from its pipe.  A finally block reaps every worker, after
-    killing any whose report it has not read, so no worker outlives the
-    call whether it returns or raises.  A worker that failed raises
-    CfbError naming it.  Where os.fork is missing, the calling process
-    scores every share.
+    The calling process scores the first share while each other share is
+    scored in a process forked for it (_fork.Forked), which writes its
+    three counts to its file.  The forks come before any column is
+    drawn, so no worker starts from a copy of one.  A worker that failed
+    raises CfbError naming it.
     """
-    if not hasattr(os, "fork"):
-        return tuple(map(sum, zip(*[_score_share(pop, share) for share in shares])))
-    started, reports, statuses = [], {}, {}
-    try:
-        for share in shares[1:]:
-            started.append(_fork_worker(pop, share))
-        counts = [_score_share(pop, shares[0])]
-        for pid, read in started:
-            with open(read, "rb", closefd=False) as pipe:
-                reports[pid] = pipe.read()
-    finally:
-        for pid, read in started:
-            os.close(read)
-            if pid not in reports:
-                import signal
+    from ._fork import Forked
 
-                os.kill(pid, signal.SIGKILL)
-            statuses[pid] = os.waitpid(pid, 0)[1]
-    counts += [_worker_counts(worker, reports[pid], statuses[pid])
-               for worker, (pid, _) in enumerate(started, 1)]
+    def work(share, out):
+        out.write(b"%d %d %d" % _score_share(pop, share))
+
+    with Forked("Monte Carlo", work, shares) as workers:
+        counts = [_score_share(pop, shares[0])]
+        counts += [tuple(map(int, workers.result(k).read().split())) for k in range(1, len(shares))]
     return tuple(map(sum, zip(*counts)))
 
 
@@ -634,7 +549,7 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     The chunks are dealt to w = min(CFB_THREADS, chunks) workers: worker
     i scores chunks i, i + w, ... one at a time (_score_shares).  Worker 0
     is the calling process; each other worker is a process forked for
-    the call, which sends its summed counts back over a pipe.  So each
+    the call, which writes its summed counts to a temporary file.  So each
     process holds one covariate column and one scratch set at a time,
     whatever CFB_THREADS is, and a run of one chunk (n <= 10**6) runs in
     the calling process alone.
@@ -672,10 +587,12 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         b, h = _units(pop, (x, rng.random(out=scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
+        from ._fork import worker_count
+
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         chunks = list(zip(np.random.SeedSequence(seed).spawn(n_chunks), sizes))
-        workers = min(_worker_count(), n_chunks)
+        workers = min(worker_count(), n_chunks)
         conc, tied, valid = _score_shares(pop, [chunks[i::workers] for i in range(workers)])
 
     if valid == 0:

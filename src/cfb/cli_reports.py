@@ -18,6 +18,14 @@ on arrays, so its memory stays flat.  Every line must be UTF-8, a
 comment too, and `#` starts a comment anywhere in a line.  A bad byte or
 row is named by its line or data row from the counts the reader keeps.
 
+`match-compare`, and the reader on a regular file, split their work
+into CFB_THREADS contiguous shares: this process runs the first and a
+process forked for the call each other (cfb._fork), whose result this
+process reads back in order.  match-compare's workers format their own
+rows, which this process copies into the output after its own; the
+reader's workers parse their own blocks, which the reader yields in file
+order, so every output byte and every message is the one-process one.
+
 Each subcommand's flags are declared once, in _COMMANDS: name, parser,
 default and the header text of an unset value.  The argument parser,
 the value checks and the `#` header all come from that table.
@@ -45,7 +53,9 @@ import os
 import re
 import sys
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
+from stat import S_ISREG
 from typing import NamedTuple
 
 from .errors import CfbError, UndefinedCfb
@@ -125,13 +135,14 @@ def _bin_lines(edges, counts):
         f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(n)}" for k, n in enumerate(counts)]
 
 
-def _emit(path, config, lines, columns=()):
-    """Write the header, lines, then one line per row of columns.
+def _emit(path, config, lines, columns=(), blocks=()):
+    """Write the header, lines, one line per row of columns, then blocks.
 
     columns are equal-length arrays; their dtypes set the text (see
     _RowText).  Rows are formatted and written a block at a time, as
-    bytes, so the whole text is never held at once.  path None means
-    stdout.
+    bytes, so the whole text is never held at once.  blocks are byte
+    blocks of rows formatted elsewhere, each ending in a newline.  path
+    None means stdout.
     """
     head = "\n".join(config.header_lines() + lines) + "\n"
 
@@ -141,6 +152,7 @@ def _emit(path, config, lines, columns=()):
             for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
                 yield text.rows([col[i:i + _ROWS_PER_WRITE] for col in columns])
                 yield b"\n"
+        yield from blocks
 
     if path is None:
         sys.stdout.write(head)
@@ -387,6 +399,12 @@ def _triple_table():
                       for p in range(101)] for m in range(101)])
 
 
+class _Fault(Exception):
+    """_Fault(prefix, number, suffix, row): a line at fault in a CSV, the
+    message after the path being prefix + number + suffix, number a data
+    row if row is true, else a line, counted from 1."""
+
+
 def _csv_blocks(path, pick):
     """The data rows of the CSV at path, parsed by numpy's text reader a block of lines at a time.
 
@@ -396,16 +414,30 @@ def _csv_blocks(path, pick):
     indices of the columns to read, or None for all of them, or raises
     ValueError.  Yields, for each block of whole lines (_CHARS_PER_READ
     bytes, or the rest of the file) that holds a data row, a 2-d float
-    array with a row per data row and a column per column read.
+    array with a row per data row and a column per column read.  A
+    consumer that stops early closes the generator, which reaps its
+    workers.
 
-    path is opened once and read once, in binary, so a pipe reads as a
-    file does.  Every line must be UTF-8, a comment too, and a data row
-    must hold a number in each column read: with all columns read, one
-    number per column of the header.  Otherwise ValueError names path and
-    the first line at fault, a data row by its data row number and any
-    other line by its line number, each counted from 1.
+    path is opened once, in binary, so a pipe reads as a file does.  A
+    pipe is read by this process alone.  A regular file's blocks are
+    split into min(CFB_THREADS, blocks) contiguous shares: this process
+    parses the first, a worker process each other (_fork.Forked), which
+    opens path again, checks that it is the same file, and writes its
+    blocks to its result file.  The blocks are yielded in file order,
+    each as the one-process reader makes it.  Every line must be
+    UTF-8, a comment too, and a data row must hold a number in each
+    column read: with all columns read, one number per column of the
+    header.  Otherwise ValueError names path and the first line at fault,
+    a data row by its data row number and any other line by its line
+    number, each counted from 1; a worker counts from the start of its
+    share and this process adds the lines and data rows of the shares
+    before it, so the message is the one-process reader's.
     """
+    import pickle
+
     import numpy as np
+
+    from ._fork import Forked
 
     def parse(lines, columns):
         with warnings.catch_warnings():
@@ -438,10 +470,11 @@ def _csv_blocks(path, pick):
         except ValueError:
             return False
 
-    def check(lines, fault):
-        """Raise ValueError naming the first of lines, which follow the seen lines, that
-        fault(line, text) returns a message for; text is what a data row holds before its
-        comment and line end, and b"" for any other line."""
+    def check(lines, fault, seen, rows):
+        """Raise _Fault naming the first of lines, which follow `seen` lines and `rows`
+        data rows (None before the header), that fault(line, text) returns a message for;
+        text is what a data row holds before its comment and line end, and b"" for any
+        other line."""
         line_no, row = seen, rows
         for line in lines:
             line_no += 1
@@ -451,36 +484,99 @@ def _csv_blocks(path, pick):
                 row += bool(text)
             message = fault(line, text)
             if message is not None:
-                raise ValueError(f"{path}: {f'data row {row}' if text else f'line {line_no}'}{message}")
+                raise _Fault("data row " if text else "line ", row if text else line_no, message, bool(text))
 
-    seen, rows = 0, None  # lines and data rows read; rows is None until the header
-    with open(path, "rb") as f:
-        while line := f.readline():
-            check([line], undecodable)
-            seen += 1
-            names = line.decode().rstrip("\r\n")
-            if names and names[0] != "#":
-                break
-        else:
-            raise ValueError(f"{path}: empty input")
-        header = names.split(",")
-        usecols = pick(header)
-        width = len(header) if usecols is None else len(usecols)
-        rows = 0
-        while lines := f.readlines(_CHARS_PER_READ):
+    def blocks(f, counts, stop=None):
+        """The blocks of f's lines up to byte stop (a block start) or the end, which
+        follow counts = [lines, data rows], kept up to date."""
+        while (stop is None or f.tell() < stop) and (lines := f.readlines(_CHARS_PER_READ)):
             if not b"".join(lines).isascii():
-                check(lines, undecodable)
+                check(lines, undecodable, *counts)
             try:
                 block = parse(lines, usecols)
             except ValueError:
                 block = None
             if block is None or len(block) and block.shape[1] != width:
-                check(lines, malformed)
-                raise ValueError(f"{path}: malformed rows after data row {rows}")  # every line parses alone
-            seen += len(lines)
-            rows += len(block)
+                check(lines, malformed, *counts)
+                # every line parses alone
+                raise _Fault("malformed rows after data row ", counts[1], "", True)
+            counts[0] += len(lines)
+            counts[1] += len(block)
             if len(block):
                 yield block
+
+    def work(k, out):
+        # a description of its own, so that its position is not the caller's
+        with open(path, "rb") as share:
+            if not os.path.samestat(os.fstat(share.fileno()), os.fstat(f.fileno())):
+                raise ValueError(f"{path}: replaced while it was read")
+            share.seek(shares[k][0])
+            counts, fault = [0, 0], None
+            try:
+                for block in blocks(share, counts, shares[k][1]):
+                    pickle.dump(block, out)
+            except _Fault as e:
+                fault = e
+        pickle.dump((counts, fault), out)
+
+    seen = 0
+    with open(path, "rb") as f:
+        try:
+            while line := f.readline():
+                check([line], undecodable, seen, None)
+                seen += 1
+                names = line.decode().rstrip("\r\n")
+                if names and names[0] != "#":
+                    break
+            else:
+                raise ValueError(f"{path}: empty input")
+            header = names.split(",")
+            usecols = pick(header)
+            width = len(header) if usecols is None else len(usecols)
+            shares = _read_shares(f)
+            if len(shares) < 2:
+                yield from blocks(f, [seen, 0])
+                return
+            with Forked("CSV reader", work, range(len(shares))) as forked:
+                counts = [seen, 0]
+                yield from blocks(f, counts, shares[0][1])
+                for k in range(1, len(shares)):
+                    out = forked.result(k)
+                    while isinstance(item := pickle.load(out), np.ndarray):
+                        yield item
+                    (lines, rows), fault = item
+                    if fault is not None:
+                        prefix, number, suffix, row = fault.args
+                        raise _Fault(prefix, number + counts[1 if row else 0], suffix, row)
+                    counts[0] += lines
+                    counts[1] += rows
+        except _Fault as e:
+            prefix, number, suffix, _ = e.args
+            raise ValueError(f"{path}: {prefix}{number}{suffix}") from None
+
+
+def _read_shares(f):
+    """[(start, stop)] byte ranges of the shares of the rest of f, stop None
+    for the last: min(CFB_THREADS, read blocks) runs of whole read blocks,
+    at the block starts where the one-process reader's f.readlines(
+    _CHARS_PER_READ) starts one.  [] for no regular file."""
+    from ._fork import worker_count
+
+    size = os.fstat(f.fileno())
+    if not S_ISREG(size.st_mode):
+        return []
+    size, workers = size.st_size, worker_count()
+    starts = [f.tell()]
+    # readlines(hint) stops after the line that holds the block's byte hint
+    while workers > 1 and starts[-1] + _CHARS_PER_READ < size:
+        f.seek(starts[-1] + _CHARS_PER_READ)
+        f.readline()
+        starts.append(f.tell())
+    if starts[-1] >= size and len(starts) > 1:
+        starts.pop()
+    f.seek(starts[0])
+    cuts = [starts[k * len(starts) // min(workers, len(starts))] for k in range(min(workers, len(starts)))]
+    return list(zip(cuts, cuts[1:] + [None]))
 
 
 def _read_column(path, name):
@@ -492,7 +588,8 @@ def _read_column(path, name):
             raise ValueError(f"{path}: no column named {name!r}")
         return (header.index(name),)
 
-    return np.concatenate([np.empty(0)] + [block[:, 0] for block in _csv_blocks(path, pick)])
+    with closing(_csv_blocks(path, pick)) as blocks:
+        return np.concatenate([np.empty(0)] + [block[:, 0] for block in blocks])
 
 
 class _TripleArg:
@@ -628,24 +725,25 @@ def _read_improper_csv(path):
 
     hund, cfb = [np.empty((4, 0), np.int64)], [np.empty(0)]
     rows = 0  # data rows before the block
-    for block in _csv_blocks(path, pick):
-        triples = block[:, :6]
-        scaled = triples * 100
-        k = np.rint(scaled)
-        with np.errstate(invalid="ignore"):  # inf - inf; the range test rejects inf and nan
-            off = ~((triples >= 0) & (triples <= 1)) | (np.abs(scaled - k) > 1e-6)
-        if off.any():
-            r, j = np.argwhere(off)[0].tolist()
-            raise ValueError(f"{path}: data row {rows + r + 1}: {triples[r, j].item()!r} "
-                             "is not a hundredth between 0 and 1")
-        k = k.astype(np.int64)
-        bad = (k[:, :3].sum(axis=1) != 100) | (k[:, 3:].sum(axis=1) != 100)
-        if bad.any():
-            raise ValueError(f"{path}: data row {rows + int(np.argmax(bad)) + 1} does not hold two "
-                             "triples summing to 1")
-        hund.append(k[:, [0, 2, 3, 5]].T)
-        cfb.append(block[:, 6].copy())  # a view would keep the whole block alive
-        rows += len(block)
+    with closing(_csv_blocks(path, pick)) as blocks:
+        for block in blocks:
+            triples = block[:, :6]
+            scaled = triples * 100
+            k = np.rint(scaled)
+            with np.errstate(invalid="ignore"):  # inf - inf; the range test rejects inf and nan
+                off = ~((triples >= 0) & (triples <= 1)) | (np.abs(scaled - k) > 1e-6)
+            if off.any():
+                r, j = np.argwhere(off)[0].tolist()
+                raise ValueError(f"{path}: data row {rows + r + 1}: {triples[r, j].item()!r} "
+                                 "is not a hundredth between 0 and 1")
+            k = k.astype(np.int64)
+            bad = (k[:, :3].sum(axis=1) != 100) | (k[:, 3:].sum(axis=1) != 100)
+            if bad.any():
+                raise ValueError(f"{path}: data row {rows + int(np.argmax(bad)) + 1} does not hold two "
+                                 "triples summing to 1")
+            hund.append(k[:, [0, 2, 3, 5]].T)
+            cfb.append(block[:, 6].copy())  # a view would keep the whole block alive
+            rows += len(block)
     cfb = np.concatenate(cfb)
     return ImproperSet(*np.concatenate(hund, axis=1), cfb, cfb - 0.5)
 
@@ -724,29 +822,74 @@ def _cmd_rho_sweep(args, cfg) -> int:
 
 
 def _cmd_match_compare(args, cfg) -> int:
-    from .matched_pairs import matching_experiment
+    """The sweep's rows, written by min(CFB_THREADS, sweep blocks) processes.
+
+    The grid's blocks are split into contiguous shares, one per worker
+    (_fork.Forked); each worker sweeps and formats its own cells and
+    writes their text, then its abs_diff and undefined columns, to its
+    file.  This process writes the header and its own share into the
+    output's temporary file, then each worker's text in order.  The
+    histogram and the summary come from the whole abs_diff and undefined
+    columns, so no process holds the others.  a and b are multiples of
+    the grid step, formatted by lookup in a table of i * step for every i.
+    """
+    import numpy as np
+
+    from ._fork import Forked, worker_count
+    from .matched_pairs import _CELLS_PER_BLOCK, _diff_histogram, _grid, _sweep
 
     _keep_freed_memory()
-    result = matching_experiment(args.step, (args.coeff_min, args.coeff_max), args.seed)
+    grid = _grid(args.step, (args.coeff_min, args.coeff_max), args.seed)
+    n = grid.cells
+    blocks = -(-n // _CELLS_PER_BLOCK)
+    workers = min(worker_count(), blocks)
+    shares = [range(min(k * blocks // workers * _CELLS_PER_BLOCK, n),
+                    min((k + 1) * blocks // workers * _CELLS_PER_BLOCK, n)) for k in range(workers)]
+    steps = np.array(["%.10g" % v for v in (np.arange(grid.inv + 1) * grid.step).tolist()], "S")
 
-    r = result
-    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)],
-          (r.a, r.b, r.beta0, r.betax, r.betat, r.betaxt,
-           r.cfb_covariate, r.cfb_prediction, r.abs_diff, r.undefined))
+    def share_rows(cells, abs_diff, undefined):
+        """Text of the rows of cells, a block at a time, filling abs_diff and undefined."""
+        text = _RowText()
+        for start, i, j, columns in _sweep(grid, cells):
+            done = slice(start - cells.start, start - cells.start + len(i))
+            abs_diff[done], undefined[done] = columns[-2:]
+            yield text.rows([steps[i], steps[j], *columns[2:]])
+            yield b"\n"
 
-    _emit(args.hist_out, cfg, _bin_lines(result.hist_edges, result.hist_counts))
+    def work(cells, out):
+        abs_diff, undefined = np.empty(len(cells)), np.empty(len(cells), bool)
+        out.seek(abs_diff.nbytes + undefined.nbytes)
+        out.writelines(share_rows(cells, abs_diff, undefined))
+        out.seek(0)
+        out.write(abs_diff.data)
+        out.write(undefined.data)
 
-    defined = ~result.undefined
-    n_def = int(defined.sum())
-    if n_def:
-        diffs = result.abs_diff[defined]
-        share = float((diffs < 0.05).sum()) / n_def
+    with Forked("match-compare", work, shares) as forked:
+        abs_diff, undefined = np.empty(n), np.empty(n, bool)
+
+        def rows():
+            yield from share_rows(shares[0], abs_diff, undefined)
+            for k, cells in enumerate(shares[1:], 1):
+                out = forked.result(k)
+                out.readinto(abs_diff[cells.start:cells.stop])
+                out.readinto(undefined[cells.start:cells.stop])
+                while block := out.read(_CHARS_PER_READ):
+                    yield block
+
+        _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], blocks=rows())
+
+    counts, edges = _diff_histogram(abs_diff, undefined)
+    _emit(args.hist_out, cfg, _bin_lines(edges, counts))
+
+    diffs = abs_diff[~undefined]
+    if diffs.size:
+        share = float((diffs < 0.05).sum()) / diffs.size
         dmax = float(diffs.max())
     else:
         share = dmax = float("nan")
     _emit(None, cfg, [
-        f"cells,{len(result)}",
-        f"defined,{n_def}",
+        f"cells,{n}",
+        f"defined,{diffs.size}",
         f"share_below_0.05,{_fmt(share)}",
         f"max_abs_diff,{_fmt(dmax)}",
     ])

@@ -16,20 +16,24 @@ The experiment needs to be bit-reproducible across platforms and numpy
 versions, so its coefficient draws come from a self-contained counter
 based generator (the splitmix64 finalizer) rather than numpy's stateful
 generators: cell k consumes draws 4k..4k+3 no matter how the sweep is
-chunked, and the sweep runs in blocks of _CELLS_PER_BLOCK cells.  Its
+chunked, and the sweep runs in blocks of _CELLS_PER_BLOCK cells
+(_sweep).  matching_experiment sweeps the whole grid into columns;
+match-compare sweeps contiguous runs of blocks in worker processes and
+formats each block's rows as it goes, through the same _sweep.  Its
 logistic is the C library's exp reached through numpy's complex exp
 (cexp), bit for bit as scipy.special.expit, with math.exp where z < -709
 (see _logistic), so no SciPy import is needed.
 
 numpy is imported when the sweep runs, so the command line checks its
 flags with the sweep's own limits (_grid_cells, _seed_in_range,
-_predictor_finite) without loading it.
+_predictor_finite, _grid) without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfb_engine import _two_group_masses
 
@@ -209,6 +213,83 @@ def _sweep_block(a, b, beta0, betax, betat, betaxt):
     return cfb_x, cfb_h, undef_x | undef_h
 
 
+class _Grid(NamedTuple):
+    """A checked sweep: the grid's step and 1 / step, the coefficient bounds and the seed."""
+
+    step: float
+    inv: int
+    lo: float
+    hi: float
+    seed: int
+
+    @property
+    def cells(self):
+        return (self.inv - 1) * (self.inv - 2) // 2
+
+
+def _grid(grid_step, coeff_range, seed):
+    """The _Grid of matching_experiment's arguments, or ValueError naming the one at
+    fault (see matching_experiment).  Needs no numpy, so the command line checks its
+    flags with it before it starts any work."""
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
+    if not math.isfinite(1.0 / grid_step):
+        raise ValueError(f"grid_step is too small: 1 / grid_step overflows, got {grid_step!r}")
+    inv = round(1.0 / grid_step)
+    if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
+        raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
+    if _grid_cells(grid_step) > _MAX_CELLS:
+        raise ValueError(f"grid_step must give at most {_MAX_CELLS:,} grid cells, got {grid_step!r}")
+    lo, hi = float(coeff_range[0]), float(coeff_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")
+    if not lo < hi:
+        raise ValueError("coeff_range must be an increasing pair")
+    if not (_predictor_finite(lo) and _predictor_finite(hi)):
+        raise ValueError(f"coeff_range's linear predictor overflows: 6 * max(|lo|, |hi|) "
+                         f"must be finite, got {coeff_range!r}")
+    if not _seed_in_range(seed):
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return _Grid(float(grid_step), inv, lo, hi, int(seed))
+
+
+def _sweep(grid, cells):
+    """The sweep of the cells in range cells, one block of _CELLS_PER_BLOCK at a time.
+
+    cells must start at a multiple of _CELLS_PER_BLOCK, so its blocks are
+    the whole-grid sweep's.  Yields, for each block, its first cell, the
+    int64 grid indices i and j of its cells (a = i * step, b = j * step),
+    and its columns in the order of the CSV that match-compare writes: a,
+    b, the four coefficients, the statistic matched on the covariate and
+    on the predicted benefit, their absolute difference and the undefined
+    flags.  matching_experiment runs it over the whole grid; match-compare
+    runs each worker's share of the blocks through it.
+    """
+    import numpy as np
+
+    # the cell that ends grid row r (i = r + 1, of inv - 1 - i cells) is ends[r] - 1
+    ends = np.cumsum(np.arange(grid.inv - 2, 0, -1, dtype=np.int64))
+    for start in range(cells.start, cells.stop, _CELLS_PER_BLOCK):
+        k = np.arange(start, min(start + _CELLS_PER_BLOCK, cells.stop), dtype=np.int64)
+        row = np.searchsorted(ends, k, "right")
+        i = row + 1
+        j = k - (ends[row] - (grid.inv - 1 - i)) + 1
+        a = i.astype(np.float64) * grid.step
+        b = j.astype(np.float64) * grid.step
+        base = k.astype(np.uint64) * np.uint64(4)
+        coeffs = [grid.lo + (grid.hi - grid.lo) * _uniform_open01(grid.seed, base + np.uint64(m))
+                  for m in range(4)]
+        cfb_x, cfb_h, undefined = _sweep_block(a, b, *coeffs)
+        yield start, i, j, (a, b, *coeffs, cfb_x, cfb_h, np.abs(cfb_x - cfb_h), undefined)
+
+
+def _diff_histogram(abs_diff, undefined):
+    """(counts, edges) of abs_diff over the defined cells, on DIFF_HIST_RANGE in DIFF_HIST_BINS bins."""
+    import numpy as np
+
+    return np.histogram(abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE)
+
+
 def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed: int = 20230516):
     """Sweep covariate-mass cells with random logistic coefficients.
 
@@ -229,56 +310,21 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     """
     import numpy as np
 
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
-    if not math.isfinite(1.0 / grid_step):
-        raise ValueError(f"grid_step is too small: 1 / grid_step overflows, got {grid_step!r}")
-    inv = round(1.0 / grid_step)
-    if abs(grid_step * inv - 1.0) > 1e-9 or inv < 3:
-        raise ValueError("grid_step must divide 1 with at least 3 subdivisions")
-    if _grid_cells(grid_step) > _MAX_CELLS:
-        raise ValueError(f"grid_step must give at most {_MAX_CELLS:,} grid cells, got {grid_step!r}")
-    lo, hi = float(coeff_range[0]), float(coeff_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"coeff_range must be finite, got {coeff_range!r}")
-    if not lo < hi:
-        raise ValueError("coeff_range must be an increasing pair")
-    if not (_predictor_finite(lo) and _predictor_finite(hi)):
-        raise ValueError(f"coeff_range's linear predictor overflows: 6 * max(|lo|, |hi|) "
-                         f"must be finite, got {coeff_range!r}")
-    if not _seed_in_range(seed):
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    grid = _grid(grid_step, coeff_range, seed)
+    n = grid.cells
+    columns = [np.empty(n) for _ in range(9)] + [np.empty(n, dtype=bool)]
+    for start, _, _, block in _sweep(grid, range(n)):
+        for col, values in zip(columns, block):
+            col[start:start + len(values)] = values
+    a, b, beta0, betax, betat, betaxt, cfb_x, cfb_h, abs_diff, undefined = columns
 
-    i_vals = np.arange(1, inv - 1, dtype=np.int64)
-    row_lens = inv - 1 - i_vals
-    i_arr = np.repeat(i_vals, row_lens)
-    j_arr = np.concatenate([np.arange(1, inv - i, dtype=np.int64) for i in i_vals])
-    n = i_arr.size
-
-    a = i_arr.astype(np.float64) * grid_step
-    b = j_arr.astype(np.float64) * grid_step
-
-    coeffs = [np.empty(n) for _ in range(4)]
-    cfb_x, cfb_h, abs_diff = np.empty(n), np.empty(n), np.empty(n)
-    undefined = np.empty(n, dtype=bool)
-    for start in range(0, n, _CELLS_PER_BLOCK):
-        blk = slice(start, min(start + _CELLS_PER_BLOCK, n))
-        base = np.arange(blk.start, blk.stop, dtype=np.uint64) * np.uint64(4)
-        for m, col in enumerate(coeffs):
-            col[blk] = lo + (hi - lo) * _uniform_open01(seed, base + np.uint64(m))
-        cx, ch, undefined[blk] = _sweep_block(a[blk], b[blk], *(col[blk] for col in coeffs))
-        cfb_x[blk], cfb_h[blk], abs_diff[blk] = cx, ch, np.abs(cx - ch)
-    beta0, betax, betat, betaxt = coeffs
-
-    counts, edges = np.histogram(
-        abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE
-    )
+    counts, edges = _diff_histogram(abs_diff, undefined)
     return MatchingExperimentResult(
         a=a, b=b, beta0=beta0, betax=betax, betat=betat, betaxt=betaxt,
         cfb_covariate=cfb_x, cfb_prediction=cfb_h,
         abs_diff=abs_diff, undefined=undefined,
         hist_edges=tuple(float(e) for e in edges),
         hist_counts=tuple(int(v) for v in counts),
-        grid_step=float(grid_step), seed=int(seed),
-        coeff_range=(lo, hi),
+        grid_step=grid.step, seed=grid.seed,
+        coeff_range=(grid.lo, grid.hi),
     )

@@ -37,7 +37,7 @@ from cfb import (
     gini_mean_difference,
     pair_table,
 )
-from cfb import cfb_engine
+from cfb import _fork, cfb_engine
 from cfb.cfb_engine import (
     _BLOCK,
     _beta_draws,
@@ -47,8 +47,8 @@ from cfb.cfb_engine import (
     _score_chunk,
     _score_shares,
     _units,
-    _worker_count,
 )
+from cfb._fork import worker_count
 from cfb.matched_pairs import _two_group_cfb_arrays
 from oracles import (
     beta_mixture_cfb,
@@ -513,9 +513,9 @@ def test_default_worker_count_is_the_usable_cpus_up_to_4(monkeypatch, affinity, 
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
-    assert _worker_count() == expected
+    assert worker_count() == expected
     monkeypatch.setenv("CFB_THREADS", "0")
-    assert _worker_count() == expected
+    assert worker_count() == expected
 
 
 @pytest.mark.parametrize("value", ["64", "65", "128", "10000"])
@@ -523,7 +523,7 @@ def test_worker_count_is_capped_at_64(monkeypatch, value):
     """More than 64 counts as 64, so a run with CFB_THREADS set to a large
     machine's CPU count still runs, on at most 64 workers."""
     monkeypatch.setenv("CFB_THREADS", value)
-    assert _worker_count() == 64
+    assert worker_count() == 64
 
 
 def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
@@ -692,7 +692,7 @@ def test_streamed_chunk_counts_equal_whole_columns(case, m):
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
     """Every worker scores the same chunk, the calling process and each
-    forked one: the counts that come back over the pipes are the
+    forked one: the counts that come back in the workers' files are the
     whole-column oracle's, once per worker."""
     pop = CHUNK_CASES[case]
     child = np.random.SeedSequence(20230516).spawn(2)[1]
@@ -715,12 +715,12 @@ def test_monte_carlo_counts_do_not_depend_on_the_worker_count(case, monkeypatch)
     est = (conc + 0.5 * tied) / valid
     want = est, math.sqrt(est * (1.0 - est) / valid)
     forked = []
-    fork_worker = cfb_engine._fork_worker
+    fork_worker = _fork.fork_worker
 
-    def recorded(pop, share):
+    def recorded(work, share, out):
         forked.append([child.spawn_key[-1] for child, _ in share])
-        return fork_worker(pop, share)
-    monkeypatch.setattr(cfb_engine, "_fork_worker", recorded)
+        return fork_worker(work, share, out)
+    monkeypatch.setattr(_fork, "fork_worker", recorded)
     for workers in (1, 2, 3, 4):
         monkeypatch.setenv("CFB_THREADS", str(workers))
         forked.clear()

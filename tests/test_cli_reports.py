@@ -372,7 +372,9 @@ def test_read_improper_csv_across_block_edges(small_search, tmp_path, monkeypatc
 
 
 def test_read_improper_csv_hands_numpy_one_block_at_a_time(small_search, tmp_path, monkeypatch):
-    """An input of several default-size blocks is parsed block by block, never whole."""
+    """An input of several default-size blocks is parsed block by block, never whole.
+    At CFB_THREADS=1 this process parses every block, so the recorder sees them all."""
+    monkeypatch.setenv("CFB_THREADS", "1")
     _, out, _, _ = small_search
     _, columns, rows = read_rows(out)
     big = tmp_path / "big.csv"
