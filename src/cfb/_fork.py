@@ -1,12 +1,12 @@
 """Worker processes forked for one call: the one place the package forks.
 
-A caller splits its work into shares and runs share 0 itself, while
-Forked runs each other share in a process forked for it (standard
-library only).  Each worker writes its result into an unlinked temporary
-file made before the fork, so the caller reads it back only after the
-worker ended, whatever its size, and no pipe can fill up while the
-caller is busy with its own share.  The Monte Carlo route, match-compare
-and the CSV reader use it.
+A caller splits its work into shares and passes in_order a producer of
+each share's items; it takes them back in share order, share 0's made
+in the calling process and each other share's in a process forked for
+it, which pickles them into a temporary file (standard library only).
+The Monte Carlo route yields count tuples, match-compare its formatted
+sweep blocks and the CSV reader its parsed blocks.  contiguous is the
+one rule by which match-compare and the reader cut their work.
 
 Processes are started with os.fork, not a spawn pool: a spawned worker
 would import numpy and cfb again, and the command line's process has one
@@ -17,6 +17,7 @@ thread.
 from __future__ import annotations
 
 import os
+import pickle
 import tempfile
 
 from .errors import CfbError
@@ -46,6 +47,12 @@ def worker_count() -> int:
     return min(n, _MAX_WORKERS)
 
 
+def contiguous(units, workers):
+    """range(units) cut into min(workers, units) runs, run k from k * units // runs."""
+    runs = min(workers, units)
+    return [range(k * units // runs, (k + 1) * units // runs) for k in range(runs)]
+
+
 def fork_worker(work, share, out):
     """Fork a process that runs work(share, out) and returns its pid.
 
@@ -73,61 +80,57 @@ def fork_worker(work, share, out):
     return pid
 
 
-class Forked:
-    """Shares 1, 2, ... of a call's work, each run by work(share, out) in a
-    process forked when this is made; share 0 is the caller's own.
+def in_order(name, produce, shares):
+    """The items of produce(share) for every share in shares, in order.
 
-    out is a binary temporary file, unlinked, made before the fork.
-    result(k) waits for worker k and returns its file, read from the
-    start, or raises CfbError naming the worker if it failed (`NAME worker
-    k failed: ValueError: ...`, or `killed by signal 9`).  Used as a
-    context manager: leaving it kills every worker not waited for and
-    reaps them all, so none outlives the call whether it returns or
-    raises, and closes the files.  Where os.fork is missing, result(k)
-    runs work(share, out) in the calling process.
+    Share 0's items are made in the calling process as they are taken;
+    each other share's by a process forked for it when the first item is
+    asked for, before share 0 starts.  A worker pickles its items into an
+    unlinked temporary file made before the fork, and they are loaded in
+    their turn, after the worker ended, so no pipe fills up while the
+    caller is busy with its own share.  A worker that failed raises
+    CfbError naming it when its turn comes (`NAME worker k failed:
+    ValueError: ...`, or `killed by signal 9`).  However the generator
+    ends, every worker not waited for is killed and all are reaped, so
+    none outlives it.  Where os.fork is missing, every share's items are
+    made in the calling process.
     """
+    outs, pids = [], {}
 
-    def __init__(self, name, work, shares):
-        self._name, self._work, self._shares = name, work, shares
-        self._outs, self._pids = [], {}
-        try:
+    def dump(share, out):
+        for item in produce(share):
+            pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+
+    try:
+        if hasattr(os, "fork"):
             for k, share in enumerate(shares[1:], 1):
-                self._outs.append(tempfile.TemporaryFile())
-                if hasattr(os, "fork"):
-                    self._pids[k] = fork_worker(work, share, self._outs[-1])
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def result(self, k):
-        out = self._outs[k - 1]
-        if k not in self._pids:
-            self._work(self._shares[k], out)
-        else:
-            code = os.waitstatus_to_exitcode(os.waitpid(self._pids[k], 0)[1])
-            del self._pids[k]
+                outs.append(tempfile.TemporaryFile())
+                pids[k] = fork_worker(dump, share, outs[-1])
+        yield from produce(shares[0])
+        for k, share in enumerate(shares[1:], 1):
+            if k not in pids:
+                yield from produce(share)
+                continue
+            out = outs[k - 1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+            out.seek(0)
             if code:
-                out.seek(0)
                 detail = out.read().decode(errors="replace") if code == 1 else ""
                 if not detail:
                     detail = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise CfbError(f"{self._name} worker {k} failed: {detail}")
-        out.seek(0)
-        return out
-
-    def close(self):
-        if self._pids:
+                raise CfbError(f"{name} worker {k} failed: {detail}")
+            try:
+                while True:  # the item is not held here while the next one loads
+                    yield pickle.load(out)
+            except EOFError:
+                pass
+    finally:
+        if pids:
             import signal  # loaded only to kill: its enums would add to every command's memory
 
-        while self._pids:
-            _, pid = self._pids.popitem()
+        while pids:
+            _, pid = pids.popitem()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for out in self._outs:
+        for out in outs:
             out.close()

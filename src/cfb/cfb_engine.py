@@ -16,10 +16,11 @@ any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
 population all live here.  Only the Monte Carlo route uses numpy, and it
 imports it when called, so the exact routes and gini_mean_difference run
-without it; its worker processes are forked for the call (cfb._fork)
-and reaped before it returns.  The references the tests check these routes against, a quadrature of the
-bivariate normal cdf and a brute-force pair scorer, are in
-tests/oracles.py, not in the package.
+without it; its worker processes are forked for the call, their counts
+taken back in order (cfb._fork.in_order) and all reaped before it
+returns.  The references the tests check these routes against, a
+quadrature of the bivariate normal cdf and a brute-force pair scorer,
+are in tests/oracles.py, not in the package.
 """
 
 from __future__ import annotations
@@ -502,21 +503,18 @@ def _score_shares(pop, shares):
     """Summed counts of every chunk in shares, one list of (child seed,
     pairs) per worker.
 
-    The calling process scores the first share while each other share is
-    scored in a process forked for it (_fork.Forked), which writes its
-    three counts to its file.  The forks come before any column is
-    drawn, so no worker starts from a copy of one.  A worker that failed
-    raises CfbError naming it.
+    Each share yields its summed counts through _fork.in_order: the
+    calling process scores the first share and a process forked for it
+    each other.  The forks come before any column is drawn, so no worker
+    starts from a copy of one.  A worker that failed raises CfbError
+    naming it.
     """
-    from ._fork import Forked
+    from ._fork import in_order
 
-    def work(share, out):
-        out.write(b"%d %d %d" % _score_share(pop, share))
+    def produce(share):
+        yield _score_share(pop, share)
 
-    with Forked("Monte Carlo", work, shares) as workers:
-        counts = [_score_share(pop, shares[0])]
-        counts += [tuple(map(int, workers.result(k).read().split())) for k in range(1, len(shares))]
-    return tuple(map(sum, zip(*counts)))
+    return tuple(map(sum, zip(*in_order("Monte Carlo", produce, shares))))
 
 
 def cfb_monte_carlo(pop, n, seed, all_pairs=False):
@@ -549,7 +547,7 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     The chunks are dealt to w = min(CFB_THREADS, chunks) workers: worker
     i scores chunks i, i + w, ... one at a time (_score_shares).  Worker 0
     is the calling process; each other worker is a process forked for
-    the call, which writes its summed counts to a temporary file.  So each
+    the call, whose summed counts come back through _fork.in_order.  So each
     process holds one covariate column and one scratch set at a time,
     whatever CFB_THREADS is, and a run of one chunk (n <= 10**6) runs in
     the calling process alone.

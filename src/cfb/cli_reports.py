@@ -19,12 +19,13 @@ comment too, and `#` starts a comment anywhere in a line.  A bad byte or
 row is named by its line or data row from the counts the reader keeps.
 
 `match-compare`, and the reader on a regular file, split their work
-into CFB_THREADS contiguous shares: this process runs the first and a
-process forked for the call each other (cfb._fork), whose result this
-process reads back in order.  match-compare's workers format their own
-rows, which this process copies into the output after its own; the
-reader's workers parse their own blocks, which the reader yields in file
-order, so every output byte and every message is the one-process one.
+into CFB_THREADS contiguous shares (_fork.contiguous), whose items come
+back in order through one routine, _fork.in_order: this process makes
+the first share's and a process forked for the call each other's.
+match-compare's items are formatted sweep blocks with their abs_diff
+and undefined columns, the reader's are parsed blocks and each share's
+line counts, so every output byte and every message is the one-process
+one.
 
 Each subcommand's flags are declared once, in _COMMANDS: name, parser,
 default and the header text of an unset value.  The argument parser,
@@ -53,7 +54,7 @@ import os
 import re
 import sys
 import warnings
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from stat import S_ISREG
 from typing import NamedTuple
@@ -133,6 +134,20 @@ def _bin_lines(edges, counts):
     """A histogram as `bin_left,bin_right,count` lines, header first."""
     return ["bin_left,bin_right,count"] + [
         f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(n)}" for k, n in enumerate(counts)]
+
+
+def _hist_lines(values, bins, lo, hi, nan=0):
+    """_bin_lines of values' histogram on [lo, hi], after a `#` line counting the values
+    it leaves out, below lo, above hi and NaN (nan of them taken out of values before),
+    when it leaves out any."""
+    import numpy as np
+
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    lines = _bin_lines(edges, counts)
+    if nan or sum(counts.tolist()) < values.size:  # so no mask as large as values unless one is out
+        below, above, nan = (values < lo).sum(), (values > hi).sum(), nan + (values != values).sum()
+        lines.insert(0, f"# unbinned: {below} below {_fmt(lo)}, {above} above {_fmt(hi)}, {nan} nan")
+    return lines
 
 
 def _emit(path, config, lines, columns=(), blocks=()):
@@ -418,26 +433,25 @@ def _csv_blocks(path, pick):
     consumer that stops early closes the generator, which reaps its
     workers.
 
-    path is opened once, in binary, so a pipe reads as a file does.  A
-    pipe is read by this process alone.  A regular file's blocks are
-    split into min(CFB_THREADS, blocks) contiguous shares: this process
-    parses the first, a worker process each other (_fork.Forked), which
-    opens path again, checks that it is the same file, and writes its
-    blocks to its result file.  The blocks are yielded in file order,
-    each as the one-process reader makes it.  Every line must be
-    UTF-8, a comment too, and a data row must hold a number in each
-    column read: with all columns read, one number per column of the
-    header.  Otherwise ValueError names path and the first line at fault,
-    a data row by its data row number and any other line by its line
-    number, each counted from 1; a worker counts from the start of its
-    share and this process adds the lines and data rows of the shares
-    before it, so the message is the one-process reader's.
+    path is opened once, in binary, so a pipe reads as a file does.  The
+    rest of the file is cut into shares (_read_shares): one for a pipe,
+    and for a regular file min(CFB_THREADS, blocks) contiguous runs of
+    blocks.  Each share's blocks, then its line and data row counts and
+    the fault it stopped at, come back in order through _fork.in_order:
+    this process parses the first share and a worker each other, which
+    opens path again and checks that it is the same file.  So the blocks
+    are yielded in file order, each as the one-process reader makes it.
+    Every line must be UTF-8, a comment too, and a data row must hold a
+    number in each column read: with all columns read, one number per
+    column of the header.  Otherwise ValueError names path and the first
+    line at fault, a data row by its data row number and any other line
+    by its line number, each counted from 1; every share counts from its
+    own start and this process adds the lines and data rows before it,
+    so the message is the one-process reader's.
     """
-    import pickle
-
     import numpy as np
 
-    from ._fork import Forked
+    from ._fork import in_order
 
     def parse(lines, columns):
         with warnings.catch_warnings():
@@ -486,7 +500,7 @@ def _csv_blocks(path, pick):
             if message is not None:
                 raise _Fault("data row " if text else "line ", row if text else line_no, message, bool(text))
 
-    def blocks(f, counts, stop=None):
+    def blocks(f, counts, stop):
         """The blocks of f's lines up to byte stop (a block start) or the end, which
         follow counts = [lines, data rows], kept up to date."""
         while (stop is None or f.tell() < stop) and (lines := f.readlines(_CHARS_PER_READ)):
@@ -505,19 +519,20 @@ def _csv_blocks(path, pick):
             if len(block):
                 yield block
 
-    def work(k, out):
-        # a description of its own, so that its position is not the caller's
-        with open(path, "rb") as share:
-            if not os.path.samestat(os.fstat(share.fileno()), os.fstat(f.fileno())):
-                raise ValueError(f"{path}: replaced while it was read")
-            share.seek(shares[k][0])
-            counts, fault = [0, 0], None
+    def produce(k):
+        """The blocks of share k, then ([lines, data rows] from its start, the _Fault it
+        stopped at or None); share 0 read from f, any other from a description of its own."""
+        counts, fault = [0, 0], None
+        with open(path, "rb") if k else nullcontext(f) as share:
+            if k:
+                if not os.path.samestat(os.fstat(share.fileno()), os.fstat(f.fileno())):
+                    raise ValueError(f"{path}: replaced while it was read")
+                share.seek(shares[k][0])
             try:
-                for block in blocks(share, counts, shares[k][1]):
-                    pickle.dump(block, out)
+                yield from blocks(share, counts, shares[k][1])
             except _Fault as e:
                 fault = e
-        pickle.dump((counts, fault), out)
+        yield counts, fault
 
     seen = 0
     with open(path, "rb") as f:
@@ -534,22 +549,17 @@ def _csv_blocks(path, pick):
             usecols = pick(header)
             width = len(header) if usecols is None else len(usecols)
             shares = _read_shares(f)
-            if len(shares) < 2:
-                yield from blocks(f, [seen, 0])
-                return
-            with Forked("CSV reader", work, range(len(shares))) as forked:
-                counts = [seen, 0]
-                yield from blocks(f, counts, shares[0][1])
-                for k in range(1, len(shares)):
-                    out = forked.result(k)
-                    while isinstance(item := pickle.load(out), np.ndarray):
-                        yield item
-                    (lines, rows), fault = item
-                    if fault is not None:
-                        prefix, number, suffix, row = fault.args
-                        raise _Fault(prefix, number + counts[1 if row else 0], suffix, row)
-                    counts[0] += lines
-                    counts[1] += rows
+            counts = [seen, 0]
+            for item in in_order("CSV reader", produce, range(len(shares))):
+                if isinstance(item, np.ndarray):
+                    yield item
+                    continue
+                (lines, rows), fault = item
+                if fault is not None:
+                    prefix, number, suffix, row = fault.args
+                    raise _Fault(prefix, number + counts[1 if row else 0], suffix, row)
+                counts[0] += lines
+                counts[1] += rows
         except _Fault as e:
             prefix, number, suffix, _ = e.args
             raise ValueError(f"{path}: {prefix}{number}{suffix}") from None
@@ -557,14 +567,15 @@ def _csv_blocks(path, pick):
 
 def _read_shares(f):
     """[(start, stop)] byte ranges of the shares of the rest of f, stop None
-    for the last: min(CFB_THREADS, read blocks) runs of whole read blocks,
-    at the block starts where the one-process reader's f.readlines(
-    _CHARS_PER_READ) starts one.  [] for no regular file."""
-    from ._fork import worker_count
+    for the last: min(CFB_THREADS, read blocks) runs of whole read blocks
+    (_fork.contiguous), at the block starts where the one-process
+    reader's f.readlines(_CHARS_PER_READ) starts one.  One share, the
+    rest of f, for no regular file."""
+    from ._fork import contiguous, worker_count
 
     size = os.fstat(f.fileno())
     if not S_ISREG(size.st_mode):
-        return []
+        return [(None, None)]
     size, workers = size.st_size, worker_count()
     starts = [f.tell()]
     # readlines(hint) stops after the line that holds the block's byte hint
@@ -575,8 +586,8 @@ def _read_shares(f):
     if starts[-1] >= size and len(starts) > 1:
         starts.pop()
     f.seek(starts[0])
-    cuts = [starts[k * len(starts) // min(workers, len(starts))] for k in range(min(workers, len(starts)))]
-    return list(zip(cuts, cuts[1:] + [None]))
+    bounds = starts + [None]
+    return [(bounds[r.start], bounds[r.stop]) for r in contiguous(len(starts), workers)]
 
 
 def _read_column(path, name):
@@ -824,64 +835,49 @@ def _cmd_rho_sweep(args, cfg) -> int:
 def _cmd_match_compare(args, cfg) -> int:
     """The sweep's rows, written by min(CFB_THREADS, sweep blocks) processes.
 
-    The grid's blocks are split into contiguous shares, one per worker
-    (_fork.Forked); each worker sweeps and formats its own cells and
-    writes their text, then its abs_diff and undefined columns, to its
-    file.  This process writes the header and its own share into the
-    output's temporary file, then each worker's text in order.  The
-    histogram and the summary come from the whole abs_diff and undefined
-    columns, so no process holds the others.  a and b are multiples of
-    the grid step, formatted by lookup in a table of i * step for every i.
+    The grid's blocks are cut into contiguous shares (_fork.contiguous).
+    Each share's sweep blocks come back in order through _fork.in_order
+    as (text, abs_diff, undefined), swept and formatted by this process
+    for the first share and by a worker for each other.  This process
+    writes the texts into the output's temporary file and copies the
+    columns into whole abs_diff and undefined columns, from which the
+    histogram and the summary come.  a and b are multiples of the grid
+    step, formatted by lookup in a table of i * step for every i.
     """
     import numpy as np
 
-    from ._fork import Forked, worker_count
-    from .matched_pairs import _CELLS_PER_BLOCK, _diff_histogram, _grid, _sweep
+    from ._fork import contiguous, in_order, worker_count
+    from .matched_pairs import _CELLS_PER_BLOCK, DIFF_HIST_BINS, DIFF_HIST_RANGE, _grid, _sweep
 
     _keep_freed_memory()
     grid = _grid(args.step, (args.coeff_min, args.coeff_max), args.seed)
     n = grid.cells
-    blocks = -(-n // _CELLS_PER_BLOCK)
-    workers = min(worker_count(), blocks)
-    shares = [range(min(k * blocks // workers * _CELLS_PER_BLOCK, n),
-                    min((k + 1) * blocks // workers * _CELLS_PER_BLOCK, n)) for k in range(workers)]
+    shares = [range(min(r.start * _CELLS_PER_BLOCK, n), min(r.stop * _CELLS_PER_BLOCK, n))
+              for r in contiguous(-(-n // _CELLS_PER_BLOCK), worker_count())]
     steps = np.array(["%.10g" % v for v in (np.arange(grid.inv + 1) * grid.step).tolist()], "S")
+    abs_diff, undefined = np.empty(n), np.empty(n, bool)
 
-    def share_rows(cells, abs_diff, undefined):
-        """Text of the rows of cells, a block at a time, filling abs_diff and undefined."""
+    def produce(cells):
         text = _RowText()
-        for start, i, j, columns in _sweep(grid, cells):
-            done = slice(start - cells.start, start - cells.start + len(i))
-            abs_diff[done], undefined[done] = columns[-2:]
-            yield text.rows([steps[i], steps[j], *columns[2:]])
+        for _, i, j, columns in _sweep(grid, cells):
+            yield text.rows([steps[i], steps[j], *columns[2:]]), *columns[-2:]
+
+    def rows():
+        done = 0
+        for text, diff, flag in in_order("match-compare", produce, shares):
+            cells = slice(done, done + len(diff))
+            abs_diff[cells], undefined[cells] = diff, flag
+            done = cells.stop
+            del diff, flag
+            yield text
+            del text  # no block is held while the next one is made
             yield b"\n"
 
-    def work(cells, out):
-        abs_diff, undefined = np.empty(len(cells)), np.empty(len(cells), bool)
-        out.seek(abs_diff.nbytes + undefined.nbytes)
-        out.writelines(share_rows(cells, abs_diff, undefined))
-        out.seek(0)
-        out.write(abs_diff.data)
-        out.write(undefined.data)
-
-    with Forked("match-compare", work, shares) as forked:
-        abs_diff, undefined = np.empty(n), np.empty(n, bool)
-
-        def rows():
-            yield from share_rows(shares[0], abs_diff, undefined)
-            for k, cells in enumerate(shares[1:], 1):
-                out = forked.result(k)
-                out.readinto(abs_diff[cells.start:cells.stop])
-                out.readinto(undefined[cells.start:cells.stop])
-                while block := out.read(_CHARS_PER_READ):
-                    yield block
-
-        _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], blocks=rows())
-
-    counts, edges = _diff_histogram(abs_diff, undefined)
-    _emit(args.hist_out, cfg, _bin_lines(edges, counts))
+    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], blocks=rows())
 
     diffs = abs_diff[~undefined]
+    _emit(args.hist_out, cfg, _hist_lines(diffs, DIFF_HIST_BINS, *DIFF_HIST_RANGE))
+
     if diffs.size:
         share = float((diffs < 0.05).sum()) / diffs.size
         dmax = float(diffs.max())
@@ -901,7 +897,9 @@ def _cmd_hist(args, cfg) -> int:
 
     _keep_freed_memory()
     vals = _read_column(args.inp, args.col)
+    nan = vals.size
     vals = vals[~np.isnan(vals)]
+    nan -= vals.size
     if not vals.size:
         raise ValueError(f"{args.inp}: column {args.col!r} has no usable values")
     lo = args.lo if args.lo is not None else min(vals.tolist())
@@ -915,8 +913,7 @@ def _cmd_hist(args, cfg) -> int:
         raise ValueError(f"histogram range [{_fmt(lo)}, {_fmt(hi)}] is too narrow for {args.bins} bins: "
                          f"hi - lo = {_fmt(hi - lo)} gives no {args.bins + 1} distinct edges; "
                          f"widen --lo and --hi or lower --bins")
-    counts, edges = np.histogram(vals, bins=args.bins, range=(lo, hi))
-    _emit(args.out, cfg, _bin_lines(edges, counts))
+    _emit(args.out, cfg, _hist_lines(vals, args.bins, lo, hi, nan))
     return 0
 
 

@@ -283,13 +283,6 @@ def _sweep(grid, cells):
         yield start, i, j, (a, b, *coeffs, cfb_x, cfb_h, np.abs(cfb_x - cfb_h), undefined)
 
 
-def _diff_histogram(abs_diff, undefined):
-    """(counts, edges) of abs_diff over the defined cells, on DIFF_HIST_RANGE in DIFF_HIST_BINS bins."""
-    import numpy as np
-
-    return np.histogram(abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE)
-
-
 def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed: int = 20230516):
     """Sweep covariate-mass cells with random logistic coefficients.
 
@@ -318,7 +311,7 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
             col[start:start + len(values)] = values
     a, b, beta0, betax, betat, betaxt, cfb_x, cfb_h, abs_diff, undefined = columns
 
-    counts, edges = _diff_histogram(abs_diff, undefined)
+    counts, edges = np.histogram(abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE)
     return MatchingExperimentResult(
         a=a, b=b, beta0=beta0, betax=betax, betat=betat, betaxt=betaxt,
         cfb_covariate=cfb_x, cfb_prediction=cfb_h,

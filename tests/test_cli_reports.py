@@ -929,6 +929,42 @@ def test_hist_subcommand(tmp_path, capsys):
     assert lines[1].endswith(",3") and lines[2].endswith(",1")
 
 
+@pytest.mark.parametrize("values, note", [
+    ("0.1 nan 0.3 2", "# unbinned: 0 below 0, 1 above 1, 1 nan"),
+    ("-0.5 0.1 0.3 nan nan", "# unbinned: 1 below 0, 0 above 1, 2 nan"),
+])
+def test_hist_counts_the_values_it_leaves_out(tmp_path, capsys, values, note):
+    """Values outside --lo and --hi and NaN fall in no bin: one `#` line after the
+    header lines and before the column line says how many."""
+    src = tmp_path / "vals.csv"
+    src.write_text("v\n" + "".join(f"{v}\n" for v in values.split()))
+    assert run(["hist", "--in", str(src), "--col", "v", "--bins", "2", "--lo", "0", "--hi", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [note, "bin_left,bin_right,count", "0,0.5,2", "0.5,1,0"]
+    assert lines[0].startswith("# cfb ") and lines[1].startswith("# hist ")
+
+
+def test_hist_writes_no_note_when_it_bins_every_value(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    src.write_text("v\n0\n0.5\n1\n")
+    assert run(["hist", "--in", str(src), "--col", "v", "--bins", "2", "--lo", "0", "--hi", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["bin_left,bin_right,count", "0,0.5,1", "0.5,1,2"]
+
+
+def test_match_compare_histogram_counts_a_difference_above_its_range(tmp_path, capsys):
+    """36 cells with coefficients in [-20, 20] at seed 0: one defined cell's
+    abs_diff (0.2787) lies above DIFF_HIST_RANGE's 0.25, so fig2_hist.csv bins
+    35 and says so."""
+    out, hist = tmp_path / "diffs.csv", tmp_path / "hist.csv"
+    assert run(["match-compare", "--step", "0.1", "--coeff-min", "-20", "--coeff-max", "20",
+                "--seed", "0", "--out", str(out), "--hist-out", str(hist)]) == 0
+    stdout = capsys.readouterr().out
+    assert "cells,36\ndefined,36\n" in stdout and "max_abs_diff,0.2786715784" in stdout
+    lines = hist.read_text().splitlines()
+    assert lines[2:4] == ["# unbinned: 0 below 0, 1 above 0.25, 0 nan", "bin_left,bin_right,count"]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in lines[4:]) == 35
+
+
 def test_hist_missing_column(tmp_path, capsys):
     src = tmp_path / "vals.csv"
     src.write_text("name,score\na,1\n")
@@ -992,8 +1028,8 @@ def test_hist_rejects_a_range_whose_width_overflows(tmp_path, capsys, text, flag
 def hist_counts(src, capsys, *extra):
     assert run(["hist", "--in", str(src), "--col", "score", "--bins", "2",
                 "--lo", "0", "--hi", "10", *extra]) == 0
-    out = capsys.readouterr().out
-    return [int(l.split(",")[2]) for l in out.splitlines()[3:]]
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    return [int(l.split(",")[2]) for l in lines[1:]]
 
 
 def test_hist_rejects_a_non_numeric_field(tmp_path, capsys):

@@ -1,10 +1,15 @@
-"""tools/rusage.py, the per-command child rusage table, on its cheapest command."""
+"""tools/rusage.py, the per-command child rusage table, on its cheapest command,
+and how it and tools/compare.py end on SIGTERM."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,3 +83,31 @@ def test_rusage_tool_runs_its_children_with_one_blas_thread(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert list(json.loads(proc.stdout)["commands"]) == ["allpairs"]
+
+
+@pytest.mark.parametrize("tool, started", [
+    (["rusage.py", "--parent", str(ROOT), "--change", str(ROOT), "--passes", "50", "--commands", "search"],
+     "*/*/search.out"),
+    (["compare.py", "--parent", "HEAD", "--change", "HEAD", "--pairs", "1", "--seeds", "1",
+      "--workloads", "census", "--out", "bench.json"], "compare-*/change/bench"),
+])
+def test_sigterm_removes_the_temporary_directory(tmp_path, tool, started):
+    """A run terminated once its first command is under way exits 143, having
+    killed that command and removed its temporary directory."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / tool[0]), *tool[1:]], cwd=tmp_path,
+                            env=dict(os.environ, TMPDIR=str(scratch)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(scratch.glob(started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert list(scratch.glob(started)), "the run did not start"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(scratch.iterdir()) == []

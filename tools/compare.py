@@ -18,7 +18,8 @@ it is odd, and pair i of every cell runs before pair i + 1 of any, so
 drift over the session falls on every cell alike.  A run that exits
 non-zero or does not read `correct: true` is kept as a failed run: it
 gives no metric, and a pair holding one is no win for the change.  The
-output file is rewritten after every round of pairs.
+output file is rewritten after every round of pairs.  Each run is a
+session of its own; SIGTERM or Ctrl-C kills it and removes both trees.
 
 For each cell and end-to-end metric the output holds each side's median
 and inclusive quartiles, the pairs the change won (ties count for
@@ -100,10 +101,12 @@ def parse_run(exit_code, stdout):
 def run_one(tree, workload, seed, seconds):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0",
             "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    record, facts = parse_run(proc.returncode, proc.stdout)
+    proc = subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    stdout, stderr = rusage.wait_or_kill(proc, proc.communicate)
+    record, facts = parse_run(proc.returncode, stdout)
     if not record["ok"]:
-        record["stderr_tail"] = proc.stderr[-2000:]
+        record["stderr_tail"] = stderr[-2000:]
     return record, facts
 
 
@@ -206,6 +209,7 @@ def main(argv=None):
     parser.add_argument("--rusage", help="comma-separated tools/rusage.py labels to measure on both trees")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    rusage.exit_on_sigterm()
     if args.pairs < 1:
         parser.error("--pairs must be positive")
     seeds = [int(s) for s in args.seeds.split(",")]

@@ -22,7 +22,9 @@ less CPU and less memory.  A ru_maxrss move smaller than the spread of
 either side's quartiles is not a move the tool can tell from noise.
 The runner imports only the standard library and never reads what the
 commands write, so a child's ru_maxrss, which counts the memory it was
-forked from, is the command's own and not the runner's.
+forked from, is the command's own and not the runner's.  Each command
+runs in a session of its own; SIGTERM or Ctrl-C kills it and its worker
+processes and removes the work directories.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -75,13 +78,32 @@ def selected(names):
     return [name for name in COMMANDS if name in keep]
 
 
+def exit_on_sigterm():
+    """Have SIGTERM raise SystemExit, so that the temporary directories are removed."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
+def wait_or_kill(proc, wait):
+    """wait(), for proc started in a session of its own; if that raises (SystemExit
+    from SIGTERM, KeyboardInterrupt), kill every process of the session first."""
+    try:
+        return wait()
+    except BaseException:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the session has ended already
+            pass
+        proc.wait()
+        raise
+
+
 def run_one(label, argv, workdir, env):
     """Run one command to its end; returns its measures, or exits if it failed."""
     with open(workdir / f"{label}.out", "wb") as out, open(workdir / f"{label}.err", "wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env,
-                                stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
+                                stdout=out, stderr=err, start_new_session=True)
+        _, status, usage = wait_or_kill(proc, lambda: os.wait4(proc.pid, 0))
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
@@ -146,6 +168,7 @@ def main(argv=None):
     parser.add_argument("--commands", default=",".join(COMMANDS),
                         help="comma-separated labels; the commands they read from run too")
     args = parser.parse_args(argv)
+    exit_on_sigterm()
     if args.passes < 1:
         parser.error("--passes must be positive")
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
