@@ -6,7 +6,7 @@ in the calling process and each other share's in a process forked for
 it, which pickles them into a temporary file (standard library only).
 The Monte Carlo route yields count tuples, match-compare its formatted
 sweep blocks and the CSV reader its parsed blocks.  contiguous is the
-one rule by which match-compare and the reader cut their work.
+one rule by which all three cut their work.
 
 Processes are started with os.fork, not a spawn pool: a spawned worker
 would import numpy and cfb again, and the command line's process has one

@@ -544,13 +544,13 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     Generator.beta draws unless a draw that moved by a few ULP crosses a
     benefit threshold or swaps the order of two predictor values.
 
-    The chunks are dealt to w = min(CFB_THREADS, chunks) workers: worker
-    i scores chunks i, i + w, ... one at a time (_score_shares).  Worker 0
-    is the calling process; each other worker is a process forked for
-    the call, whose summed counts come back through _fork.in_order.  So each
-    process holds one covariate column and one scratch set at a time,
-    whatever CFB_THREADS is, and a run of one chunk (n <= 10**6) runs in
-    the calling process alone.
+    The chunks are cut into w = min(CFB_THREADS, chunks) contiguous runs
+    (_fork.contiguous), and worker k scores run k one chunk at a time
+    (_score_shares).  Worker 0 is the calling process; each other worker
+    is a process forked for the call, whose summed counts come back
+    through _fork.in_order.  So each process holds one covariate column
+    and one scratch set at a time, whatever CFB_THREADS is, and a run of
+    one chunk (n <= 10**6) runs in the calling process alone.
 
     All pairs are counted exactly, not compared one by one: the predictor
     values of each benefit level (-1, 0, 1) are sorted once, and one sorted
@@ -585,13 +585,13 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         b, h = _units(pop, (x, rng.random(out=scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
-        from ._fork import worker_count
+        from ._fork import contiguous, worker_count
 
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         chunks = list(zip(np.random.SeedSequence(seed).spawn(n_chunks), sizes))
-        workers = min(worker_count(), n_chunks)
-        conc, tied, valid = _score_shares(pop, [chunks[i::workers] for i in range(workers)])
+        shares = contiguous(n_chunks, worker_count())
+        conc, tied, valid = _score_shares(pop, [chunks[r.start:r.stop] for r in shares])
 
     if valid == 0:
         raise UndefinedCfb("no sampled pair disagrees in realized benefit")

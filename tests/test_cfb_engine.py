@@ -528,8 +528,8 @@ def test_worker_count_is_capped_at_64(monkeypatch, value):
 
 def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
     """CFB_THREADS set to the CPU count of a 128-CPU machine, as a benchmark
-    harness sets it, over more chunks than that: 64 shares, chunk j in share
-    j % 64, and the counts of one worker.  With os.fork removed the calling
+    harness sets it, over more chunks than that: 64 contiguous shares, share
+    k from chunk k * 130 // 64, and the counts of one worker.  With os.fork removed the calling
     process scores every share itself, so the test starts no process."""
     monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 500)
     monkeypatch.setenv("CFB_THREADS", "1")
@@ -545,7 +545,7 @@ def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
         return score_share(pop, share)
     monkeypatch.setattr(cfb_engine, "_score_share", recorded)
     assert cfb_monte_carlo(BETA_POP, 65_000, 3) == want
-    assert shares == [list(range(i, 130, 64)) for i in range(64)]
+    assert shares == [list(range(k * 130 // 64, (k + 1) * 130 // 64)) for k in range(64)]
 
 
 # repr(cfb_monte_carlo(BetaXPopulation(a, b, BETA_T0, BETA_T1), 2_500_000, seed)),
@@ -703,8 +703,9 @@ def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
 
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_monte_carlo_counts_do_not_depend_on_the_worker_count(case, monkeypatch):
-    """Five chunks, the last one short, dealt to 1-4 workers, so that the
-    shares are uneven (chunks 0 and 3, 1 and 4, and 2 on three workers):
+    """Five chunks, the last one short, cut into contiguous runs for 1-4
+    workers, so that the shares are uneven (chunk 0, chunks 1 and 2, and
+    chunks 3 and 4 on three workers):
     the caller forks one process per other worker at every shape, and the
     estimate is the one the whole-column oracle's counts give."""
     pop = CHUNK_CASES[case]
@@ -725,12 +726,12 @@ def test_monte_carlo_counts_do_not_depend_on_the_worker_count(case, monkeypatch)
         monkeypatch.setenv("CFB_THREADS", str(workers))
         forked.clear()
         assert cfb_monte_carlo(pop, sum(sizes), 20230516) == want, workers
-        assert forked == [list(range(i, 5, workers)) for i in range(1, workers)]
+        assert forked == [list(range(k * 5 // workers, (k + 1) * 5 // workers)) for k in range(1, workers)]
 
 
 def test_each_worker_scores_whole_chunks_in_a_process_of_its_own(tmp_path, monkeypatch):
-    """Five chunks at CFB_THREADS=2: the calling process scores chunks 0, 2
-    and 4 and one forked process chunks 1 and 3, each chunk whole."""
+    """Five chunks at CFB_THREADS=2: the calling process scores chunks 0 and
+    1 and one forked process chunks 2, 3 and 4, each chunk whole."""
     monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 2000)
     monkeypatch.setenv("CFB_THREADS", "2")
     log = tmp_path / "chunks"
@@ -746,8 +747,8 @@ def test_each_worker_scores_whole_chunks_in_a_process_of_its_own(tmp_path, monke
     for line in log.read_text().splitlines():
         pid, chunk, m = map(int, line.split())
         scored.setdefault(pid, []).append((chunk, m))
-    assert scored.pop(os.getpid()) == [(0, 2000), (2, 2000), (4, 1000)]
-    assert list(scored.values()) == [[(1, 2000), (3, 2000)]]
+    assert scored.pop(os.getpid()) == [(0, 2000), (1, 2000)]
+    assert list(scored.values()) == [[(2, 2000), (3, 2000), (4, 1000)]]
 
 
 def _failing_in_worker(monkeypatch, chunk, fail):

@@ -6,6 +6,7 @@ of the entry points: the installed console script and `python -m cfb`.
 
 import argparse
 import builtins
+import csv
 import math
 import os
 import shutil
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from oracles import benefit_triple_from_outcome_probs
-from cfb import BetaXPopulation, RunConfig, cfb_monte_carlo, cli_reports, run, screen_improper_set
+from cfb import BetaXPopulation, RunConfig, _csv, cfb_monte_carlo, cli_reports, run, screen_improper_set
+from cfb._csv import _read_improper_csv, row_blocks
 from cfb.cli_reports import (
     IMPROPER_COLUMNS,
     MATCH_COLUMNS,
@@ -31,7 +33,6 @@ from cfb.cli_reports import (
     _fmt,
     _RhoRangeArg,
     _TripleArg,
-    _read_improper_csv,
 )
 
 EVAL_ARGS = ["eval-discrete", "--c", "0.5",
@@ -283,6 +284,21 @@ def test_search_files_are_consistent(small_search):
         assert vals[6] <= 0.5
 
 
+
+@pytest.mark.parametrize("c", ["0.05", "0.3", "0.4142", "0.7", "0.95"])
+def test_search_histogram_bins_every_survivor(tmp_path, capsys, c):
+    """At the README's step 0.01 and high-level masses from near 0 to near 1, every
+    survivor's statistic lies in fig1_hist.csv's range [0.41, 0.5]: the counts sum
+    to `count`, and there is no `#` line past the two header lines."""
+    hist = tmp_path / "fig1_hist.csv"
+    assert run(["search", "--c", c, "--out", os.devnull, "--hist-out", str(hist)]) == 0
+    stdout = capsys.readouterr().out
+    count = int(next(l for l in stdout.splitlines() if l.startswith("count,")).split(",")[1])
+    comments, _, rows = read_rows(hist)
+    assert count > 0 and sum(int(r.split(",")[2]) for r in rows) == count
+    assert len(comments) == 2
+
+
 def test_search_rerun_is_byte_identical(small_search):
     argv, out, hist, _ = small_search
     first = out.read_bytes()
@@ -366,7 +382,7 @@ def test_read_improper_csv_across_block_edges(small_search, tmp_path, monkeypatc
     noisy.append(rows[-1])
     noisy_path = tmp_path / "noisy.csv"
     noisy_path.write_text("".join(noisy))
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 100)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", 100)
     assert_same_findings(_read_improper_csv(str(noisy_path)), want)
     assert_same_findings(_read_improper_csv(str(out)), want)
 
@@ -380,7 +396,7 @@ def test_read_improper_csv_hands_numpy_one_block_at_a_time(small_search, tmp_pat
     big = tmp_path / "big.csv"
     big.write_text(columns + "\n" + "".join(row + "\n" for row in rows) * 50)
     size = big.stat().st_size
-    assert size > 3 * cli_reports._CHARS_PER_READ
+    assert size > 3 * _csv._CHARS_PER_READ
     calls = []
     loadtxt = np.loadtxt
 
@@ -392,7 +408,7 @@ def test_read_improper_csv_hands_numpy_one_block_at_a_time(small_search, tmp_pat
     found = _read_improper_csv(str(big))
     assert len(found) == 50 * len(rows)
     assert len(calls) >= 3
-    assert max(calls) < cli_reports._CHARS_PER_READ + 100
+    assert max(calls) < _csv._CHARS_PER_READ + 100
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -412,7 +428,7 @@ def test_screen_cf_rejects_a_bad_row_in_a_later_block(small_search, tmp_path, ca
     rows[k] = bad
     src = tmp_path / "in.csv"
     src.write_text("# cfb 0.1.0\n" + columns + "\n# note\n\n" + "".join(row + "\n" for row in rows))
-    assert src.stat().st_size > 3 * cli_reports._CHARS_PER_READ
+    assert src.stat().st_size > 3 * _csv._CHARS_PER_READ
     real, fig6 = tmp_path / "real.csv", tmp_path / "fig6.csv"
     assert run(["screen-cf", "--in", str(src), "--out", str(real), "--hist-out", str(fig6)]) == 2
     captured = capsys.readouterr()
@@ -553,11 +569,11 @@ def test_emit_replaces_the_file_atomically(tmp_path):
     # the writer rejects the object column after the header is written
     rows = (np.arange(3.0), np.array(["x", "y", "z"], dtype=object))
     with pytest.raises(TypeError):
-        _emit(str(out), cfg, ["a,b"], rows)
+        _emit(str(out), cfg, ["a,b"], row_blocks(rows))
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    _emit(str(out), cfg, ["a,b"], (rows[0], np.array([b"x", b"y", b"z"])))
+    _emit(str(out), cfg, ["a,b"], row_blocks((rows[0], np.array([b"x", b"y", b"z"]))))
     assert out.read_text() == "# cfb 0.1.0\n# test\na,b\n0,x\n1,y\n2,z\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -569,7 +585,7 @@ def test_emit_writes_a_pipe_in_place(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
     reader.start()
-    _emit(str(fifo), RunConfig("test", ()), ["a"], (np.arange(2),))
+    _emit(str(fifo), RunConfig("test", ()), ["a"], row_blocks((np.arange(2),)))
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == ["# cfb 0.1.0\n# test\na\n0\n1\n"]
@@ -619,7 +635,7 @@ def test_hist_reads_a_pipe(tmp_path, capsys):
 def test_screen_cf_reads_a_pipe(small_search, tmp_path, monkeypatch, capsys):
     """improper.csv streamed through a pipe, in many small read blocks, screens as the file does."""
     _, improper, _, _ = small_search
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 1000)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", 1000)
 
     def argv(path, tag):
         return ["screen-cf", "--in", path, "--out", str(tmp_path / f"{tag}.csv"),
@@ -951,6 +967,43 @@ def test_hist_writes_no_note_when_it_bins_every_value(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2:] == ["bin_left,bin_right,count", "0,0.5,1", "0.5,1,2"]
 
 
+
+@pytest.mark.parametrize("values, note", [
+    ("0.0 -0.0 1 nan", "0 below 0, 0 above 1"),
+    ("-0.0 0.0 1 nan", "0 below -0, 0 above 1"),
+    ("-1 0.0 -0.0 nan", "0 below -1, 0 above 0"),
+    ("-1 -0.0 0.0 nan", "0 below -1, 0 above -0"),
+])
+def test_hist_range_takes_the_first_of_two_signed_zeros(tmp_path, capsys, values, note):
+    """A column whose minimum or maximum is held by both 0.0 and -0.0 takes the
+    sign of the first, as Python's min() and max() do; the NaN makes the
+    `# unbinned` line print the range."""
+    src = tmp_path / "vals.csv"
+    src.write_text("v\n" + "".join(f"{v}\n" for v in values.split()))
+    assert run(["hist", "--in", str(src), "--col", "v", "--bins", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == f"# unbinned: {note}, 1 nan"
+
+
+def test_hist_automatic_range_is_the_columns_minimum_and_maximum(tmp_path, capsys):
+    """Without --lo and --hi, hist of match_diffs.csv's abs_diff writes what it writes
+    with them set to the column's minimum and maximum, read here by the csv module."""
+    diffs = tmp_path / "match_diffs.csv"
+    assert run(["match-compare", "--step", "0.02", "--out", str(diffs),
+                "--hist-out", str(tmp_path / "fig2_hist.csv")]) == 0
+    with open(diffs) as f:
+        rows = csv.DictReader(line for line in f if not line.startswith("#"))
+        values = [v for v in (float(row["abs_diff"]) for row in rows) if not math.isnan(v)]
+    argv = ["hist", "--in", str(diffs), "--col", "abs_diff", "--bins", "50"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    auto = capsys.readouterr().out.splitlines()
+    assert run(argv + ["--lo", repr(min(values)), "--hi", repr(max(values))]) == 0
+    explicit = capsys.readouterr().out.splitlines()
+    assert auto[1].endswith(" lo=auto hi=auto out=-") and auto[2:] == explicit[2:]
+    bins = [line for line in auto if not line.startswith("#")][1:]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in bins) == len(values)
+
+
 def test_match_compare_histogram_counts_a_difference_above_its_range(tmp_path, capsys):
     """36 cells with coefficients in [-20, 20] at seed 0: one defined cell's
     abs_diff (0.2787) lies above DIFF_HIST_RANGE's 0.25, so fig2_hist.csv bins
@@ -1114,7 +1167,7 @@ def test_both_readers_name_a_byte_that_is_no_utf8_blocks_in(tmp_path, monkeypatc
                                                            bad, where):
     """One rule for both commands: a byte that is no UTF-8 anywhere, in a comment too,
     exits 2 naming its line or data row, however many read blocks come before it."""
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", 100)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", 100)
     lines = [b"# cfb 0.1.0", IMPROPER_HEADER] + ([IMPROPER_ROW] * 10 + [b"# note", b""]) * 3
     lines += [bad] + [IMPROPER_ROW] * 5
     src = tmp_path / "in.csv"

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfb import RunConfig, cli_reports, matched_pairs, run
-from cfb.cli_reports import _emit, _read_column
+from cfb import RunConfig, _csv, matched_pairs, run
+from cfb._csv import _read_column, row_blocks
+from cfb.cli_reports import _emit
 
 
 def assert_no_child():
@@ -102,7 +103,7 @@ def test_a_failed_reader_worker_leaves_the_output_and_no_child(samples, tmp_path
                                                                command, sample, fail, report):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CFB_THREADS", "2")
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", SMALL_BLOCK)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", SMALL_BLOCK)
     (tmp_path / "in.csv").write_bytes(samples[sample])
     (tmp_path / "out.csv").write_text("previous\n")
     monkeypatch.setattr(np, "loadtxt", failing_in_worker(np.loadtxt, fail))
@@ -188,7 +189,7 @@ def test_split_reader_fuzz_equals_one_process(samples, tmp_path, monkeypatch, ca
     through a pipe: the same exit code, output and message in every mode, one
     `cfb:` line naming the file for a bad data row, no output file after a
     failure, no temporary file and no child process after any run."""
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", SMALL_BLOCK)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", SMALL_BLOCK)
     data = samples[sample]
     for mutation in mutations:
         data = mutate(data, *mutation)
@@ -221,7 +222,7 @@ def test_split_reader_names_a_late_fault_as_one_process_does(samples, tmp_path, 
     """A bad line in the last share, after 3 header lines and 221 data rows: a
     worker numbers it from its share's start, and the caller adds the lines
     and data rows of the shares before it."""
-    monkeypatch.setattr(cli_reports, "_CHARS_PER_READ", SMALL_BLOCK)
+    monkeypatch.setattr(_csv, "_CHARS_PER_READ", SMALL_BLOCK)
     lines = samples["match"].split(b"\n")
     bad = b"\n".join(lines[:-30] + [damage] + lines[-30:])
     results = [run_in(tmp_path / mode, command_argv("hist", "match"), bad, mode, monkeypatch, capsys)
@@ -259,8 +260,8 @@ def test_written_columns_read_back_bit_for_bit(tmp_path, monkeypatch, seed):
     columns = {"x": special_floats(n, rng), "n": rng.integers(-10 ** 12, 10 ** 12, size=n),
                "flag": rng.random(n) < 0.5}
     path = tmp_path / "rows.csv"
-    _emit(str(path), RunConfig("test", ()), [",".join(columns)], tuple(columns.values()))
-    assert path.stat().st_size > 4 * cli_reports._CHARS_PER_READ
+    _emit(str(path), RunConfig("test", ()), [",".join(columns)], row_blocks(tuple(columns.values())))
+    assert path.stat().st_size > 4 * _csv._CHARS_PER_READ
     want = {"x": [float("%.10g" % v) for v in columns["x"].tolist()],
             "n": [float(v) for v in columns["n"].tolist()],
             "flag": [float(v) for v in columns["flag"].tolist()]}

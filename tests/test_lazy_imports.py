@@ -4,7 +4,9 @@
 still resolves to its defining module's object.  `eval-discrete` and
 `rho-sweep` are scalar arithmetic and run without numpy, so the pieces
 of the CLI they use (the `--rho` points, the number formatter) are pure
-Python and are pinned here to the numpy results they replace.
+Python and are pinned here to the numpy results they replace.  Each
+subcommand loads only the cfb modules it runs: cfb._csv, the CSV row text
+and reader, only where rows are read or written.
 """
 
 import math
@@ -52,6 +54,37 @@ def test_scalar_subcommands_leave_numpy_out(tmp_path, argv):
                 "print(code, sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('numpy', 'ctypes', 'concurrent')))", cwd=tmp_path)
     assert out.splitlines()[-1] == "0 []"
+
+
+# every subcommand, in pipeline order, and the cfb modules it loads besides
+# cfb, cfb.cli_reports and cfb.errors
+PIPELINE_MODULES = [
+    (["eval-discrete", "--p", "0.25,0.01,0.74", "--q", "0.14,0.18,0.68"],
+     {"cfb_engine", "population_model"}),
+    (["search", "--step", "0.05"],
+     {"_csv", "_fork", "cfb_engine", "improper_search", "population_model"}),
+    (["screen-cf"],
+     {"_csv", "_fork", "cfb_engine", "counterfactual_screen", "improper_search", "population_model"}),
+    (["beta-mc", "--alpha", "0.5", "--beta", "0.5", "--p", "0.08,0,0.92", "--q", "0,0.15,0.85",
+      "--n", "1000"],
+     {"_fork", "cfb_engine", "improper_search", "population_model"}),
+    (["rho-sweep", "--beta-xt", "1"], {"cfb_engine", "population_model"}),
+    (["match-compare", "--step", "0.05"],
+     {"_csv", "_fork", "cfb_engine", "matched_pairs", "population_model"}),
+    (["hist", "--in", "match_diffs.csv", "--col", "abs_diff"], {"_csv", "_fork"}),
+]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    """Each subcommand through cfb.run in a fresh process, in one directory so that
+    screen-cf and hist read what search and match-compare wrote: the scalar
+    commands and beta-mc never load cfb._csv, hist loads no kernel module, and
+    every other array command loads cfb._csv."""
+    for argv, modules in PIPELINE_MODULES:
+        out = fresh(f"import sys; from cfb import run; code = run({argv!r}); "
+                    "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'cfb'))", cwd=tmp_path)
+        want = sorted({"cfb", "cfb.cli_reports", "cfb.errors"} | {f"cfb.{m}" for m in modules})
+        assert out.splitlines()[-1] == f"0 {want}", argv[0]
 
 
 def test_every_public_name_resolves_to_its_module_object():

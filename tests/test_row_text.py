@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfb import RunConfig
-from cfb.cli_reports import _ROWS_PER_WRITE, _emit, _RowText
+from cfb._csv import _ROWS_PER_WRITE, _RowText, row_blocks
+from cfb.cli_reports import _emit
 
 
 def old_rows(fmt, columns):
@@ -130,7 +131,7 @@ def test_emit_equals_the_old_writer(tmp_path, n):
     columns = (narrow, -narrow, wide, rng.integers(-10 ** 12, 10 ** 12, size=n),
                rng.random(n) < 0.5, np.array([b"0.1,0.2,0.7"] * n))
     path = tmp_path / "rows.csv"
-    _emit(str(path), RunConfig("test", ()), ["a,b,c,d,e,f"], columns)
+    _emit(str(path), RunConfig("test", ()), ["a,b,c,d,e,f"], row_blocks(columns))
     want = "# cfb 0.1.0\n# test\na,b,c,d,e,f\n" + old_rows("%.10g,%.10g,%.10g,%d,%d,%s\n", columns[:5] + (
         np.array(["0.1,0.2,0.7"] * n, dtype=object),))
     assert path.read_text() == want

@@ -48,6 +48,20 @@ def test_rusage_quartiles_are_inclusive():
     assert rusage.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == [2.0, 4.0]
 
 
+def test_rusage_hist_labels_run_after_the_command_they_read():
+    """hist(auto) is hist of match-compare's output without --lo and --hi, so the
+    column's own extremes set its range."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import rusage
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    assert rusage.selected(["hist(auto)"]) == ["match-compare", "hist(auto)"]
+    assert rusage.selected(["hist(auto)", "hist(match)"]) == ["match-compare", "hist(match)", "hist(auto)"]
+    argv = rusage.COMMANDS["hist(auto)"][0]
+    assert argv[argv.index("--in") + 1] == "match_diffs.csv" and "--lo" not in argv and "--hi" not in argv
+
+
 def test_rusage_tool_measures_the_all_pairs_study_on_each_tree(tmp_path):
     """allpairs runs bench/allpairs.py with the tree's src first on PYTHONPATH: a tree whose
     cfb fails to import makes the tool exit naming that tree's work directory."""

@@ -60,6 +60,9 @@ COMMANDS = {
                        "--hist-out", "fig2_hist.csv"], None),
     "hist(match)": ([*CLI, "hist", "--in", "match_diffs.csv", "--col", "abs_diff", "--bins", "50",
                      "--lo", "0", "--hi", "0.25"], "match-compare"),
+    # the range the column gives: the path that finds the column's extremes
+    "hist(auto)": ([*CLI, "hist", "--in", "match_diffs.csv", "--col", "abs_diff", "--bins", "50"],
+                   "match-compare"),
 }
 SIDES = ("parent", "change")
 # the measures whose spread is reported next to their medians
