@@ -15,11 +15,11 @@ UTF-8, a comment too, and `#` starts a comment anywhere in a line.  A
 bad byte or row is named by its line or data row from the counts the
 reader keeps.
 
-The reader, on a regular file, splits its work into CFB_THREADS
-contiguous shares (_fork.contiguous), whose parsed blocks and line
-counts come back in order through _fork.in_order: this process reads
-the first share and a process forked for the call each other's.  So
-every block and every message is the one-process one.
+The reader hands a regular file's read blocks to _fork.in_order, which
+cuts them into runs; each run's parsed blocks and line counts come back
+in order, this process reading the first run and a process forked for
+the call each other.  So every block and every message is the
+one-process one.
 
 Only the handlers that read or write CSV rows (`search`, `screen-cf`,
 `match-compare` and `hist`) import this module, so the scalar commands
@@ -35,7 +35,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-from ._fork import contiguous, in_order, worker_count
+from ._fork import in_order
 from .cli_reports import IMPROPER_COLUMNS, _bin_lines, _fmt
 
 # the "%.10g" spelling of k/100, as the census files give triple entries
@@ -281,18 +281,19 @@ def _csv_blocks(path, pick):
     workers.
 
     path is opened once, in binary, so a pipe reads as a file does.  The
-    rest of the file is cut into shares (_read_shares): one for a pipe,
-    and for a regular file min(CFB_THREADS, blocks) contiguous runs of
-    blocks.  Each share's blocks, then its line and data row counts and
-    the fault it stopped at, come back in order through _fork.in_order:
-    this process parses the first share and a worker each other, which
-    opens path again and checks that it is the same file.  So the blocks
-    are yielded in file order, each as the one-process reader makes it.
+    rest of the file's read blocks (_read_blocks: one for a pipe) go to
+    _fork.in_order, which cuts them into min(CFB_THREADS, blocks)
+    contiguous runs.  Each run's blocks, then its line and data row
+    counts and the fault it stopped at, come back in order: this process
+    parses the first run from the open file and a worker each other,
+    which opens path again and checks that it is the same file.  So the
+    blocks are yielded in file order, each as the one-process reader
+    makes it.
     Every line must be UTF-8, a comment too, and a data row must hold a
     number in each column read: with all columns read, one number per
     column of the header.  Otherwise ValueError names path and the first
     line at fault, a data row by its data row number and any other line
-    by its line number, each counted from 1; every share counts from its
+    by its line number, each counted from 1; every run counts from its
     own start and this process adds the lines and data rows before it,
     so the message is the one-process reader's.
     """
@@ -362,17 +363,19 @@ def _csv_blocks(path, pick):
             if len(block):
                 yield block
 
-    def produce(k):
-        """The blocks of share k, then ([lines, data rows] from its start, the _Fault it
-        stopped at or None); share 0 read from f, any other from a description of its own."""
+    def produce(run):
+        """The blocks of the read blocks in run, then ([lines, data rows] from its start,
+        the _Fault it stopped at or None); the first run read from f, any other from a
+        description of its own."""
         counts, fault = [0, 0], None
-        with open(path, "rb") if k else nullcontext(f) as share:
-            if k:
-                if not os.path.samestat(os.fstat(share.fileno()), os.fstat(f.fileno())):
+        first = run[0] == ranges[0]
+        with nullcontext(f) if first else open(path, "rb") as part:
+            if not first:
+                if not os.path.samestat(os.fstat(part.fileno()), os.fstat(f.fileno())):
                     raise ValueError(f"{path}: replaced while it was read")
-                share.seek(shares[k][0])
+                part.seek(run[0][0])
             try:
-                yield from blocks(share, counts, shares[k][1])
+                yield from blocks(part, counts, run[-1][1])
             except _Fault as e:
                 fault = e
         yield counts, fault
@@ -391,9 +394,9 @@ def _csv_blocks(path, pick):
             header = names.split(",")
             usecols = pick(header)
             width = len(header) if usecols is None else len(usecols)
-            shares = _read_shares(f)
+            ranges = _read_blocks(f)
             counts = [seen, 0]
-            for item in in_order("CSV reader", produce, range(len(shares))):
+            for item in in_order("CSV reader", produce, ranges):
                 if isinstance(item, np.ndarray):
                     yield item
                     continue
@@ -408,27 +411,24 @@ def _csv_blocks(path, pick):
             raise ValueError(f"{path}: {prefix}{number}{suffix}") from None
 
 
-def _read_shares(f):
-    """[(start, stop)] byte ranges of the shares of the rest of f, stop None
-    for the last: min(CFB_THREADS, read blocks) runs of whole read blocks
-    (_fork.contiguous), at the block starts where the one-process
-    reader's f.readlines(_CHARS_PER_READ) starts one.  One share, the
-    rest of f, for no regular file."""
+def _read_blocks(f):
+    """[(start, stop)] byte ranges of the read blocks of the rest of f, stop
+    None for the last, where the one-process reader's
+    f.readlines(_CHARS_PER_READ) starts one; [(None, None)], the rest of
+    f, for no regular file."""
     size = os.fstat(f.fileno())
     if not S_ISREG(size.st_mode):
         return [(None, None)]
-    size, workers = size.st_size, worker_count()
-    starts = [f.tell()]
+    size, starts = size.st_size, [f.tell()]
     # readlines(hint) stops after the line that holds the block's byte hint
-    while workers > 1 and starts[-1] + _CHARS_PER_READ < size:
+    while starts[-1] + _CHARS_PER_READ < size:
         f.seek(starts[-1] + _CHARS_PER_READ)
         f.readline()
         starts.append(f.tell())
     if starts[-1] >= size and len(starts) > 1:
         starts.pop()
     f.seek(starts[0])
-    bounds = starts + [None]
-    return [(bounds[r.start], bounds[r.stop]) for r in contiguous(len(starts), workers)]
+    return list(zip(starts, starts[1:] + [None]))
 
 
 def _read_column(path, name):

@@ -1,12 +1,15 @@
 """Worker processes forked for one call: the one place the package forks.
 
-A caller splits its work into shares and passes in_order a producer of
-each share's items; it takes them back in share order, share 0's made
-in the calling process and each other share's in a process forked for
-it, which pickles them into a temporary file (standard library only).
-The Monte Carlo route yields count tuples, match-compare its formatted
-sweep blocks and the CSV reader its parsed blocks.  contiguous is the
-one rule by which all three cut their work.
+A caller hands in_order its sequence of work units and a producer of
+the items of a run of them.  in_order alone decides how many processes
+share the work (worker_count) and where to cut it: into contiguous runs,
+whose items come back in order, run 0's made in the calling process and
+each other run's in a process forked for it, which pickles them into a
+temporary file (standard library only).  The units are the Monte Carlo
+route's (child seed, pairs) chunks, whose runs yield count tuples,
+match-compare's sweep block starts, whose runs yield formatted blocks,
+and the CSV reader's read-block byte ranges, whose runs yield parsed
+blocks.
 
 Processes are started with os.fork, not a spawn pool: a spawned worker
 would import numpy and cfb again, and the command line's process has one
@@ -47,12 +50,6 @@ def worker_count() -> int:
     return min(n, _MAX_WORKERS)
 
 
-def contiguous(units, workers):
-    """range(units) cut into min(workers, units) runs, run k from k * units // runs."""
-    runs = min(workers, units)
-    return [range(k * units // runs, (k + 1) * units // runs) for k in range(runs)]
-
-
 def fork_worker(work, share, out):
     """Fork a process that runs work(share, out) and returns its pid.
 
@@ -80,36 +77,46 @@ def fork_worker(work, share, out):
     return pid
 
 
-def in_order(name, produce, shares):
-    """The items of produce(share) for every share in shares, in order.
+def in_order(name, produce, units):
+    """The items of produce(run) for every run of units, in order.
 
-    Share 0's items are made in the calling process as they are taken;
-    each other share's by a process forked for it when the first item is
-    asked for, before share 0 starts.  A worker pickles its items into an
-    unlinked temporary file made before the fork, and they are loaded in
-    their turn, after the worker ended, so no pipe fills up while the
-    caller is busy with its own share.  A worker that failed raises
-    CfbError naming it when its turn comes (`NAME worker k failed:
-    ValueError: ...`, or `killed by signal 9`).  However the generator
-    ends, every worker not waited for is killed and all are reaped, so
-    none outlives it.  Where os.fork is missing, every share's items are
-    made in the calling process.
+    units, a sequence of n, is cut into w = min(worker_count(), n)
+    contiguous runs, run k being units[k * n // w:(k + 1) * n // w];
+    worker_count raises ValueError here, at the call, for a bad
+    CFB_THREADS.  Run 0's items are made in the calling process as they
+    are taken; each other run's by a process forked for it when the
+    first item is asked for, before run 0 starts.  A worker pickles its
+    items into an unlinked temporary file made before the fork, and they
+    are loaded in their turn, after the worker ended, so no pipe fills
+    up while the caller is busy with its own run.  A worker that failed
+    raises CfbError naming it when its turn comes (`NAME worker k
+    failed: ValueError: ...`, or `killed by signal 9`).  However the
+    generator ends, every worker not waited for is killed and all are
+    reaped, so none outlives it.  Where os.fork is missing, every run's
+    items are made in the calling process.
     """
+    n = len(units)
+    w = min(worker_count(), n)
+    return _items(name, produce, [units[k * n // w:(k + 1) * n // w] for k in range(w)])
+
+
+def _items(name, produce, runs):
+    """in_order's generator over its runs."""
     outs, pids = [], {}
 
-    def dump(share, out):
-        for item in produce(share):
+    def dump(run, out):
+        for item in produce(run):
             pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
 
     try:
         if hasattr(os, "fork"):
-            for k, share in enumerate(shares[1:], 1):
+            for k, run in enumerate(runs[1:], 1):
                 outs.append(tempfile.TemporaryFile())
-                pids[k] = fork_worker(dump, share, outs[-1])
-        yield from produce(shares[0])
-        for k, share in enumerate(shares[1:], 1):
+                pids[k] = fork_worker(dump, run, outs[-1])
+        yield from produce(runs[0])
+        for k, run in enumerate(runs[1:], 1):
             if k not in pids:
-                yield from produce(share)
+                yield from produce(run)
                 continue
             out = outs[k - 1]
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])

@@ -16,11 +16,11 @@ any finite mixture, Sheppard's arcsine for the linear-Gaussian family)
 and a Monte Carlo route for the oracle predictor of the Beta-mixed
 population all live here.  Only the Monte Carlo route uses numpy, and it
 imports it when called, so the exact routes and gini_mean_difference run
-without it; its worker processes are forked for the call, their counts
-taken back in order (cfb._fork.in_order) and all reaped before it
-returns.  The references the tests check these routes against, a
-quadrature of the bivariate normal cdf and a brute-force pair scorer,
-are in tests/oracles.py, not in the package.
+without it; it hands its chunks to cfb._fork.in_order, which cuts them
+among worker processes forked for the call, takes their counts back in
+order and reaps them all before it returns.  The references the tests
+check these routes against, a quadrature of the bivariate normal cdf and
+a brute-force pair scorer, are in tests/oracles.py, not in the package.
 """
 
 from __future__ import annotations
@@ -493,30 +493,6 @@ def _score_chunk(pop, child_seed, m):
     return conc, tied, valid
 
 
-def _score_share(pop, share):
-    """Summed counts of the chunks in share, a list of (child seed, pairs),
-    scored one chunk at a time (_score_chunk)."""
-    return tuple(map(sum, zip(*[_score_chunk(pop, child, m) for child, m in share])))
-
-
-def _score_shares(pop, shares):
-    """Summed counts of every chunk in shares, one list of (child seed,
-    pairs) per worker.
-
-    Each share yields its summed counts through _fork.in_order: the
-    calling process scores the first share and a process forked for it
-    each other.  The forks come before any column is drawn, so no worker
-    starts from a copy of one.  A worker that failed raises CfbError
-    naming it.
-    """
-    from ._fork import in_order
-
-    def produce(share):
-        yield _score_share(pop, share)
-
-    return tuple(map(sum, zip(*in_order("Monte Carlo", produce, shares))))
-
-
 def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     """Monte Carlo estimate of the statistic of the oracle predictor E[B | X].
 
@@ -544,13 +520,14 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
     Generator.beta draws unless a draw that moved by a few ULP crosses a
     benefit threshold or swaps the order of two predictor values.
 
-    The chunks are cut into w = min(CFB_THREADS, chunks) contiguous runs
-    (_fork.contiguous), and worker k scores run k one chunk at a time
-    (_score_shares).  Worker 0 is the calling process; each other worker
-    is a process forked for the call, whose summed counts come back
-    through _fork.in_order.  So each process holds one covariate column
-    and one scratch set at a time, whatever CFB_THREADS is, and a run of
-    one chunk (n <= 10**6) runs in the calling process alone.
+    The chunks go to _fork.in_order, which cuts them into w =
+    min(CFB_THREADS, chunks) contiguous runs; worker k scores run k one
+    chunk at a time and yields its summed counts.  Worker 0 is the
+    calling process; each other worker is a process forked for the call
+    before any column is drawn, so none starts from a copy of one.  So
+    each process holds one covariate column and one scratch set at a
+    time, whatever CFB_THREADS is, and a run of one chunk (n <= 10**6)
+    runs in the calling process alone.
 
     All pairs are counted exactly, not compared one by one: the predictor
     values of each benefit level (-1, 0, 1) are sorted once, and one sorted
@@ -585,13 +562,15 @@ def cfb_monte_carlo(pop, n, seed, all_pairs=False):
         b, h = _units(pop, (x, rng.random(out=scratch.u)), scratch)
         conc, tied, valid = _pair_counts(b, h)
     else:
-        from ._fork import contiguous, worker_count
+        from ._fork import in_order
+
+        def produce(run):
+            yield tuple(map(sum, zip(*[_score_chunk(pop, child, m) for child, m in run])))
 
         n_chunks = (n + _CHUNK_PAIRS - 1) // _CHUNK_PAIRS
         sizes = [_CHUNK_PAIRS] * (n_chunks - 1) + [n - _CHUNK_PAIRS * (n_chunks - 1)]
         chunks = list(zip(np.random.SeedSequence(seed).spawn(n_chunks), sizes))
-        shares = contiguous(n_chunks, worker_count())
-        conc, tied, valid = _score_shares(pop, [chunks[r.start:r.stop] for r in shares])
+        conc, tied, valid = map(sum, zip(*in_order("Monte Carlo", produce, chunks)))
 
     if valid == 0:
         raise UndefinedCfb("no sampled pair disagrees in realized benefit")

@@ -347,37 +347,35 @@ def _cmd_rho_sweep(args, cfg) -> int:
 def _cmd_match_compare(args, cfg) -> int:
     """The sweep's rows, written by min(CFB_THREADS, sweep blocks) processes.
 
-    The grid's blocks are cut into contiguous shares (_fork.contiguous).
-    Each share's sweep blocks come back in order through _fork.in_order
-    as (text, abs_diff, undefined), swept and formatted by this process
-    for the first share and by a worker for each other.  This process
-    writes the texts into the output's temporary file and copies the
-    columns into whole abs_diff and undefined columns, from which the
-    histogram and the summary come.  a and b are multiples of the grid
-    step, formatted by lookup in a table of i * step for every i.
+    The grid's sweep blocks go to _fork.in_order, which cuts them into
+    runs; each run's blocks come back in order as (text, abs_diff,
+    undefined), swept and formatted by this process for the first run
+    and by a worker for each other.  This process writes the texts into
+    the output's temporary file and copies the columns into whole
+    abs_diff and undefined columns, from which the histogram and the
+    summary come.  a and b are multiples of the grid step, formatted by
+    lookup in a table of i * step for every i.
     """
     from ._csv import _hist_lines, _RowText  # before numpy: see the module docstring
     import numpy as np
 
-    from ._fork import contiguous, in_order, worker_count
-    from .matched_pairs import _CELLS_PER_BLOCK, DIFF_HIST_BINS, DIFF_HIST_RANGE, _grid, _sweep
+    from ._fork import in_order
+    from .matched_pairs import DIFF_HIST_BINS, DIFF_HIST_RANGE, _grid, _sweep
 
     _keep_freed_memory()
     grid = _grid(args.step, (args.coeff_min, args.coeff_max), args.seed)
     n = grid.cells
-    shares = [range(min(r.start * _CELLS_PER_BLOCK, n), min(r.stop * _CELLS_PER_BLOCK, n))
-              for r in contiguous(-(-n // _CELLS_PER_BLOCK), worker_count())]
     steps = np.array(["%.10g" % v for v in (np.arange(grid.inv + 1) * grid.step).tolist()], "S")
     abs_diff, undefined = np.empty(n), np.empty(n, bool)
 
-    def produce(cells):
+    def produce(starts):
         text = _RowText()
-        for _, i, j, columns in _sweep(grid, cells):
+        for _, i, j, columns in _sweep(grid, starts):
             yield text.rows([steps[i], steps[j], *columns[2:]]), *columns[-2:]
 
-    def rows():
+    def rows(items):
         done = 0
-        for text, diff, flag in in_order("match-compare", produce, shares):
+        for text, diff, flag in items:
             cells = slice(done, done + len(diff))
             abs_diff[cells], undefined[cells] = diff, flag
             done = cells.stop
@@ -386,7 +384,7 @@ def _cmd_match_compare(args, cfg) -> int:
             del text  # no block is held while the next one is made
             yield b"\n"
 
-    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], rows())
+    _emit(args.out, cfg, [",".join(MATCH_COLUMNS)], rows(in_order("match-compare", produce, grid.blocks)))
 
     diffs = abs_diff[~undefined]
     _emit(args.hist_out, cfg, _hist_lines(diffs, DIFF_HIST_BINS, *DIFF_HIST_RANGE))

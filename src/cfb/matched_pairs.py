@@ -17,8 +17,9 @@ versions, so its coefficient draws come from a self-contained counter
 based generator (the splitmix64 finalizer) rather than numpy's stateful
 generators: cell k consumes draws 4k..4k+3 no matter how the sweep is
 chunked, and the sweep runs in blocks of _CELLS_PER_BLOCK cells
-(_sweep).  matching_experiment sweeps the whole grid into columns;
-match-compare sweeps contiguous runs of blocks in worker processes and
+(_sweep), named by their first cells (_Grid.blocks).  matching_experiment
+sweeps every block into columns; match-compare hands the blocks to
+cfb._fork.in_order, which cuts them into runs for worker processes, and
 formats each block's rows as it goes, through the same _sweep.  Its
 logistic is the C library's exp reached through numpy's complex exp
 (cexp), bit for bit as scipy.special.expit, with math.exp where z < -709
@@ -226,6 +227,11 @@ class _Grid(NamedTuple):
     def cells(self):
         return (self.inv - 1) * (self.inv - 2) // 2
 
+    @property
+    def blocks(self):
+        """The first cell of each block of the sweep (_sweep)."""
+        return range(0, self.cells, _CELLS_PER_BLOCK)
+
 
 def _grid(grid_step, coeff_range, seed):
     """The _Grid of matching_experiment's arguments, or ValueError naming the one at
@@ -253,24 +259,25 @@ def _grid(grid_step, coeff_range, seed):
     return _Grid(float(grid_step), inv, lo, hi, int(seed))
 
 
-def _sweep(grid, cells):
-    """The sweep of the cells in range cells, one block of _CELLS_PER_BLOCK at a time.
+def _sweep(grid, starts):
+    """The sweep of the blocks of _CELLS_PER_BLOCK cells that start at starts,
+    which are some of grid.blocks.
 
-    cells must start at a multiple of _CELLS_PER_BLOCK, so its blocks are
-    the whole-grid sweep's.  Yields, for each block, its first cell, the
-    int64 grid indices i and j of its cells (a = i * step, b = j * step),
-    and its columns in the order of the CSV that match-compare writes: a,
-    b, the four coefficients, the statistic matched on the covariate and
-    on the predicted benefit, their absolute difference and the undefined
-    flags.  matching_experiment runs it over the whole grid; match-compare
-    runs each worker's share of the blocks through it.
+    Yields, for each block, its first cell, the int64 grid indices i and
+    j of its cells (a = i * step, b = j * step), and its columns in the
+    order of the CSV that match-compare writes: a, b, the four
+    coefficients, the statistic matched on the covariate and on the
+    predicted benefit, their absolute difference and the undefined
+    flags.  matching_experiment runs it over all of grid.blocks;
+    match-compare hands grid.blocks to _fork.in_order, whose runs of
+    them it sweeps.
     """
     import numpy as np
 
     # the cell that ends grid row r (i = r + 1, of inv - 1 - i cells) is ends[r] - 1
     ends = np.cumsum(np.arange(grid.inv - 2, 0, -1, dtype=np.int64))
-    for start in range(cells.start, cells.stop, _CELLS_PER_BLOCK):
-        k = np.arange(start, min(start + _CELLS_PER_BLOCK, cells.stop), dtype=np.int64)
+    for start in starts:
+        k = np.arange(start, min(start + _CELLS_PER_BLOCK, grid.cells), dtype=np.int64)
         row = np.searchsorted(ends, k, "right")
         i = row + 1
         j = k - (ends[row] - (grid.inv - 1 - i)) + 1
@@ -306,7 +313,7 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
     grid = _grid(grid_step, coeff_range, seed)
     n = grid.cells
     columns = [np.empty(n) for _ in range(9)] + [np.empty(n, dtype=bool)]
-    for start, _, _, block in _sweep(grid, range(n)):
+    for start, _, _, block in _sweep(grid, grid.blocks):
         for col, values in zip(columns, block):
             col[start:start + len(values)] = values
     a, b, beta0, betax, betat, betaxt, cfb_x, cfb_h, abs_diff, undefined = columns

@@ -45,10 +45,9 @@ from cfb.cfb_engine import (
     _pair_counts,
     _sample_b_from_triples,
     _score_chunk,
-    _score_shares,
     _units,
 )
-from cfb._fork import worker_count
+from cfb._fork import in_order, worker_count
 from cfb.matched_pairs import _two_group_cfb_arrays
 from oracles import (
     beta_mixture_cfb,
@@ -528,9 +527,11 @@ def test_worker_count_is_capped_at_64(monkeypatch, value):
 
 def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
     """CFB_THREADS set to the CPU count of a 128-CPU machine, as a benchmark
-    harness sets it, over more chunks than that: 64 contiguous shares, share
-    k from chunk k * 130 // 64, and the counts of one worker.  With os.fork removed the calling
-    process scores every share itself, so the test starts no process."""
+    harness sets it, over more chunks than that: in_order gets the 130
+    chunks in order as its units and cuts them into 64 contiguous runs,
+    run k from chunk k * 130 // 64, and the counts are those of one worker.
+    With os.fork removed the calling process scores every run itself, so
+    the test starts no process."""
     monkeypatch.setattr(cfb_engine, "_CHUNK_PAIRS", 500)
     monkeypatch.setenv("CFB_THREADS", "1")
     want = cfb_monte_carlo(BETA_POP, 65_000, 3)
@@ -538,12 +539,14 @@ def test_a_many_cpu_thread_count_deals_the_chunks_to_64_workers(monkeypatch):
     monkeypatch.setenv("CFB_THREADS", str(len(os.sched_getaffinity(0))))
     monkeypatch.delattr(os, "fork")
     shares = []
-    score_share = cfb_engine._score_share
+    cut = _fork.in_order
 
-    def recorded(pop, share):
-        shares.append([child.spawn_key[-1] for child, _ in share])
-        return score_share(pop, share)
-    monkeypatch.setattr(cfb_engine, "_score_share", recorded)
+    def recorded(name, produce, units):
+        def produce_run(run):
+            shares.append([child.spawn_key[-1] for child, _ in run])
+            yield from produce(run)
+        return cut(name, produce_run, units)
+    monkeypatch.setattr(_fork, "in_order", recorded)
     assert cfb_monte_carlo(BETA_POP, 65_000, 3) == want
     assert shares == [list(range(k * 130 // 64, (k + 1) * 130 // 64)) for k in range(64)]
 
@@ -690,14 +693,21 @@ def test_streamed_chunk_counts_equal_whole_columns(case, m):
 @pytest.mark.parametrize("workers", [2, 3, 4])
 @pytest.mark.parametrize("m", CHUNK_PAIRS)
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
-def test_shared_chunk_counts_equal_whole_columns(case, m, workers):
+def test_shared_chunk_counts_equal_whole_columns(case, m, workers, monkeypatch):
     """Every worker scores the same chunk, the calling process and each
-    forked one: the counts that come back in the workers' files are the
-    whole-column oracle's, once per worker."""
+    forked one, one chunk per unit of in_order at CFB_THREADS=workers: the
+    counts that come back in the workers' files are the whole-column
+    oracle's, once per worker."""
     pop = CHUNK_CASES[case]
     child = np.random.SeedSequence(20230516).spawn(2)[1]
     want = whole_column_score_chunk(pop, child, m)
-    got = _score_shares(pop, [[(child, m)]] * workers)
+    monkeypatch.setenv("CFB_THREADS", str(workers))
+
+    def produce(run):
+        for chunk_seed, pairs in run:
+            yield _score_chunk(pop, chunk_seed, pairs)
+
+    got = tuple(map(sum, zip(*in_order("Monte Carlo", produce, [(child, m)] * workers))))
     assert got == tuple(workers * count for count in want)
 
 

@@ -1,10 +1,11 @@
 """Work that the command line splits over forked worker processes.
 
-match-compare sweeps and formats its cells in shares, and `hist` and
-`screen-cf` parse a regular file's read blocks in shares (cfb._fork).
-Every split must give the bytes and the messages that one process gives,
-and no worker process or temporary file may outlive a command, whether
-it succeeds or fails.
+cfb._fork.in_order cuts each caller's work units into contiguous runs:
+match-compare sweeps and formats runs of sweep blocks, and `hist` and
+`screen-cf` parse runs of a regular file's read blocks.  Every split
+must give the bytes and the messages that one process gives, and no
+worker process or temporary file may outlive a command, whether it
+succeeds or fails.
 """
 
 import os
@@ -18,12 +19,41 @@ from hypothesis import strategies as st
 
 from cfb import RunConfig, _csv, matched_pairs, run
 from cfb._csv import _read_column, row_blocks
+from cfb._fork import in_order
 from cfb.cli_reports import _emit
 
 
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
+# the cut
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads, workers", [("1", 1), ("2", 2), ("3", 3), ("4", 4), ("128", 64)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 130])
+@pytest.mark.parametrize("units_of", [lambda n: list(range(n)), range], ids=["list", "range"])
+def test_in_order_cuts_the_units_into_contiguous_runs(monkeypatch, threads, workers, n, units_of):
+    """n units at CFB_THREADS=threads, above 64 counting as 64, as a harness sets
+    it to a 128-CPU machine's count: produce sees min(workers, n) runs, run k
+    being units[k * n // runs:(k + 1) * n // runs], and the items come back in
+    order.  With os.fork removed the calling process makes every run's items,
+    so the test starts no process."""
+    monkeypatch.setenv("CFB_THREADS", threads)
+    monkeypatch.delattr(os, "fork")
+    units = units_of(n)
+    runs = []
+
+    def produce(run):
+        runs.append(list(run))
+        yield from run
+
+    assert list(in_order("test", produce, units)) == list(units)
+    w = min(workers, n)
+    assert runs == [list(range(k * n // w, (k + 1) * n // w)) for k in range(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +184,13 @@ MUTATION = st.tuples(
 )
 
 
-def run_in(work, argv, data, mode, monkeypatch, capsys):
+def run_in(work, argv, data, mode, monkeypatch, capsys, pipe_threads="2"):
     """(exit code, stdout, stderr, files left and their bytes) of argv in directory work,
-    reading data from in.csv: a file at CFB_THREADS=mode, or a pipe when mode is "pipe"."""
+    reading data from in.csv: a file at CFB_THREADS=mode, or a pipe at
+    CFB_THREADS=pipe_threads when mode is "pipe"."""
     work.mkdir()
     monkeypatch.chdir(work)
-    monkeypatch.setenv("CFB_THREADS", "2" if mode == "pipe" else mode)
+    monkeypatch.setenv("CFB_THREADS", pipe_threads if mode == "pipe" else mode)
     if mode != "pipe":
         (work / "in.csv").write_bytes(data)
         code = run(argv)
@@ -229,6 +260,41 @@ def test_split_reader_names_a_late_fault_as_one_process_does(samples, tmp_path, 
                for mode in ("1", "2", "4", "pipe")]
     assert all(result == results[0] for result in results)
     assert results[0][0] == 2 and results[0][2].startswith(f"cfb: in.csv: {where}")
+
+
+def test_a_pipe_has_its_thread_count_checked(samples, tmp_path, monkeypatch, capsys):
+    """hist of a pipe at CFB_THREADS=abc exits 2 with one `cfb:` line, as of a file."""
+    got = [run_in(tmp_path / mode, command_argv("hist", "match"), samples["match"], mode, monkeypatch, capsys,
+                  pipe_threads="abc") for mode in ("abc", "pipe")]
+    assert got[0] == got[1] == (2, "", "cfb: CFB_THREADS must be an integer, got 'abc'\n", {})
+    assert_no_child()
+
+
+OVERLONG = 420_000  # characters of the overlong line, above one read block (_CHARS_PER_READ)
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(b"0.5," + b"x" * OVERLONG, id="non-numeric"),
+    pytest.param(b"0.5,0.1 #" + b"c" * OVERLONG, id="comment"),
+    pytest.param(b"0.5," + b"1" * 400_001, id="400001-digits"),
+])
+def test_an_overlong_line_across_a_read_block_edge_reads_as_one_process_reads_it(tmp_path, monkeypatch,
+                                                                                  capsys, line):
+    """A line longer than a read block, starting 200 kB into the first block, with
+    enough rows after it for three read blocks: the same exit code, output and
+    message at CFB_THREADS 1, 2 and 3 and through a pipe."""
+    rows = [b"%.3f,%.4f" % (k / 1000, k / 40_000) for k in range(40_000)]
+    head, tail = rows[:15_000], rows[15_000:]
+    start = sum(map(len, head)) + len(head) + len(b"a,abs_diff\n")  # the overlong line's first byte
+    assert start < _csv._CHARS_PER_READ < start + len(line)
+    data = b"\n".join([b"a,abs_diff", *head, line, *tail]) + b"\n"
+    assert len(data) > 3 * _csv._CHARS_PER_READ
+    results = [run_in(tmp_path / mode, command_argv("hist", "match"), data, mode, monkeypatch, capsys)
+               for mode in ("1", "2", "3", "pipe")]
+    assert_no_child()
+    assert all(result == results[0] for result in results)
+    code, _, err, _ = results[0]
+    assert code in (0, 2) and err.count("\n") == code // 2
 
 
 # ---------------------------------------------------------------------------

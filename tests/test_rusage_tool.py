@@ -3,6 +3,7 @@ and how it and tools/compare.py end on SIGTERM."""
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -99,6 +100,21 @@ def test_rusage_tool_runs_its_children_with_one_blas_thread(tmp_path):
     assert list(json.loads(proc.stdout)["commands"]) == ["allpairs"]
 
 
+def git_copy(dest):
+    """A git repository at dest whose one commit holds this tree's src/, bench/,
+    tools/ and BENCHMARK.json, so that compare.py runs where the tree is no git
+    checkout, such as a `git archive` export."""
+    dest.mkdir()
+    for name in ("src", "bench", "tools"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+    git = ["git", "-C", str(dest), "-c", "user.name=cfb", "-c", "user.email=cfb@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "copy"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    return dest
+
+
 @pytest.mark.parametrize("tool, started", [
     (["rusage.py", "--parent", str(ROOT), "--change", str(ROOT), "--passes", "50", "--commands", "search"],
      "*/*/search.out"),
@@ -107,10 +123,12 @@ def test_rusage_tool_runs_its_children_with_one_blas_thread(tmp_path):
 ])
 def test_sigterm_removes_the_temporary_directory(tmp_path, tool, started):
     """A run terminated once its first command is under way exits 143, having
-    killed that command and removed its temporary directory."""
+    killed that command and removed its temporary directory.  compare.py
+    builds its trees from git revisions, so it runs from a git copy."""
+    root = git_copy(tmp_path / "repo") if tool[0] == "compare.py" else ROOT
     scratch = tmp_path / "tmp"
     scratch.mkdir()
-    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / tool[0]), *tool[1:]], cwd=tmp_path,
+    proc = subprocess.Popen([sys.executable, str(root / "tools" / tool[0]), *tool[1:]], cwd=tmp_path,
                             env=dict(os.environ, TMPDIR=str(scratch)),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
