@@ -1,4 +1,4 @@
-"""CSV rows of the array commands: one row formatter and one reader.
+"""CSV rows of the array commands: one row formatter, one reader and one histogram binner.
 
 Result rows are written from numpy columns a block at a time
 (row_blocks) by one formatter (_RowText).  It turns a block of rows into
@@ -13,13 +13,20 @@ its column's blocks, and `screen-cf` checks each block's hundredths and
 triple sums on arrays, so its memory stays flat.  Every line must be
 UTF-8, a comment too, and `#` starts a comment anywhere in a line.  A
 bad byte or row is named by its line or data row from the counts the
-reader keeps.
+reader keeps, and a bad field is echoed up to _MAX_SHOWN characters.
 
 The reader hands a regular file's read blocks to _fork.in_order, which
 cuts them into runs; each run's parsed blocks and line counts come back
 in order, this process reading the first run and a process forked for
 the call each other.  So every block and every message is the
 one-process one.
+
+Every histogram file is binned here (_binned): fig1_hist.csv and
+fig6_hist.csv on HIST_RANGE, fig2_hist.csv on DIFF_HIST_RANGE and
+`hist` on its flags' range.  A value below or above the range, or NaN,
+falls in no bin, and whenever one does a `# unbinned` line after the
+header lines counts them.  _hist_lines formats the three files of one
+count column; `screen-cf` formats fig6's two count columns itself.
 
 Only the handlers that read or write CSV rows (`search`, `screen-cf`,
 `match-compare` and `hist`) import this module, so the scalar commands
@@ -36,13 +43,22 @@ from stat import S_ISREG
 import numpy as np
 
 from ._fork import in_order
-from .cli_reports import IMPROPER_COLUMNS, _bin_lines, _fmt
+from .cli_reports import IMPROPER_COLUMNS, _fmt
 
 # the "%.10g" spelling of k/100, as the census files give triple entries
 _HUNDREDTH_TEXT = tuple("%.10g" % (k / 100.0) for k in range(101))
 
 _ROWS_PER_WRITE = 1 << 14
 _CHARS_PER_READ = 1 << 18
+_MAX_SHOWN = 200  # characters of a bad field or row that an error message echoes
+
+# the figures' histograms: fig1_hist.csv and fig6_hist.csv bin the census statistic,
+# whose grid minimum (0.4188) is comfortably above the left edge, and fig2_hist.csv
+# the matching differences, of which a few seeds put one above 0.25 (the `#` note)
+HIST_RANGE = (0.41, 0.50)
+HIST_BINS = 50
+DIFF_HIST_RANGE = (0.0, 0.25)
+DIFF_HIST_BINS = 50
 
 
 def row_blocks(columns):
@@ -249,16 +265,24 @@ def _triple_table():
                       for p in range(101)] for m in range(101)])
 
 
-def _hist_lines(values, bins, lo, hi, nan=0):
-    """_bin_lines of values' histogram on [lo, hi], after a `#` line counting the values
-    it leaves out, below lo, above hi and NaN (nan of them taken out of values before),
-    when it leaves out any."""
+def _binned(values, bins, lo, hi, nan=0):
+    """(edges, counts, notes) of values' histogram on [lo, hi]: notes is a `#` line
+    counting the values it leaves out, below lo, above hi and NaN (nan of them taken
+    out of values before), when it leaves out any, and otherwise empty."""
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    lines = _bin_lines(edges, counts)
-    if nan or sum(counts.tolist()) < values.size:  # so no mask as large as values unless one is out
+    counts, notes = counts.tolist(), []
+    if nan or sum(counts) < values.size:  # so no mask as large as values unless one is out
         below, above, nan = (values < lo).sum(), (values > hi).sum(), nan + (values != values).sum()
-        lines.insert(0, f"# unbinned: {below} below {_fmt(lo)}, {above} above {_fmt(hi)}, {nan} nan")
-    return lines
+        notes.append(f"# unbinned: {below} below {_fmt(lo)}, {above} above {_fmt(hi)}, {nan} nan")
+    return edges.tolist(), counts, notes
+
+
+def _hist_lines(values, bins, lo, hi, nan=0):
+    """values' histogram on [lo, hi] (_binned) as `bin_left,bin_right,count` lines,
+    header first, after its `#` note if any."""
+    edges, counts, notes = _binned(values, bins, lo, hi, nan)
+    return notes + ["bin_left,bin_right,count"] + [
+        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{n}" for k, n in enumerate(counts)]
 
 
 class _Fault(Exception):
@@ -318,8 +342,14 @@ def _csv_blocks(path, pick):
         if usecols is not None and len(fields) <= usecols[0]:
             return f" has no {header[usecols[0]]!r} field"
         if usecols is not None and not number(fields[usecols[0]]):
-            return f": could not convert string {fields[usecols[0]]!r} to float64"
-        return f": malformed row {fields!r}"  # the row is at fault, not (only) the column read
+            return f": could not convert string {shown(fields[usecols[0]])} to float64"
+        return f": malformed row {shown(fields)}"  # the row is at fault, not (only) the column read
+
+    def shown(value):
+        """repr(value), cut after _MAX_SHOWN characters and its length given, so that an
+        overlong field makes a short message."""
+        text = repr(value)
+        return text if len(text) <= _MAX_SHOWN else f"{text[:_MAX_SHOWN]}... ({len(text):,} characters)"
 
     def number(field):
         """Whether numpy's reader takes field alone as one number."""
@@ -448,7 +478,9 @@ def _read_improper_csv(path):
     A row must hold seven numbers, the first six hundredths between 0 and
     1 (within 1e-6) making two triples that each sum to 1; any other row
     raises ValueError naming the file and the data row.  Returns an
-    improper_search.ImproperSet.
+    improper_search.ImproperSet whose deviation is cfb_star - 0.5 of the
+    10-digit text: 0.0, not negative, where it reads 0.5 (671 rows of the
+    default census).
     """
     from .improper_search import ImproperSet
 

@@ -6,7 +6,8 @@ timestamps, so identical flags give byte-identical output.  Numeric
 fields are printed with 10 significant digits.  Everything is written
 through one writer (_emit), files atomically.  The array commands'
 rows come to it as byte blocks, formatted by cfb._csv, which also
-reads the CSV that `hist` and `screen-cf` take.
+reads the CSV that `hist` and `screen-cf` take and bins every
+histogram file.
 
 Each subcommand's flags are declared once, in _COMMANDS: name, parser,
 default and the header text of an unset value.  The argument parser,
@@ -104,12 +105,6 @@ def _fmt(x) -> str:
     if integer and not isinstance(x, bool):
         return str(int(x))
     return "%.10g" % float(x)
-
-
-def _bin_lines(edges, counts):
-    """A histogram as `bin_left,bin_right,count` lines, header first."""
-    return ["bin_left,bin_right,count"] + [
-        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(n)}" for k, n in enumerate(counts)]
 
 
 def _emit(path, config, lines, blocks=()):
@@ -244,7 +239,7 @@ def _cmd_eval_discrete(args, cfg) -> int:
 
 
 def _cmd_search(args, cfg) -> int:
-    from ._csv import _triple_table, row_blocks
+    from ._csv import HIST_BINS, HIST_RANGE, _hist_lines, _triple_table, row_blocks
     from .improper_search import grid_search
 
     _keep_freed_memory()
@@ -255,9 +250,9 @@ def _cmd_search(args, cfg) -> int:
     _emit(args.out, cfg, [",".join(IMPROPER_COLUMNS)], row_blocks(
         (triples[found.p_minus, found.p_plus], triples[found.q_minus, found.q_plus], found.cfb_star)))
 
-    s = result.summary
-    _emit(args.hist_out, cfg, _bin_lines(s.hist_edges, s.hist_counts))
+    _emit(args.hist_out, cfg, _hist_lines(found.cfb_star, HIST_BINS, *HIST_RANGE))
 
+    s = result.summary
     lines = [f"count,{s.count}",
              f"cfb_min,{_fmt(s.cfb_min)}",
              f"cfb_median,{_fmt(s.cfb_median)}",
@@ -271,11 +266,11 @@ def _cmd_search(args, cfg) -> int:
 
 
 def _cmd_screen_cf(args, cfg) -> int:
-    from ._csv import _read_improper_csv, _triple_table, row_blocks  # before numpy: see the module docstring
+    from ._csv import (HIST_BINS, HIST_RANGE, _binned, _read_improper_csv,  # before numpy: see the module docstring
+                       _triple_table, row_blocks)
     import numpy as np
 
     from .counterfactual_screen import screen_improper_set
-    from .improper_search import HIST_BINS, HIST_RANGE
 
     _keep_freed_memory()
     found = _read_improper_csv(args.inp)
@@ -292,12 +287,11 @@ def _cmd_screen_cf(args, cfg) -> int:
          kept.cfb_star, *first_root[kept.p_minus, kept.p_plus].T,
          *first_root[kept.q_minus, kept.q_plus].T)))
 
-    c_all, edges = np.histogram(found.cfb_star, bins=HIST_BINS, range=HIST_RANGE)
-    c_kept, _ = np.histogram(kept.cfb_star, bins=HIST_BINS, range=HIST_RANGE)
-    hist_lines = ["bin,count_all,count_realizable"]
-    for k in range(HIST_BINS):
-        hist_lines.append(f"{_fmt(edges[k])},{int(c_all[k])},{int(c_kept[k])}")
-    _emit(args.hist_out, cfg, hist_lines)
+    # one note, of all rows: the realizable rows are some of them
+    edges, c_all, notes = _binned(found.cfb_star, HIST_BINS, *HIST_RANGE)
+    _, c_kept, _ = _binned(kept.cfb_star, HIST_BINS, *HIST_RANGE)
+    _emit(args.hist_out, cfg, notes + ["bin,count_all,count_realizable"] + [
+        f"{_fmt(edge)},{n_all},{n_kept}" for edge, n_all, n_kept in zip(edges, c_all, c_kept)])
 
     s = res.summary
     _emit(None, cfg, [
@@ -356,11 +350,12 @@ def _cmd_match_compare(args, cfg) -> int:
     summary come.  a and b are multiples of the grid step, formatted by
     lookup in a table of i * step for every i.
     """
-    from ._csv import _hist_lines, _RowText  # before numpy: see the module docstring
+    from ._csv import (DIFF_HIST_BINS, DIFF_HIST_RANGE, _hist_lines,  # before numpy: see the module docstring
+                       _RowText)
     import numpy as np
 
     from ._fork import in_order
-    from .matched_pairs import DIFF_HIST_BINS, DIFF_HIST_RANGE, _grid, _sweep
+    from .matched_pairs import _grid, _sweep
 
     _keep_freed_memory()
     grid = _grid(args.step, (args.coeff_min, args.coeff_max), args.seed)

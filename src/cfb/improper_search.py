@@ -58,14 +58,7 @@ __all__ = [
     "mean_benefit_increasing",
     "cross_pair_reversal",
     "grid_search",
-    "HIST_RANGE",
-    "HIST_BINS",
 ]
-
-# Histogram convention for the statistic over survivors.  The grid
-# minimum is comfortably above the left edge, so nothing is clipped.
-HIST_RANGE = (0.41, 0.50)
-HIST_BINS = 50
 
 # low triples per candidate block: at step 0.01 about 18,000 cells, so each
 # per-cell temporary is about 140 kB
@@ -78,11 +71,15 @@ class ImproperSet:
     p_minus, p_plus and q_minus, q_plus are the integer hundredths of the
     low and the high triple (the zero share is 100 minus the other two).
     cfb_star is the statistic under the oracle predictor, deviation the
-    raw signed distance from 0.5 before the final addition.  deviation
-    is strictly negative for every survivor, but 0.5 + deviation can
-    round back to exactly 0.5 when the deviation is below resolution,
-    so cfb_star < 0.5 is deliberately not enforced.  len() counts the
-    findings.
+    raw signed distance from 0.5 before the final addition.  In
+    grid_search's set deviation is strictly negative for every survivor,
+    but 0.5 + deviation can round back to exactly 0.5 when the deviation
+    is below resolution, so cfb_star < 0.5 is deliberately not enforced.
+    A set read back from a `search` CSV (cfb._csv._read_improper_csv)
+    has only the 10-digit cfb_star, so its deviation is cfb_star - 0.5,
+    and 0.0 wherever that text reads 0.5: for 671 of the 283,523
+    survivors at step 0.01, and 47 of the 9,563 that screen-cf keeps.
+    len() counts the findings.
     """
 
     def __init__(self, p_minus, p_plus, q_minus, q_plus, cfb_star, deviation):
@@ -110,8 +107,6 @@ class SearchSummary:
     cfb_max: float
     cfb_median: float
     argmin: int | None  # the minimum's row in the survivors, None when there are none
-    hist_edges: tuple
-    hist_counts: tuple
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,7 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
 
     Returns every surviving (low, high) pair with its statistic, in
     canonical order (low triple outer, high triple inner, each ordered
-    by (minus, plus) ascending), plus summary statistics and the fixed
-    histogram used for reporting.
+    by (minus, plus) ascending), plus summary statistics.
 
     The frozen float filter runs on candidate cells only: for each low
     triple and high minus level, the closed qp interval of the module
@@ -238,21 +232,11 @@ def grid_search(step: float = 0.01, c: float = 0.5) -> GridSearchResult:
     survivors = ImproperSet(m_arr[low_idx], p_arr[low_idx], m_arr[high_idx], p_arr[high_idx],
                             cfb, dev)
 
-    counts, edges = np.histogram(cfb, bins=HIST_BINS, range=HIST_RANGE)
     if len(survivors):
         k = int(np.argmin(dev))
-        summary = SearchSummary(
-            count=len(survivors),
-            cfb_min=float(cfb[k]),
-            cfb_max=float(cfb.max()),
-            cfb_median=float(np.median(cfb)),
-            argmin=k,
-            hist_edges=tuple(float(e) for e in edges),
-            hist_counts=tuple(int(n) for n in counts),
-        )
+        summary = SearchSummary(count=len(survivors), cfb_min=float(cfb[k]), cfb_max=float(cfb.max()),
+                                cfb_median=float(np.median(cfb)), argmin=k)
     else:
         nan = float("nan")
-        summary = SearchSummary(0, nan, nan, nan, None,
-                                tuple(float(e) for e in edges),
-                                tuple(int(n) for n in counts))
+        summary = SearchSummary(0, nan, nan, nan, None)
     return GridSearchResult(survivors, summary, step, c)

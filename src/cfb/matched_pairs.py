@@ -41,13 +41,7 @@ from .cfb_engine import _two_group_masses
 __all__ = [
     "MatchingExperimentResult",
     "matching_experiment",
-    "DIFF_HIST_RANGE",
-    "DIFF_HIST_BINS",
 ]
-
-DIFF_HIST_RANGE = (0.0, 0.25)
-DIFF_HIST_BINS = 50
-
 
 # ---------------------------------------------------------------------------
 # counter-based uniforms for the experiment sweep
@@ -84,8 +78,7 @@ class MatchingExperimentResult:
     rest), the four logistic coefficients, the statistic under each
     matching factor, their absolute difference, and an undefined flag
     for cells where some statistic does not exist (nan in the value
-    columns).  hist_* describe the fixed histogram of abs_diff over
-    defined cells.
+    columns).
     """
 
     a: np.ndarray
@@ -98,8 +91,6 @@ class MatchingExperimentResult:
     cfb_prediction: np.ndarray
     abs_diff: np.ndarray
     undefined: np.ndarray
-    hist_edges: tuple
-    hist_counts: tuple
     grid_step: float
     seed: int
     coeff_range: tuple
@@ -317,14 +308,10 @@ def matching_experiment(grid_step: float = 0.001, coeff_range=(-5.0, 5.0), seed:
         for col, values in zip(columns, block):
             col[start:start + len(values)] = values
     a, b, beta0, betax, betat, betaxt, cfb_x, cfb_h, abs_diff, undefined = columns
-
-    counts, edges = np.histogram(abs_diff[~undefined], bins=DIFF_HIST_BINS, range=DIFF_HIST_RANGE)
     return MatchingExperimentResult(
         a=a, b=b, beta0=beta0, betax=betax, betat=betat, betaxt=betaxt,
         cfb_covariate=cfb_x, cfb_prediction=cfb_h,
         abs_diff=abs_diff, undefined=undefined,
-        hist_edges=tuple(float(e) for e in edges),
-        hist_counts=tuple(int(v) for v in counts),
         grid_step=grid.step, seed=grid.seed,
         coeff_range=(grid.lo, grid.hi),
     )

@@ -742,6 +742,19 @@ def test_screen_cf_pipeline(small_search, tmp_path, capsys):
     assert total >= kept
 
 
+def test_screen_cf_histogram_counts_the_rows_it_leaves_out(tmp_path, capsys):
+    """A statistic above fig6_hist.csv's range [0.41, 0.5] and a NaN fall in no bin:
+    one `#` line after the header lines says so, as in fig1 and fig2."""
+    src, fig6 = tmp_path / "improper.csv", tmp_path / "fig6_hist.csv"
+    src.write_text(",".join(IMPROPER_COLUMNS) + "\n0.25,0.01,0.74,0.14,0.18,0.68,0.7\n"
+                   "0.25,0.01,0.74,0.14,0.18,0.68,nan\n")
+    assert run(["screen-cf", "--in", str(src), "--out", os.devnull, "--hist-out", str(fig6)]) == 0
+    capsys.readouterr()
+    lines = fig6.read_text().splitlines()
+    assert lines[2:4] == ["# unbinned: 0 below 0.41, 1 above 0.5, 1 nan", "bin,count_all,count_realizable"]
+    assert len(lines[4:]) == 50 and all(line.endswith(",0,0") for line in lines[4:])
+
+
 # ---------------------------------------------------------------------------
 # beta-mc and rho-sweep
 # ---------------------------------------------------------------------------

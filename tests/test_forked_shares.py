@@ -295,6 +295,10 @@ def test_an_overlong_line_across_a_read_block_edge_reads_as_one_process_reads_it
     assert all(result == results[0] for result in results)
     code, _, err, _ = results[0]
     assert code in (0, 2) and err.count("\n") == code // 2
+    # a bad field is echoed cut short, and the message still names its data row
+    assert len(err) < 400
+    if b"x" in line:
+        assert err.startswith("cfb: in.csv: data row 15001: could not convert string 'xxx")
 
 
 # ---------------------------------------------------------------------------

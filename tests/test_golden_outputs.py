@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import cfb
-from cfb import cfb_engine, run
+from cfb import cfb_engine, run, screen_improper_set
+from cfb._csv import _read_improper_csv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfb"
 
@@ -74,6 +75,11 @@ def test_census_outputs_are_golden(tmp_path, monkeypatch, capsys):
     for name, digest in CENSUS_GOLDEN.items():
         assert sha256((tmp_path / name).read_bytes()) == digest, name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CENSUS_GOLDEN)
+    # read back, deviation is cfb_star - 0.5 of the 10-digit text: 0.0 where it reads 0.5
+    found = _read_improper_csv(str(tmp_path / "improper.csv"))
+    assert (len(found), int((found.deviation == 0.0).sum())) == (283523, 671)
+    kept = screen_improper_set(found).kept
+    assert (len(kept), int((kept.deviation == 0.0).sum())) == (9563, 47)
 
 
 def test_match_compare_outputs_are_golden(tmp_path, monkeypatch, capsys):
@@ -159,6 +165,21 @@ def test_no_source_file_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_only_the_csv_module_bins_a_histogram():
+    """Every histogram file is binned by cfb._csv, which counts the values a
+    histogram leaves out: any other call of numpy's histogram, function bodies
+    included, would be a second binning path."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "histogram":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert [call.split(":")[0] for call in calls] == ["_csv.py"], calls
 
 
 def test_every_module_all_names_what_it_defines():

@@ -8,6 +8,7 @@ docstring of cfb.improper_search explains why the tests pin bitwise
 values rather than tolerances for it.
 """
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -107,13 +108,26 @@ def test_grid_search_step_validation():
         grid_search(step=0.5, c=1.0)
 
 
-def test_grid_search_unit_step_has_no_survivors():
+def fig1_rows(tmp_path, capsys, step):
+    """(lines past the two header lines, [(bin_left, bin_right, count)]) of the
+    fig1_hist.csv that `search --step step` writes."""
+    hist = tmp_path / "fig1_hist.csv"
+    assert run(["search", "--step", step, "--out", os.devnull, "--hist-out", str(hist)]) == 0
+    capsys.readouterr()
+    lines = hist.read_text().splitlines()[2:]
+    return lines, [(float(lo), float(hi), int(n)) for lo, hi, n in (line.split(",") for line in lines[1:])]
+
+
+def test_grid_search_unit_step_has_no_survivors(tmp_path, capsys):
     res = grid_search(step=1.0)
     assert res.summary.count == 0
     assert len(res.survivors) == 0
     assert res.summary.argmin is None
     assert np.isnan(res.summary.cfb_min)
-    assert sum(res.summary.hist_counts) == 0
+    # fig1_hist.csv: 50 empty bins and no `# unbinned` note
+    lines, bins = fig1_rows(tmp_path, capsys, "1")
+    assert lines[0] == "bin_left,bin_right,count"
+    assert len(bins) == 50 and all(n == 0 for _, _, n in bins)
 
 
 SURVIVOR_COLUMNS = ("p_minus", "p_plus", "q_minus", "q_plus", "cfb_star", "deviation")
@@ -281,13 +295,13 @@ def test_census_argmin(grid_result):
     assert abs(found.cfb_star[k] - 485.0 / 1158.0) < 5e-16
 
 
-def test_census_histogram(grid_result):
-    s = grid_result.summary
-    assert len(s.hist_edges) == 51
-    assert s.hist_edges[0] == 0.41 and s.hist_edges[-1] == 0.50
-    assert sum(s.hist_counts) == 283523
-    assert s.hist_counts[0] == 0
-    assert s.hist_counts[-1] == 39161
+def test_census_histogram(tmp_path, capsys):
+    lines, bins = fig1_rows(tmp_path, capsys, "0.01")
+    assert lines[0] == "bin_left,bin_right,count" and len(bins) == 50
+    assert bins[0][0] == 0.41 and bins[-1][1] == 0.50
+    assert sum(n for _, _, n in bins) == 283523
+    assert bins[0][2] == 0
+    assert bins[-1][2] == 39161
 
 
 def test_every_record_sits_below_chance_in_convention_arithmetic(grid_result):

@@ -6,6 +6,7 @@ checks the scalar reference in tests/oracles.py, which the sweep is
 then checked against cell by cell.
 """
 
+import os
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfb import cfb_two_group, matched_pairs, matching_experiment
+from cfb import cfb_two_group, matched_pairs, matching_experiment, run
 from cfb.matched_pairs import _logistic, _uniform_open01
 from oracles import (
     LogisticRctPopulation,
@@ -159,14 +160,21 @@ def test_matching_experiment_respects_coefficient_range():
     assert res.coeff_range == (-2.0, 3.0)
 
 
-def test_matching_experiment_histogram_and_flags():
+def test_matching_experiment_histogram_and_flags(tmp_path, capsys):
     res = matching_experiment(grid_step=0.01, seed=20230516)
     defined = ~res.undefined
     assert np.array_equal(np.isnan(res.abs_diff), res.undefined)
     assert np.array_equal(np.isnan(res.cfb_covariate), res.undefined)
-    assert sum(res.hist_counts) == int(defined.sum())
-    assert len(res.hist_edges) == 51
-    assert res.hist_edges[0] == 0.0 and res.hist_edges[-1] == 0.25
+    # the same sweep's fig2_hist.csv bins every defined cell
+    hist = tmp_path / "fig2_hist.csv"
+    assert run(["match-compare", "--step", "0.01", "--out", os.devnull, "--hist-out", str(hist)]) == 0
+    capsys.readouterr()
+    lines = hist.read_text().splitlines()[2:]
+    assert lines[0] == "bin_left,bin_right,count"
+    bins = [line.split(",") for line in lines[1:]]
+    assert sum(int(n) for _, _, n in bins) == int(defined.sum())
+    assert len(bins) == 50
+    assert float(bins[0][0]) == 0.0 and float(bins[-1][1]) == 0.25
 
 
 def test_matching_experiment_matches_scalar_route():
@@ -264,7 +272,6 @@ def test_sweep_is_independent_of_block_size(monkeypatch, block):
     for name in ("a", "b", "beta0", "betax", "betat", "betaxt",
                  "cfb_covariate", "cfb_prediction", "abs_diff", "undefined"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.hist_counts == want.hist_counts
 
 
 # ---------------------------------------------------------------------------
